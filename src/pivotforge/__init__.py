@@ -42,7 +42,6 @@ from .polynomials import (
     MultiPoly,
     UniPoly,
     first_nonpositive,
-    multi_arith,
     multi_eval,
     uni_eval,
 )

@@ -12,8 +12,11 @@ byte-identical output files.  Exit codes: 0 pass, 1 property violation or
 engine error (with a witness), 2 usage or parse errors.
 
 Dimension caps guard the exponential scans (USO-style face scans <= 10,
-engine runs and vertex scans <= 20, SAT enumeration <= 24); the
-``PIVOTFORGE_MAX_N`` environment variable replaces all caps when set.
+engine runs and vertex scans <= 20, SAT enumeration <= 24 variables).
+Setting the ``PIVOTFORGE_MAX_N`` environment variable replaces each of
+these command caps with its value, but the brute-force SAT oracles never
+enumerate more than ``satreduce.ENUMERATION_LIMIT`` (24) variables: a
+larger request exits 2.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ import os
 import random
 import sys
 from fractions import Fraction
+from typing import Callable, NamedTuple
 
 from .boxes import AxisDirection, BoxProgram, bits_from_id
 from .engine import (
@@ -35,7 +39,7 @@ from .engine import (
     equivalence_check,
     make_rule,
 )
-from .errors import DimacsParseError, PivotforgeError
+from .errors import DimacsParseError, PivotforgeError, TooLargeError
 from .objectives import (
     LinearObjective,
     LowerBoundPolynomial,
@@ -43,7 +47,12 @@ from .objectives import (
     pad,
     partial_closed_form,
 )
+from .polynomials import multi_eval
 from .satreduce import (
+    ENUMERATION_LIMIT,
+    CnfFormula,
+    Literal,
+    _vertex_values,
     brute_force_max,
     brute_force_sat,
     parse_dimacs,
@@ -63,34 +72,7 @@ from .structure import (
     sink_find_decomposable,
 )
 
-DEFAULT_CAPS = {"run": 20, "face-scan": 10, "sat": 24}
-
-#: the property each verify subcommand certifies, shown in --help
-CHECK_CLAIMS = {
-    "uniqueness": "every non-optimal 0/1 vertex has exactly one improving "
-                  "dimension, and the gradient-sign and prefix/parity "
-                  "characterizations agree; the optimal vertex has none",
-    "gradient": "the closed-form vertex partial derivatives equal the "
-                "forward-mode derivatives of the recursion at every vertex "
-                "and coordinate",
-    "path": "iterating the unique improving dimension from the origin walks "
-            "a Hamiltonian path that equals the engine trajectory and the "
-            "reflected binary Gray code, and satisfies the half-reflection law",
-    "constancy": "along the unique improving edge at any non-optimal vertex "
-                 "the improving partial derivative is constant in the edge "
-                 "parameter and the edge restriction has degree 0",
-    "equivalence": "on random linear objectives with distinct vertex values, "
-                   "the active-set and simplex methods visit identical vertex "
-                   "sequences under a shared pivot rule",
-    "uso": "the induced orientation has exactly one sink in every face, is "
-           "combed on every subcube, and is combed in each subcube's highest "
-           "free dimension",
-    "sink": "the descent sink finder returns the brute-force optimum vertex "
-            "with at most 2n value queries",
-    "sat": "the clause-penalty polynomial has total degree <= 3, equals minus "
-           "the violated-clause count on every vertex, and attains maximum 0 "
-           "over the cube exactly on satisfiable formulas",
-}
+DEFAULT_CAPS = {"run": 20, "face-scan": 10, "sat": ENUMERATION_LIMIT}
 
 
 def _usage_error(message: str) -> "SystemExit":
@@ -174,10 +156,13 @@ def cmd_run(args) -> int:
 
 
 # ------------------------------------------------------------- verify --
+#
+# Each check certifies one property and is the only implementation of it:
+# ``verify`` and the acceptance tests both call these functions.  A check
+# returns ``(True, None)`` on pass and ``(False, witness)`` on a violation.
 
 
-def _verify_uniqueness(args):
-    n = args.n
+def check_uniqueness(n: int):
     oracle = LowerBoundPolynomial(n)
     optimum = tuple(1 if i == n - 1 else 0 for i in range(n))
     for vid in range(1 << n):
@@ -188,8 +173,7 @@ def _verify_uniqueness(args):
     return True, None
 
 
-def _verify_gradient(args):
-    n = args.n
+def check_gradient(n: int):
     oracle = LowerBoundPolynomial(n)
     for vid in range(1 << n):
         bits = bits_from_id(vid, n)
@@ -205,8 +189,7 @@ def _verify_gradient(args):
     return True, None
 
 
-def _verify_path(args):
-    n = args.n
+def check_path(n: int):
     oracle = LowerBoundPolynomial(n)
     path = hamiltonian_path(n, oracle)
     ids = list(path.vertex_ids)
@@ -221,9 +204,7 @@ def _verify_path(args):
                        "path": ids, "gray": reflected_gray_ids(n)}
     if n >= 2:  # half-reflection: second half = reversed first half + top bit
         half = 1 << (n - 1)
-        top = 1 << (n - 1)
-        expected = [v | top for v in reversed(ids[:half])]
-        if ids[half:] != expected:
+        if ids[half:] != [v | half for v in reversed(ids[:half])]:
             return False, {"reason": "half-reflection law violated", "path": ids}
     program = BoxProgram.unit_cube(n)
     trajectory = active_set_run(program, oracle, (0,) * n, make_rule("lowest-index"))
@@ -233,10 +214,8 @@ def _verify_path(args):
     return True, None
 
 
-def _verify_constancy(args):
-    n = args.n
+def check_constancy(n: int):
     oracle = LowerBoundPolynomial(n)
-    program = BoxProgram.unit_cube(n)
     samples = [Fraction(j, 10) for j in range(11)]
     for vid in range(1 << n):
         bits = bits_from_id(vid, n)
@@ -270,11 +249,10 @@ def _random_linear_objective(rng: random.Random, n: int) -> LinearObjective:
             return LinearObjective(c)
 
 
-def _verify_equivalence(args):
-    n = args.n
+def check_equivalence(n: int, trials: int, seed: int):
     program = BoxProgram.unit_cube(n)
-    rng = random.Random(args.seed)
-    for trial in range(args.trials):
+    rng = random.Random(seed)
+    for trial in range(trials):
         objective = _random_linear_objective(rng, n)
         start = program.vertex_from_bits(tuple(rng.randint(0, 1) for _ in range(n)))
         rule_name = RULE_NAMES[trial % len(RULE_NAMES)]
@@ -299,8 +277,7 @@ def _verify_equivalence(args):
     return True, None
 
 
-def _verify_uso(args):
-    n = args.n
+def check_uso(n: int):
     orientation = induce_orientation(LowerBoundPolynomial(n), n)
     ok, witness = is_uso(orientation)
     if not ok:
@@ -315,23 +292,23 @@ def _verify_uso(args):
     return True, None
 
 
-def _verify_sink(args):
-    n = args.n
+def check_sink(n: int):
     oracle = LowerBoundPolynomial(n)
     vid, queries = sink_find_decomposable(lambda bits: oracle.value(bits), n)
     values = [oracle.value(bits_from_id(v, n)) for v in range(1 << n)]
     argmax = max(range(1 << n), key=lambda v: values[v])
-    if vid != argmax or queries > 2 * n:
-        return False, {"found": vid, "argmax": argmax, "queries": queries,
-                       "query_budget": 2 * n}
+    optimum = 1 << (n - 1)
+    if vid != argmax or vid != optimum or queries > 2 * n:
+        return False, {"found": vid, "argmax": argmax, "optimum": optimum,
+                       "queries": queries, "query_budget": 2 * n}
     return True, None
 
 
-def _random_formula(rng: random.Random, max_vars: int = 12, max_clauses: int = 20):
-    from .satreduce import CnfFormula, Literal
-
+def _random_formula(rng: random.Random, max_vars: int) -> CnfFormula:
+    """At most 20 random clauses of width 1 to 3 over 1 to ``max_vars``
+    variables."""
     n_vars = rng.randint(1, max_vars)
-    n_clauses = rng.randint(0, max_clauses)
+    n_clauses = rng.randint(0, 20)
     clauses = []
     for _ in range(n_clauses):
         width = rng.randint(1, min(3, n_vars))
@@ -340,57 +317,111 @@ def _random_formula(rng: random.Random, max_vars: int = 12, max_clauses: int = 2
     return CnfFormula(n_vars, tuple(clauses))
 
 
-def _verify_sat(args):
-    rng = random.Random(args.seed)
-    for trial in range(args.trials):
-        formula = _random_formula(rng)
-        poly = violation_polynomial(formula)
-        if poly.total_degree > 3:
-            return False, {"trial": trial, "reason": "degree > 3",
-                           "degree": poly.total_degree}
-        best, _ = brute_force_max(poly, formula.n_vars)
-        satisfiable, _ = brute_force_sat(formula)
-        if (best == 0) != satisfiable:
-            return False, {"trial": trial, "reason": "max/sat mismatch",
-                           "max": format_rational(best), "sat": satisfiable}
-        probe = rng.randrange(1 << formula.n_vars)
-        bits = tuple((probe >> i) & 1 for i in range(formula.n_vars))
-        if poly.eval(bits) != -violated_clause_count(formula, bits):
-            return False, {"trial": trial, "reason": "per-vertex law violated",
-                           "vertex": list(bits)}
+def certify_formula(formula: CnfFormula, probe: int):
+    """Certify the clause-penalty reduction of one formula: degree <= 3,
+    maximum 0 iff satisfiable (with a satisfying witness), and value
+    ``-(violated clauses)`` on every vertex.  At vertex id ``probe`` the
+    bitmask vertex evaluator is also tied to full polynomial evaluation."""
+    n = formula.n_vars
+    poly = violation_polynomial(formula)
+    if poly.total_degree > 3:
+        return False, {"reason": "degree > 3", "degree": poly.total_degree}
+    best, _ = brute_force_max(poly, n)
+    satisfiable, assignment = brute_force_sat(formula)
+    if (best == 0) != satisfiable:
+        return False, {"reason": "max/sat mismatch",
+                       "max": format_rational(best), "sat": satisfiable}
+    if satisfiable and violated_clause_count(formula, assignment) != 0:
+        return False, {"reason": "satisfying assignment violates a clause",
+                       "vertex": list(assignment)}
+    values = _vertex_values(poly, n)
+    for vid in range(1 << n):
+        bits = bits_from_id(vid, n)
+        if values[vid] != -violated_clause_count(formula, bits):
+            return False, {"reason": "per-vertex law violated", "vertex": list(bits)}
+    bits = bits_from_id(probe, n)
+    if values[probe] != multi_eval(poly, bits):
+        return False, {"reason": "vertex evaluator disagrees with full evaluation",
+                       "vertex": list(bits)}
     return True, None
 
 
-VERIFY_HANDLERS = {
-    "uniqueness": (_verify_uniqueness, "run"),
-    "gradient": (_verify_gradient, "run"),
-    "path": (_verify_path, "run"),
-    "constancy": (_verify_constancy, "run"),
-    "equivalence": (_verify_equivalence, "run"),
-    "uso": (_verify_uso, "face-scan"),
-    "sink": (_verify_sink, "run"),
-    "sat": (_verify_sat, "sat"),
-}
+def check_sat(n: int, trials: int, seed: int):
+    rng = random.Random(seed)
+    for trial in range(trials):
+        formula = _random_formula(rng, n)
+        probe = rng.randrange(1 << formula.n_vars)
+        ok, witness = certify_formula(formula, probe)
+        if not ok:
+            return False, {"trial": trial, **witness}
+    return True, None
 
-VERIFY_DEFAULT_N = {
-    "uniqueness": 10, "gradient": 8, "path": 10, "constancy": 8,
-    "equivalence": 8, "uso": 8, "sink": 10, "sat": 12,
+
+class Check(NamedTuple):
+    claim: str  # the property the check certifies, shown in --help
+    run: Callable  # run(n) or, when randomized, run(n, trials, seed)
+    cap: str  # key of DEFAULT_CAPS bounding n
+    default_n: int
+    randomized: bool = False
+
+
+CHECKS = {
+    "uniqueness": Check(
+        "every non-optimal 0/1 vertex has exactly one improving dimension, "
+        "and the gradient-sign and prefix/parity characterizations agree; "
+        "the optimal vertex has none",
+        check_uniqueness, "run", 10),
+    "gradient": Check(
+        "the closed-form vertex partial derivatives equal the forward-mode "
+        "derivatives of the recursion at every vertex and coordinate",
+        check_gradient, "run", 8),
+    "path": Check(
+        "iterating the unique improving dimension from the origin walks a "
+        "Hamiltonian path that equals the engine trajectory and the reflected "
+        "binary Gray code, and satisfies the half-reflection law",
+        check_path, "run", 10),
+    "constancy": Check(
+        "along the unique improving edge at any non-optimal vertex the "
+        "improving partial derivative is constant in the edge parameter and "
+        "the edge restriction has degree 0",
+        check_constancy, "run", 8),
+    "equivalence": Check(
+        "on random linear objectives with distinct vertex values, the "
+        "active-set and simplex methods visit identical vertex sequences under "
+        "a shared pivot rule",
+        check_equivalence, "run", 8, randomized=True),
+    "uso": Check(
+        "the induced orientation has exactly one sink in every face, is combed "
+        "on every subcube, and is combed in each subcube's highest free "
+        "dimension",
+        check_uso, "face-scan", 8),
+    "sink": Check(
+        "the descent sink finder returns the brute-force optimum vertex, the "
+        "last unit vector, with at most 2n value queries",
+        check_sink, "run", 10),
+    "sat": Check(
+        "on random formulas with at most n variables, the clause-penalty "
+        "polynomial has total degree <= 3, equals minus the violated-clause "
+        "count on every vertex, and attains maximum 0 over the cube exactly "
+        "on satisfiable formulas",
+        check_sat, "sat", 12, randomized=True),
 }
 
 
 def cmd_verify(args) -> int:
-    handler, cap_kind = VERIFY_HANDLERS[args.check]
-    if args.n is None:
-        args.n = VERIFY_DEFAULT_N[args.check]
-    _check_cap(args.n, cap_kind, f"'{args.check}'")
+    check = CHECKS[args.check]
+    n = check.default_n if args.n is None else args.n
+    _check_cap(n, check.cap, f"'{args.check}'")
+    params = {"trials": args.trials, "seed": args.seed} if check.randomized else {}
     try:
-        ok, witness = handler(args)
+        ok, witness = check.run(n, **params)
+    except TooLargeError as exc:
+        raise _usage_error(str(exc))
     except PivotforgeError as exc:
         ok, witness = False, {"error": type(exc).__name__, "message": str(exc)}
     if ok:
-        extra = f" trials={args.trials} seed={args.seed}" if args.check in (
-            "equivalence", "sat") else ""
-        print(f"check={args.check} n={args.n}{extra} result=pass")
+        extra = "".join(f" {key}={value}" for key, value in params.items())
+        print(f"check={args.check} n={n}{extra} result=pass")
         return 0
     _print_witness(args.check, witness)
     return 1
@@ -445,8 +476,11 @@ def cmd_reduce(args) -> int:
     if args.check:
         if formula.n_vars > _cap("sat"):
             raise _usage_error(f"n={formula.n_vars} exceeds the SAT enumeration cap")
-        best, _ = brute_force_max(poly, formula.n_vars)
-        satisfiable, witness = brute_force_sat(formula)
+        try:
+            best, _ = brute_force_max(poly, formula.n_vars)
+            satisfiable, witness = brute_force_sat(formula)
+        except TooLargeError as exc:
+            raise _usage_error(str(exc))
         verdict = "SAT" if satisfiable else "UNSAT"
         print(f"verdict={verdict} max={format_rational(best)}")
         if (best == 0) != satisfiable:
@@ -490,16 +524,17 @@ def build_parser() -> argparse.ArgumentParser:
                      help="add lossy decimal fields next to exact p/q values")
     run.set_defaults(func=cmd_run)
 
-    claims = "\n".join(f"  {name}: {text}" for name, text in CHECK_CLAIMS.items())
+    claims = "\n".join(f"  {name}: {check.claim}" for name, check in CHECKS.items())
     verify = sub.add_parser(
         "verify",
         help="run one certification check (exit 0 pass, 1 fail with witness)",
         description="Each check certifies one property:\n" + claims,
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
-    verify.add_argument("check", choices=sorted(CHECK_CLAIMS))
+    verify.add_argument("check", choices=sorted(CHECKS))
     verify.add_argument("--n", type=int, default=None,
-                        help="dimension (default depends on the check)")
+                        help="dimension; for 'sat', the most variables a random "
+                             "formula may have (default depends on the check)")
     verify.add_argument("--trials", type=int, default=100,
                         help="trial count for randomized checks")
     verify.add_argument("--seed", type=int, default=0)

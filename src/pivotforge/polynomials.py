@@ -195,10 +195,6 @@ class UniPoly:
     def __repr__(self):
         return f"UniPoly({list(self.coeffs)!r})"
 
-    def shifted_line(self, offset, slope) -> "UniPoly":
-        """The degree-<=1 polynomial ``offset + slope * t``."""
-        return UniPoly((offset, slope))
-
     # -- root machinery -------------------------------------------------
 
     def primitive(self) -> "UniPoly":
@@ -599,15 +595,6 @@ class MultiPoly:
             )
             bits.append(f"{coeff}" + (f"*{mono}" if mono else ""))
         return f"MultiPoly({self.nvars}, {' + '.join(bits)})"
-
-
-def multi_arith(a: MultiPoly, b: MultiPoly, op: str) -> MultiPoly:
-    """Exact sparse addition or multiplication (``op`` in {"add", "mul"})."""
-    if op == "add":
-        return a + b
-    if op == "mul":
-        return a * b
-    raise ValueError(f"unknown op {op!r}")
 
 
 def multi_eval(p: MultiPoly, point: Sequence):

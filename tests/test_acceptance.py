@@ -1,5 +1,23 @@
 """Acceptance criteria, one test per numbered claim, all at exact equality.
 
+Where ``pivotforge verify`` certifies the same property, the test calls
+that check from ``pivotforge.cli`` over its own n-range, so each property
+has one implementation:
+
+- 02 ``check_uniqueness`` (``verify uniqueness``), n = 1..12
+- 03 ``check_gradient`` (``verify gradient``), n = 1..10
+- 05 ``check_path`` (``verify path``), n = 1..12
+- 06 ``check_constancy`` (``verify constancy``), n = 1..10
+- 09 ``check_uso`` (``verify uso``), n = 1..8
+- 10 ``check_sink`` (``verify sink``), n = 1..12
+- 08 keeps its own loop (origin start, seeds ``1000 + n``) and draws its
+  objectives with ``_random_linear_objective``, as ``verify equivalence``
+  does.
+- 11 draws its random formulas with ``_random_formula`` and certifies
+  each with ``certify_formula``, as ``verify sat`` does.
+
+Tests 01, 04, 07 and 12 have no ``verify`` counterpart.
+
 Run with ``pytest -s tests/test_acceptance.py`` to see one PASS/FAIL line
 per criterion (with wall time); without ``-s`` the lines appear only for
 failing criteria.
@@ -8,37 +26,30 @@ failing criteria.
 import random
 import time
 from contextlib import contextmanager
-from fractions import Fraction
 
 from pivotforge import (
     BoxProgram,
     CnfFormula,
-    LinearObjective,
     Literal,
     active_set_run,
     bits_from_id,
-    brute_force_max,
-    brute_force_sat,
-    combed_dimension,
     equivalence_check,
     expand,
-    faces,
-    hamiltonian_path,
-    improving_dimension,
-    induce_orientation,
-    is_decomposable,
-    is_uso,
     make_rule,
-    multi_eval,
     pad,
-    partial_closed_form,
-    reflected_gray_ids,
-    sink_find_decomposable,
-    violation_polynomial,
 )
-from pivotforge.boxes import AxisDirection
+from pivotforge.cli import (
+    _random_formula,
+    _random_linear_objective,
+    certify_formula,
+    check_constancy,
+    check_gradient,
+    check_path,
+    check_sink,
+    check_uniqueness,
+    check_uso,
+)
 from pivotforge.engine import RULE_NAMES
-from pivotforge.satreduce import _vertex_values, violated_clause_count
 
 
 @contextmanager
@@ -74,27 +85,18 @@ def test_01_iteration_count_for_every_rule(oracle_for):
                 assert oracle.value(trajectory.final_point) == 2**n - 1
 
 
-def test_02_unique_improving_dimension(oracle_for):
+def test_02_unique_improving_dimension():
     with report("02 unique improving dimension, both conditions, n=1..12"):
         for n in range(1, 13):
-            oracle = oracle_for(n)
-            optimum = unit_vector_bits(n)
-            for vid in range(1 << n):
-                bits = bits_from_id(vid, n)
-                # raises AmbiguousImprovementError if the gradient-sign and
-                # prefix/parity characterizations disagree or double up
-                k = improving_dimension(bits, oracle)
-                assert (k is None) == (bits == optimum)
+            ok, witness = check_uniqueness(n)
+            assert ok, witness
 
 
-def test_03_closed_form_partials(oracle_for):
+def test_03_closed_form_partials():
     with report("03 closed-form vertex partials = forward mode, n=1..10"):
         for n in range(1, 11):
-            oracle = oracle_for(n)
-            for vid in range(1 << n):
-                bits = bits_from_id(vid, n)
-                for k in range(1, n + 1):
-                    assert partial_closed_form(n, k, bits) == oracle.partial(bits, k)
+            ok, witness = check_gradient(n)
+            assert ok, witness
 
 
 def test_04_unique_maximum_and_value_permutation(oracle_for):
@@ -109,45 +111,18 @@ def test_04_unique_maximum_and_value_permutation(oracle_for):
             assert top == [1 << (n - 1)]  # id of the last unit vector
 
 
-def test_05_hamiltonian_path(oracle_for):
+def test_05_hamiltonian_path():
     with report("05 Hamiltonian path = engine trajectory = reflected Gray code"):
         for n in range(1, 13):
-            oracle = oracle_for(n)
-            ids = list(hamiltonian_path(n, oracle).vertex_ids)
-            assert sorted(ids) == list(range(1 << n))
-            assert ids[-1] == 1 << (n - 1)
-            for a, b in zip(ids, ids[1:]):
-                assert bin(a ^ b).count("1") == 1
-            assert ids == reflected_gray_ids(n)
-            if n >= 2:
-                half = 1 << (n - 1)
-                assert ids[half:] == [v | half for v in reversed(ids[:half])]
-            trajectory = active_set_run(
-                BoxProgram.unit_cube(n), oracle, (0,) * n, make_rule("lowest-index")
-            )
-            assert trajectory.vertex_ids() == ids
+            ok, witness = check_path(n)
+            assert ok, witness
 
 
-def test_06_partial_constant_along_improving_edge(oracle_for):
+def test_06_partial_constant_along_improving_edge():
     with report("06 improving partial constant along its edge; degree-0 restriction"):
-        samples = [Fraction(j, 10) for j in range(11)]
         for n in range(1, 11):
-            oracle = oracle_for(n)
-            for vid in range(1 << n):
-                bits = bits_from_id(vid, n)
-                k = improving_dimension(bits, oracle)
-                if k is None:
-                    continue
-                sign = 1 - 2 * bits[k - 1]
-                base = oracle.partial(bits, k)
-                for mu in samples:
-                    point = tuple(
-                        bits[i] + sign * mu if i == k - 1 else bits[i]
-                        for i in range(n)
-                    )
-                    assert oracle.partial(point, k) == base
-                g = oracle.edge_restriction(bits, AxisDirection(k, sign))
-                assert g.degree <= 0
+            ok, witness = check_constancy(n)
+            assert ok, witness
 
 
 def test_07_padding_preserves_the_count(oracle_for):
@@ -168,46 +143,28 @@ def test_08_simplex_equivalence():
             program = BoxProgram.unit_cube(n)
             rng = random.Random(1000 + n)
             for trial in range(100):
-                while True:
-                    c = tuple(
-                        Fraction(rng.randint(-60, 60), rng.randint(1, 9))
-                        for _ in range(n)
-                    )
-                    sums = [Fraction(0)]
-                    for ci in c:
-                        sums += [s + ci for s in sums]
-                    if len(set(sums)) == len(sums):
-                        break
+                objective = _random_linear_objective(rng, n)
                 rule_name = RULE_NAMES[trial % len(RULE_NAMES)]
                 seed = rng.randrange(2**30)
                 same, divergence = equivalence_check(
-                    program, LinearObjective(c), (0,) * n,
+                    program, objective, (0,) * n,
                     lambda: make_rule(rule_name, seed),
                 )
-                assert same, (n, trial, c, divergence)
+                assert same, (n, trial, objective.c, divergence)
 
 
-def test_09_orientation_is_a_decomposable_uso(oracle_for):
+def test_09_orientation_is_a_decomposable_uso():
     with report("09 induced orientation: USO, decomposable, top-dimension combed"):
         for n in range(1, 9):
-            orientation = induce_orientation(oracle_for(n), n)
-            ok, witness = is_uso(orientation)
+            ok, witness = check_uso(n)
             assert ok, witness
-            ok, witness = is_decomposable(orientation)
-            assert ok, witness
-            for face in faces(n, min_dimension=1):
-                assert max(face.free_coords) in combed_dimension(orientation, face)
 
 
-def test_10_sink_finding_in_linear_queries(oracle_for):
+def test_10_sink_finding_in_linear_queries():
     with report("10 sink finder: correct vertex with at most 2n queries, n=1..12"):
         for n in range(1, 13):
-            oracle = oracle_for(n)
-            vid, queries = sink_find_decomposable(lambda b: oracle.value(b), n)
-            values = [oracle.value(bits_from_id(v, n)) for v in range(1 << n)]
-            assert vid == max(range(1 << n), key=lambda v: values[v])
-            assert vid == 1 << (n - 1)
-            assert queries <= 2 * n
+            ok, witness = check_sink(n)
+            assert ok, witness
 
 
 def _edge_case_formulas():
@@ -249,34 +206,11 @@ def test_11_reduction_soundness():
         rng = random.Random(2024)
         formulas = list(_edge_case_formulas())
         while len(formulas) < 220:
-            n_vars = rng.randint(1, 12)
-            clauses = []
-            for _ in range(rng.randint(0, 20)):
-                width = rng.randint(1, min(3, n_vars))
-                variables = rng.sample(range(1, n_vars + 1), width)
-                clauses.append(
-                    tuple(Literal(v, rng.random() < 0.5) for v in variables)
-                )
-            formulas.append(CnfFormula(n_vars, tuple(clauses)))
+            formulas.append(_random_formula(rng, 12))
         assert len(formulas) >= 220
         for formula in formulas:
-            n = formula.n_vars
-            poly = violation_polynomial(formula)
-            assert poly.total_degree <= 3
-            best, argmax = brute_force_max(poly, n)
-            satisfiable, witness = brute_force_sat(formula)
-            assert (best == 0) == satisfiable
-            if satisfiable:
-                assert violated_clause_count(formula, witness) == 0
-            # per-vertex law across the whole cube; the polynomial side uses
-            # the exact vertex evaluator, the clause side counts directly
-            values = _vertex_values(poly, n)
-            for vid in range(1 << n):
-                bits = bits_from_id(vid, n)
-                assert values[vid] == -violated_clause_count(formula, bits)
-            # spot-tie the fast vertex evaluator to full evaluation
-            probe = rng.randrange(1 << n)
-            assert values[probe] == multi_eval(poly, bits_from_id(probe, n))
+            ok, witness = certify_formula(formula, rng.randrange(1 << formula.n_vars))
+            assert ok, (formula, witness)
 
 
 def test_12_expansion_degrees():

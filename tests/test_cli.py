@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from pivotforge import cli
+from pivotforge import cli, violation_polynomial
 
 
 def run_cli(args):
@@ -60,17 +60,43 @@ def test_verify_checks_pass(tmp_path, capsys, monkeypatch):
     for check, n in [("uniqueness", "6"), ("gradient", "5"), ("path", "6"),
                      ("constancy", "5"), ("uso", "5"), ("sink", "8")]:
         assert run_cli(["verify", check, "--n", n]) == 0
-        assert "result=pass" in capsys.readouterr().out
+        assert capsys.readouterr().out == f"check={check} n={n} result=pass\n"
     assert run_cli(["verify", "equivalence", "--n", "5", "--trials", "20",
                     "--seed", "3"]) == 0
+    assert capsys.readouterr().out == (
+        "check=equivalence n=5 trials=20 seed=3 result=pass\n")
     assert run_cli(["verify", "sat", "--trials", "30", "--seed", "3"]) == 0
-    capsys.readouterr()
+    assert capsys.readouterr().out == "check=sat n=12 trials=30 seed=3 result=pass\n"
+
+
+def test_verify_sat_draws_at_most_n_variables(capsys, monkeypatch):
+    drawn = []
+
+    def recording(formula):
+        drawn.append(formula.n_vars)
+        return violation_polynomial(formula)
+
+    monkeypatch.setattr(cli, "violation_polynomial", recording)
+    assert run_cli(["verify", "sat", "--n", "2", "--trials", "40"]) == 0
+    assert capsys.readouterr().out == "check=sat n=2 trials=40 seed=0 result=pass\n"
+    assert sorted(set(drawn)) == [1, 2]
+
+
+def test_verify_sat_past_the_enumeration_limit_exits_2(capsys, monkeypatch):
+    # seed 6 draws a 26-variable formula first, which no oracle may enumerate
+    monkeypatch.setenv("PIVOTFORGE_MAX_N", "30")
+    with pytest.raises(SystemExit) as err:
+        run_cli(["verify", "sat", "--n", "26", "--trials", "1", "--seed", "6"])
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: n=26 exceeds the enumeration cap 24\n"
 
 
 def test_verify_failure_emits_witness_json(capsys, monkeypatch):
     monkeypatch.setitem(
-        cli.VERIFY_HANDLERS, "uso",
-        (lambda args: (False, {"face": ["*"], "sinks": []}), "face-scan"),
+        cli.CHECKS, "uso",
+        cli.CHECKS["uso"]._replace(run=lambda n: (False, {"face": ["*"], "sinks": []})),
     )
     code = run_cli(["verify", "uso", "--n", "2"])
     assert code == 1
@@ -85,7 +111,7 @@ def test_verify_help_names_each_claim(capsys):
         run_cli(["verify", "--help"])
     assert err.value.code == 0
     text = capsys.readouterr().out
-    for check in cli.CHECK_CLAIMS:
+    for check in cli.CHECKS:
         assert check in text
     assert "Hamiltonian path" in text
 
@@ -146,6 +172,16 @@ def test_reduce_unsat_verdict(tmp_path, capsys):
     code = run_cli(["reduce", str(cnf), "--check"])
     assert code == 0
     assert "verdict=UNSAT max=-1/1" in capsys.readouterr().out
+
+
+def test_reduce_past_the_enumeration_limit_exits_2(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("PIVOTFORGE_MAX_N", "30")
+    cnf = tmp_path / "wide.cnf"
+    cnf.write_text("p cnf 25 1\n1 -13 25 0\n")
+    with pytest.raises(SystemExit) as err:
+        run_cli(["reduce", str(cnf), "--check", "--out", str(tmp_path / "w.json")])
+    assert err.value.code == 2
+    assert capsys.readouterr().err == "error: n=25 exceeds the enumeration cap 24\n"
 
 
 def test_reduce_parse_error_exits_2(tmp_path, capsys):
