@@ -20,8 +20,12 @@ class DimensionMismatchError(PivotforgeError):
 class NotRepresentableError(PivotforgeError):
     """Raised when a line-search stopping point exists but is irrational.
 
-    The stopping point is isolated to an open rational interval containing
-    no rational root, so it cannot be stored exactly.
+    ``lower`` and ``upper`` are rationals such that ``(lower, upper]``
+    contains exactly one root of the restriction, its first one, and is
+    narrower than ``1 / (2 lead^2)`` for the leading coefficient ``lead``
+    of its primitive square-free part.  The only rational that could be
+    that root was tested and is not, so the stopping point cannot be
+    stored exactly.
     """
 
     def __init__(self, message, lower=None, upper=None):

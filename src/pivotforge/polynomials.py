@@ -1,11 +1,15 @@
 """Exact univariate and sparse multivariate polynomial arithmetic.
 
 Univariate polynomials (:class:`UniPoly`) carry the line-search machinery:
-Sturm chains, rational-root extraction, and :func:`first_nonpositive`,
-which computes ``inf {t in [0, t_max] : p(t) <= 0}`` exactly.  Irrational
-stopping points are reported as :class:`~pivotforge.errors.NotRepresentableError`
-rather than approximated, because downstream iteration counting depends on
-stopping points being stored exactly.
+Sturm chains and :func:`first_nonpositive`, which computes
+``inf {t in [0, t_max] : p(t) <= 0}`` exactly.  It isolates the leftmost
+root by bisection and then tests the one rational that can be that root,
+the best approximation with denominator at most the leading coefficient;
+no integer is ever factored, so the cost is polynomial in the bit size.
+Irrational stopping points are reported as
+:class:`~pivotforge.errors.NotRepresentableError` rather than approximated,
+because downstream iteration counting depends on stopping points being
+stored exactly.
 
 Multivariate polynomials (:class:`MultiPoly`) are sparse maps from dense
 exponent vectors to nonzero rational coefficients.  Term order for
@@ -22,7 +26,7 @@ dual numbers, and polynomial rings.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd
 from typing import Iterable, Optional, Sequence
 
 from .errors import DimensionMismatchError, NotRepresentableError
@@ -226,54 +230,6 @@ class UniPoly:
         assert r.is_zero()
         return q.primitive()
 
-    def divide_out_root(self, root) -> "UniPoly":
-        """Exact synthetic division by ``(t - root)``; the root must be exact."""
-        q, r = divmod(self, UniPoly((-root, 1)))
-        if not r.is_zero():
-            raise ValueError(f"{root} is not a root")
-        return q
-
-    def rational_roots(self) -> list:
-        """All rational roots (each listed once), found by the rational
-        root theorem on the primitive integer form and verified by exact
-        evaluation."""
-        if self.is_zero():
-            raise ValueError("the zero polynomial has every rational as a root")
-        p = self.primitive()
-        roots = []
-        cs = list(p.coeffs)
-        low = 0
-        while cs[low] == 0:
-            low += 1
-        if low:
-            roots.append(0)
-            cs = cs[low:]
-        if len(cs) <= 1:
-            return sorted(roots)
-        trailing, leading = abs(cs[0]), abs(cs[-1])
-        reduced = UniPoly(cs)
-        for num in _divisors(trailing):
-            for den in _divisors(leading):
-                if gcd(num, den) != 1:
-                    continue
-                for cand in (Fraction(num, den), Fraction(-num, den)):
-                    if reduced.eval(cand) == 0:
-                        roots.append(as_rational(cand))
-        return sorted(set(roots))
-
-
-def _divisors(m: int) -> list:
-    """All positive divisors of ``m > 0`` by trial division."""
-    out = []
-    d = 1
-    while d <= isqrt(m):
-        if m % d == 0:
-            out.append(d)
-            if d != m // d:
-                out.append(m // d)
-        d += 1
-    return sorted(out)
-
 
 def poly_gcd(a: UniPoly, b: UniPoly) -> UniPoly:
     """Monic-free Euclidean gcd, returned primitive with positive lead."""
@@ -334,12 +290,19 @@ def first_nonpositive(p: UniPoly, t_max) -> Optional[Rational]:
     Returns ``None`` when ``p > 0`` on the whole interval.  When the
     infimum exists but is irrational (the leftmost root of ``p`` in the
     interval has no rational value), raises
-    :class:`~pivotforge.errors.NotRepresentableError` instead of rounding.
+    :class:`~pivotforge.errors.NotRepresentableError` instead of rounding;
+    its ``lower``/``upper`` are the final isolating interval.
 
-    The computation is exact throughout: endpoint signs by evaluation,
-    candidate stopping points from rational-root extraction, and a Sturm
-    count certifying that no root -- rational or not -- lies to the left
-    of the returned value.
+    The computation is exact throughout.  With ``s`` the square-free part
+    of ``p``, the sign variations ``V`` of its Sturm chain satisfy
+    ``V(a) - V(b) = #roots of s in (a, b]``.  Bisection keeps no root in
+    ``(0, lo]`` and at least one in ``(lo, hi]`` until the interval holds
+    exactly one root and is narrower than ``1 / (2 lead^2)``, ``lead``
+    being the leading coefficient of the primitive integer ``s``.  A
+    rational root of ``s`` has a denominator dividing ``lead``, and two
+    such rationals are at least ``1 / lead^2`` apart, so the only
+    candidate is the best approximation to the midpoint with denominator
+    at most ``lead``; exact evaluation accepts or rejects it.
     """
     t_max = as_rational(t_max)
     if t_max < 0:
@@ -349,20 +312,41 @@ def first_nonpositive(p: UniPoly, t_max) -> Optional[Rational]:
     if t_max == 0 or p.degree == 0:
         return None  # positive constants never dip; intervals of width 0 are done
     # p(0) > 0, so the infimum (if any) is the leftmost root in (0, t_max].
-    square_free = p.squarefree_part()
-    rational = [r for r in square_free.rational_roots() if 0 < r <= t_max]
-    first_rational = min(rational) if rational else None
-    # Divide out every rational root: what remains is nonzero at every
-    # rational point, so Sturm counting between rational endpoints is safe.
-    remainder = square_free
-    for r in square_free.rational_roots():
-        remainder = remainder.divide_out_root(r)
-    upper = first_rational if first_rational is not None else t_max
-    if remainder.degree >= 1 and count_roots_between(remainder, 0, upper) > 0:
-        raise NotRepresentableError(
-            "leftmost zero of the restriction is irrational", lower=0, upper=upper
-        )
-    return first_rational
+    s = p.squarefree_part()
+    chain = sturm_chain(s)
+
+    def variations(t):
+        return sign_variations([q.eval(t) for q in chain])
+
+    v_zero, v_hi = variations(0), variations(t_max)
+    if v_hi == v_zero:
+        return None
+    lo, hi = Fraction(0), Fraction(t_max)
+    while v_zero - v_hi > 1:
+        mid = (lo + hi) / 2
+        v_mid = variations(mid)
+        if v_mid < v_zero:
+            hi, v_hi = mid, v_mid
+        else:
+            lo = mid
+    # (lo, hi] holds exactly one root, a simple one: s changes sign there.
+    lead = abs(s.coeffs[-1])
+    width = Fraction(1, 2 * lead * lead)
+    positive_at_lo = s.eval(lo) > 0
+    while hi - lo >= width:
+        mid = (lo + hi) / 2
+        value = s.eval(mid)
+        if value != 0 and (value > 0) == positive_at_lo:
+            lo = mid
+        else:
+            hi = mid
+    candidate = ((lo + hi) / 2).limit_denominator(lead)
+    if lo < candidate <= hi and s.eval(candidate) == 0:
+        return as_rational(candidate)
+    raise NotRepresentableError(
+        "leftmost zero of the restriction is irrational",
+        lower=as_rational(lo), upper=as_rational(hi),
+    )
 
 
 def uni_eval(p: UniPoly, t) -> Rational:

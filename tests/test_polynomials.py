@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd, isqrt
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,6 +10,7 @@ from pivotforge import (
     MultiPoly,
     NotRepresentableError,
     UniPoly,
+    as_rational,
     first_nonpositive,
     multi_eval,
     uni_eval,
@@ -74,10 +76,65 @@ def test_squarefree_part_keeps_roots_once():
     assert poly_gcd(sf, sf.derivative()).degree == 0
 
 
+def _divisors(m):
+    """All positive divisors of ``m > 0`` by trial division."""
+    out = []
+    for d in range(1, isqrt(m) + 1):
+        if m % d == 0:
+            out.extend({d, m // d})
+    return sorted(out)
+
+
+def _rational_roots_oracle(p):
+    """All rational roots of ``p`` (each once, sorted) by the rational root
+    theorem on the primitive integer form, verified by exact evaluation.
+    Exponential in the bit size: a reference for small coefficients only."""
+    cs = list(p.primitive().coeffs)
+    roots = set()
+    low = 0
+    while cs[low] == 0:
+        low += 1
+    if low:
+        roots.add(0)
+        cs = cs[low:]
+    reduced = UniPoly(cs)
+    if reduced.degree >= 1:
+        dens = _divisors(abs(cs[-1]))
+        for num in _divisors(abs(cs[0])):
+            for den in dens:
+                if gcd(num, den) != 1:
+                    continue
+                for cand in (Fraction(num, den), Fraction(-num, den)):
+                    if reduced.eval(cand) == 0:
+                        roots.add(as_rational(cand))
+    return sorted(roots)
+
+
+def _first_nonpositive_oracle(p, t_max):
+    """The line search by root extraction: the least rational root in
+    ``(0, t_max]``, unless a Sturm count finds an irrational root before it."""
+    if p.eval(0) <= 0:
+        return 0
+    if t_max == 0 or p.degree == 0:
+        return None
+    square_free = p.squarefree_part()
+    roots = _rational_roots_oracle(square_free)
+    in_range = [r for r in roots if 0 < r <= t_max]
+    first_rational = min(in_range) if in_range else None
+    remainder = square_free
+    for r in roots:
+        remainder, rest = divmod(remainder, UniPoly((-r, 1)))
+        assert rest.is_zero()
+    upper = first_rational if first_rational is not None else t_max
+    if remainder.degree >= 1 and count_roots_between(remainder, 0, upper) > 0:
+        raise NotRepresentableError("irrational")
+    return first_rational
+
+
 def test_rational_roots_extraction():
     p = UniPoly((Fraction(1, 2), 1)) * UniPoly((-3, 1)) * UniPoly((1, 0, 1))
-    assert p.rational_roots() == [-Fraction(1, 2), 3]
-    assert UniPoly((0, 0, 1)).rational_roots() == [0]
+    assert _rational_roots_oracle(p) == [-Fraction(1, 2), 3]
+    assert _rational_roots_oracle(UniPoly((0, 0, 1))) == [0]
 
 
 def test_sturm_counts_known_roots():
@@ -107,6 +164,20 @@ def test_first_nonpositive_result_is_a_root():
     assert uni_eval(p, r) == 0
 
 
+def _assert_isolating_witness(p, t_max, error):
+    """``(lower, upper]`` holds exactly one root of ``p``, the first one,
+    and is narrower than ``1 / (2 lead^2)``."""
+    lower, upper = error.lower, error.upper
+    s = p.squarefree_part()
+    lead = abs(s.coeffs[-1])
+    assert 0 <= lower < upper <= t_max
+    assert upper - lower < Fraction(1, 2 * lead * lead)
+    assert p.eval(lower) > 0
+    assert p.eval(upper) <= 0 or s.eval(lower) * s.eval(upper) < 0
+    assert p.eval(upper) == 0 or count_roots_between(p, lower, upper) == 1
+    assert lower == 0 or count_roots_between(p, 0, lower) == 0
+
+
 def test_first_nonpositive_irrational_cases():
     with pytest.raises(NotRepresentableError):
         first_nonpositive(UniPoly((2, 0, -1)), 2)  # 2 - t^2, first dip at sqrt(2)
@@ -119,6 +190,16 @@ def test_first_nonpositive_irrational_cases():
     p = UniPoly((2, 0, -1)) * UniPoly((3, -1))
     with pytest.raises(NotRepresentableError):
         first_nonpositive(p, 3)
+    # the witness isolates the root: tangencies included
+    for p, t_max in [
+        (UniPoly((2, 0, -1)), 2),
+        (UniPoly((2, 0, -1)) * UniPoly((3, -1)), 3),
+        (UniPoly((2, 0, -1)) ** 2, 2),
+        (UniPoly((Fraction(1, 3), 0, -Fraction(1, 7))), 5),
+    ]:
+        with pytest.raises(NotRepresentableError) as info:
+            first_nonpositive(p, t_max)
+        _assert_isolating_witness(p, t_max, info.value)
 
 
 def test_first_nonpositive_tangencies():
@@ -158,6 +239,61 @@ def test_first_nonpositive_constructed_ground_truth():
         in_range = [r for r in roots if r <= t_max]
         expected = min(in_range) if in_range else None
         assert first_nonpositive(p, t_max) == expected
+
+
+linear_factors = small_rationals.map(lambda r: UniPoly((-r, 1)))
+# (t - a)^2 - k with k not a square: roots a +- sqrt(k), both irrational
+irrational_quadratics = st.builds(
+    lambda a, k: UniPoly((a * a - k, -2 * a, 1)),
+    small_rationals, st.sampled_from([2, 3, 5, 6, 7, 8, 10]),
+)
+factors = st.tuples(
+    st.one_of(linear_factors, irrational_quadratics), st.integers(1, 2)
+).map(lambda pair: pair[0] ** pair[1])
+
+
+@given(st.lists(factors, min_size=1, max_size=4),
+       st.fractions(min_value=0, max_value=8, max_denominator=6).map(Fraction))
+@settings(max_examples=300, deadline=None)
+def test_first_nonpositive_agrees_with_root_extraction(product, t_max):
+    p = UniPoly((1,))
+    for factor in product:
+        p = p * factor
+    if p.eval(0) < 0:
+        p = -p  # a search that starts below zero ends at once
+    try:
+        expected = _first_nonpositive_oracle(p, t_max)
+    except NotRepresentableError:
+        with pytest.raises(NotRepresentableError) as info:
+            first_nonpositive(p, t_max)
+        _assert_isolating_witness(p, t_max, info.value)
+        return
+    assert first_nonpositive(p, t_max) == expected
+
+
+@pytest.mark.parametrize("m", [10**8 + 7, 2**61 - 1])
+def test_first_nonpositive_large_bit_sizes(m):
+    """Roots near ``m``: trial division of the coefficients would take
+    about ``m`` steps, the bisection about ``log2(m)``."""
+    irrational = UniPoly((m * m - 1, 0, -1))  # first zero sqrt(m^2 - 1)
+    with pytest.raises(NotRepresentableError) as info:
+        first_nonpositive(irrational, 2 * m)
+    _assert_isolating_witness(irrational, 2 * m, info.value)
+    assert first_nonpositive(UniPoly((m * m, 0, -1)), 2 * m) == m
+    product = irrational * UniPoly((m, -3))
+    assert first_nonpositive(product, 2 * m) == Fraction(m, 3)
+
+
+def test_first_nonpositive_root_with_64_bit_denominator():
+    q = 2**64 - 59  # prime
+    root = Fraction(q + 12345, q)
+    p = UniPoly((root.numerator, -q)) * UniPoly((2, 0, -1))  # sqrt(2) > root
+    assert first_nonpositive(p, 2) == root
+    # first zero sqrt(numerator^2 + 1) / q: irrational, within 2^-128 of root
+    near = UniPoly((root.numerator ** 2 + 1, 0, -q * q))
+    with pytest.raises(NotRepresentableError) as info:
+        first_nonpositive(near, 2)
+    _assert_isolating_witness(near, 2, info.value)
 
 
 def _bracket_oracle(p, t_max, grid=128, refine=40):
