@@ -129,6 +129,19 @@ class BoxProgram:
     def vertex_id(self, x: Point) -> int:
         return bits_to_id(self.bits_of_vertex(x))
 
+    def vertex_id_or_none(self, x: Point):
+        """``vertex_id(x)`` when ``x`` is a vertex, else ``None``, in one
+        pass over the coordinates."""
+        if len(x) != self.n:
+            raise DimensionMismatchError(f"point length {len(x)} != n {self.n}")
+        vid = 0
+        for i, (lo, c, hi) in enumerate(zip(self.lower, x, self.upper)):
+            if c == hi:
+                vid |= 1 << i
+            elif c != lo:
+                return None
+        return vid
+
     def vertex_from_id(self, vid: int) -> Point:
         return self.vertex_from_bits(bits_from_id(vid, self.n))
 

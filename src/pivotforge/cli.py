@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import os
 import random
@@ -100,9 +99,18 @@ def _check_cap(n: int, kind: str, what: str) -> None:
         raise _usage_error("n must be at least 1")
 
 
+def _write_with(path: str, write: Callable) -> None:
+    """Open ``path`` for writing and pass the text handle to ``write``.  A
+    path that cannot be written is a usage error (exit 2, one line)."""
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as handle:
+            write(handle)
+    except OSError as exc:
+        raise _usage_error(f"cannot write {path}: {exc}")
+
+
 def _write_text(path: str, text: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        handle.write(text)
+    _write_with(path, lambda handle: handle.write(text))
 
 
 def _json_text(obj) -> str:
@@ -130,24 +138,23 @@ def cmd_run(args) -> int:
     trajectory = active_set_run(program, objective, (0,) * ambient, rule,
                                 max_iter=args.max_iter)
     label = args.rule if args.rule != "random" else f"random(seed={args.seed})"
+    out = args.out or (f"trajectory_n{n}" + (f"_pad{ambient}" if ambient > n else "")
+                       + f"_{args.rule}.{args.format}")
     if args.format == "json":
-        payload = _json_text(trajectory.to_json_dict(objective, rule_name=label,
-                                                     approx=args.approx))
-        default_name = f"trajectory_n{n}" + (
-            f"_pad{ambient}" if ambient > n else "") + f"_{args.rule}.json"
+        _write_with(out, lambda handle: trajectory.write_json(
+            handle, objective, rule_name=label, approx=args.approx))
     else:
         row = trajectory.summary_row(objective, label, approx=args.approx)
-        buffer = io.StringIO()
-        writer = csv.DictWriter(buffer, fieldnames=list(row))
-        writer.writeheader()
-        writer.writerow(row)
-        payload = buffer.getvalue()
-        default_name = f"trajectory_n{n}" + (
-            f"_pad{ambient}" if ambient > n else "") + f"_{args.rule}.csv"
-    out = args.out or default_name
-    _write_text(out, payload)
+
+        def write_csv(handle):
+            writer = csv.DictWriter(handle, fieldnames=list(row))
+            writer.writeheader()
+            writer.writerow(row)
+
+        _write_with(out, write_csv)
     final = trajectory.final_point
-    final_id = program.vertex_id(final) if program.is_vertex(final) else "-"
+    final_id = program.vertex_id_or_none(final)
+    final_id = "-" if final_id is None else final_id
     value = format_rational(objective.value(final))
     pad_note = f" pad_to={ambient}" if ambient > n else ""
     print(f"n={n}{pad_note} rule={args.rule} iterations={trajectory.iterations} "

@@ -24,11 +24,14 @@ irrational objective-side stopping point aborts the run with an error
 outcome instead of rounding.
 
 Every pass is recorded; trajectories are the audit trail all certification
-checks run against, and they serialize to deterministic JSON/CSV.
+checks run against, and they serialize to deterministic JSON/CSV.  The
+JSON writer streams one record at a time; ``Trajectory.to_json_dict`` is
+the reference form it reproduces byte for byte.
 """
 
 from __future__ import annotations
 
+import json
 import random
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
@@ -192,6 +195,27 @@ class IterationRecord:
     stop_reason: Optional[str] = None
 
 
+def _json_array(items: list, indent: int) -> str:
+    """A list of items that are already JSON text, laid out the way
+    ``json.dumps(indent=2)`` lays out a list nested ``indent`` spaces deep."""
+    if not items:
+        return "[]"
+    inner = "\n" + " " * (indent + 2)
+    return "[" + inner + ("," + inner).join(items) + "\n" + " " * indent + "]"
+
+
+def _point_json(p: Point, indent: int) -> str:
+    return _json_array(['"' + format_rational(c) + '"' for c in p], indent)
+
+
+def _json_int(value: Optional[int]) -> str:
+    return "null" if value is None else str(value)
+
+
+def _json_str(value: Optional[str]) -> str:
+    return "null" if value is None else json.dumps(value)
+
+
 @dataclass
 class Trajectory:
     """Ordered record of a run; one record per while-loop pass."""
@@ -216,10 +240,7 @@ class Trajectory:
 
     def vertex_ids(self) -> list:
         """Vertex ids of the iterate sequence (None for non-vertices)."""
-        out = []
-        for p in self.points():
-            out.append(self.program.vertex_id(p) if self.program.is_vertex(p) else None)
-        return out
+        return [self.program.vertex_id_or_none(p) for p in self.points()]
 
     def to_json_dict(self, objective, rule_name: Optional[str] = None,
                      approx: bool = False) -> dict:
@@ -276,18 +297,91 @@ class Trajectory:
             out["final"]["objective_value_approx_lossy"] = float(final_value)
         return out
 
+    def write_json(self, handle, objective, rule_name: Optional[str] = None,
+                   approx: bool = False) -> None:
+        """Write ``to_json_dict(objective, rule_name, approx)`` to the open
+        text ``handle`` as exactly the bytes of ``json.dumps(...,
+        indent=2, sort_keys=True) + "\\n"``, one record at a time, without
+        building the document.  Keys are written in sorted order.  Each
+        iterate is formatted and identified once: a record whose
+        ``x_before`` equals the previous ``x_after`` reuses its text."""
+        program = self.program
+        vertex_id = program.vertex_id_or_none
+        final = self.final_point
+        final_value = objective.value(final)
+        handle.write(
+            '{\n  "final": {\n'
+            f'    "objective_value": "{format_rational(final_value)}",\n'
+            + (f'    "objective_value_approx_lossy": {json.dumps(float(final_value))},\n'
+               if approx else "")
+            + f'    "point": {_point_json(final, 4)},\n'
+            f'    "vertex_id": {_json_int(vertex_id(final))}\n'
+            "  },\n"
+            f'  "iterations": {self.iterations},\n'
+            f'  "n": {program.n},\n'
+            f'  "outcome": {_json_str(self.outcome)},\n'
+            '  "records": ['
+        )
+        x_prev = self.start
+        point_prev = _point_json(x_prev, 6)
+        id_prev = vertex_id(x_prev)
+        separator = "\n"
+        for r in self.records:
+            if r.x_before != x_prev:
+                point_prev = _point_json(r.x_before, 6)
+                id_prev = vertex_id(r.x_before)
+            x_after = r.x_after
+            point_after = _point_json(x_after, 6)
+            id_after = vertex_id(x_after)
+            value_after = objective.value(x_after)
+            d = r.direction
+            handle.write(
+                separator + "    {\n"
+                f'      "active_rows": '
+                f'{_json_array([str(row) for row in r.active_before], 6)},\n'
+                f'      "added_row": {_json_int(r.added_row)},\n'
+                '      "direction": '
+                + ("null" if d is None else
+                   f'{{\n        "coord": {d.coord},\n        "sign": {d.sign}\n      }}')
+                + ",\n"
+                f'      "iteration": {r.index},\n'
+                f'      "num_candidates": {r.num_candidates},\n'
+                f'      "objective_value": "{format_rational(value_after)}",\n'
+                + (f'      "objective_value_approx_lossy": {json.dumps(float(value_after))},\n'
+                   if approx else "")
+                + f'      "point": {point_prev},\n'
+                f'      "point_after": {point_after},\n'
+                f'      "removed_row": {_json_int(r.removed_row)},\n'
+                '      "step": '
+                + ("null" if r.step is None else f'"{format_rational(r.step)}"')
+                + ",\n"
+                f'      "stop_reason": {_json_str(r.stop_reason)},\n'
+                f'      "vertex_id": {_json_int(id_prev)},\n'
+                f'      "vertex_id_after": {_json_int(id_after)}\n'
+                "    }"
+            )
+            separator = ",\n"
+            x_prev, point_prev, id_prev = x_after, point_after, id_after
+        handle.write(
+            ("\n  ]" if self.records else "]") + ",\n"
+            f'  "rule": {_json_str(rule_name)},\n'
+            '  "start": {\n'
+            f'    "point": {_point_json(self.start, 4)},\n'
+            f'    "vertex_id": {_json_int(vertex_id(self.start))}\n'
+            "  },\n"
+            f'  "stop_reason": {_json_str(self.stop_reason)}\n'
+            "}\n"
+        )
+
     def summary_row(self, objective, rule_name: str, approx: bool = False) -> dict:
         """One CSV row: n, rule, iterations, final_vertex_id, final_value."""
         value = objective.value(self.final_point)
+        final_id = self.program.vertex_id_or_none(self.final_point)
         row = {
             "n": self.program.n,
             "rule": rule_name,
             "iterations": self.iterations,
-            "final_vertex_id": (
-                self.program.vertex_id(self.final_point)
-                if self.program.is_vertex(self.final_point)
-                else ""
-            ),
+            "final_vertex_id": "" if final_id is None else final_id,
             "final_value": format_rational(value),
         }
         if approx:

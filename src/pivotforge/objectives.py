@@ -104,6 +104,52 @@ def _partial_forward(coords: Sequence, k: int):
     return acc - db
 
 
+def _gradient_adjoint(coords: Sequence) -> list:
+    """All n partial derivatives of the recursion in one O(n) pass.
+
+    This is the adjoint (reverse-mode) form of the recursion, i.e.
+    :func:`partial_closed_form` generalised off the vertices.  The partial
+    in coordinate k is
+
+        (1 - 2 a_{k+1}) T_k
+        - [2^k (1 - 2 x_k) s_k - 2^{k+1} w_{k+1} + sum_{i>=k+2} 2^i w_i]
+
+    with ``w_i = x_i - x_i^2``, ``s_k = 1 - x_{k-1} + sum_{j<=k-2} x_j``
+    (``x_0 := 1``, so ``s_1 = 0``), ``T_1 = 1`` and
+    ``T_k = (1 - 2 x_{k-1}) T_{k-1} + 2^{k-1}``.  The first term collects
+    ``d a_i / d x_k = (1 - 2 a_{k+1}) prod_{j=i..k-1} (1 - 2 x_j)`` over
+    ``i <= k``; the bracket collects the ``b_i`` that read ``x_k``.  A
+    suffix sweep yields ``a_{k+1}`` and the ``w`` sums, a prefix sweep
+    ``T_k`` and ``s_k``.
+    """
+    n = len(coords)
+    scale = [0] * n  # scale[k-1] = 1 - 2 a_{k+1}
+    tail = [0] * n   # tail[k-1] = sum_{i>=k+2} 2^i w_i - 2^{k+1} w_{k+1}
+    a = 0
+    later = 0        # sum_{i>=k+2} 2^i w_i
+    nearest = 0      # 2^{k+1} w_{k+1}
+    for i in range(n - 1, -1, -1):  # coordinate k = i + 1
+        scale[i] = 1 - 2 * a
+        tail[i] = later - nearest
+        xi = coords[i]
+        later += nearest
+        nearest = (1 << (i + 1)) * (xi - xi * xi)
+        a = xi + (1 - 2 * xi) * a
+    grad = []
+    t = 1       # T_k
+    prefix = 0  # sum_{j<=k-2} x_j
+    prev = 1    # x_{k-1}, with x_0 := 1
+    for i in range(n):
+        xk = coords[i]
+        c = 1 - 2 * xk
+        grad.append(scale[i] * t - (1 << (i + 1)) * c * (1 - prev + prefix) - tail[i])
+        if i:
+            prefix += prev
+        prev = xk
+        t = c * t + (1 << (i + 1))
+    return grad
+
+
 def alpha(n: int, i: int, x: Sequence) -> Rational:
     """The value ``a_{n,i}(x)`` of the first recursion (``a_{n,n+1} = 0``).
 
@@ -264,20 +310,17 @@ def _edge_value_coeffs(coords: Sequence, k: int, s) -> tuple:
 class LowerBoundPolynomial:
     """The degree-n objective family defined by the module recursions.
 
-    Gradients are forward-mode derivatives of the recursion (coordinate by
-    coordinate); edge restrictions substitute the parametrized edge into
-    the recursion with polynomial-valued scalars and differentiate the
-    resulting univariate polynomial.  Results are memoized per instance --
-    the oracle is pure, so cached replies are indistinguishable from fresh
-    ones, and repeated runs (one per pivot rule) revisit the same vertices.
+    Gradients come from one O(n) adjoint pass over the recursion;
+    ``partial`` differentiates one coordinate in forward mode.  Edge
+    restrictions substitute the parametrized edge into the recursion with
+    polynomial-valued scalars and differentiate the resulting univariate
+    polynomial.  Nothing is cached: every reply is computed afresh.
     """
 
     def __init__(self, n: int):
         if n < 1:
             raise ValueError("dimension must be at least 1")
         self.n = n
-        self._grad_cache: dict = {}
-        self._edge_cache: dict = {}
 
     def _check(self, x: Sequence) -> None:
         if len(x) != self.n:
@@ -296,24 +339,12 @@ class LowerBoundPolynomial:
 
     def gradient(self, x: Point) -> tuple:
         self._check(x)
-        x = tuple(x)
-        cached = self._grad_cache.get(x)
-        if cached is None:
-            cached = tuple(
-                as_rational(_partial_forward(x, k)) for k in range(1, self.n + 1)
-            )
-            self._grad_cache[x] = cached
-        return cached
+        return tuple(map(as_rational, _gradient_adjoint(x)))
 
     def edge_restriction(self, x: Point, d: AxisDirection) -> UniPoly:
         self._check(x)
-        key = (tuple(x), d.coord, d.component)
-        cached = self._edge_cache.get(key)
-        if cached is None:
-            _, h1, h2 = _edge_value_coeffs(x, d.coord, d.component)
-            cached = UniPoly._make((h1, 2 * h2))
-            self._edge_cache[key] = cached
-        return cached
+        _, h1, h2 = _edge_value_coeffs(x, d.coord, d.component)
+        return UniPoly._make((h1, 2 * h2))
 
     def expand(self) -> MultiPoly:
         """Fully expanded monomial form, obtained by evaluating the

@@ -49,6 +49,8 @@ def format_rational(value: Rational) -> str:
     denominator (``5`` becomes ``"5/1"``), so output files never contain
     floats and never depend on incidental integrality.
     """
+    if type(value) is int:  # the common case; bool takes the general path
+        return f"{value}/1"
     f = Fraction(value)
     return f"{f.numerator}/{f.denominator}"
 

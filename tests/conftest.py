@@ -5,8 +5,8 @@ from pivotforge import LowerBoundPolynomial
 
 @pytest.fixture(scope="session")
 def oracle_for():
-    """Shared objective instances so memoized gradients and edge
-    restrictions carry across tests."""
+    """Shared objective instances, only to save constructing them again;
+    the oracle caches nothing, so sharing does not change any result."""
     cache = {}
 
     def get(n: int) -> LowerBoundPolynomial:

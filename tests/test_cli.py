@@ -2,7 +2,15 @@ import json
 
 import pytest
 
-from pivotforge import cli, violation_polynomial
+from pivotforge import (
+    BoxProgram,
+    LowerBoundPolynomial,
+    active_set_run,
+    cli,
+    make_rule,
+    pad,
+    violation_polynomial,
+)
 
 
 def run_cli(args):
@@ -37,6 +45,56 @@ def test_run_padding(tmp_path, capsys):
     printed = capsys.readouterr().out
     assert "iterations=15" in printed and "pad_to=12" in printed
     assert json.loads(out.read_text())["n"] == 12
+
+
+@pytest.mark.parametrize("argv, n, ambient, rule, label, approx", [
+    (["--n", "4", "--rule", "random", "--seed", "3", "--approx"], 4, 4,
+     "random", "random(seed=3)", True),
+    (["--n", "3", "--pad-to", "6", "--rule", "steepest"], 3, 6,
+     "steepest", "steepest", False),
+])
+def test_run_json_bytes_equal_the_reference_document(tmp_path, capsys, argv, n, ambient,
+                                                     rule, label, approx):
+    out = tmp_path / "traj.json"
+    assert run_cli(["run"] + argv + ["--out", str(out)]) == 0
+    capsys.readouterr()
+    objective = LowerBoundPolynomial(n)
+    if ambient > n:
+        objective = pad(objective, ambient)
+    trajectory = active_set_run(BoxProgram.unit_cube(ambient), objective,
+                                (0,) * ambient, make_rule(rule, 3))
+    reference = json.dumps(trajectory.to_json_dict(objective, rule_name=label, approx=approx),
+                           indent=2, sort_keys=True) + "\n"
+    assert out.read_bytes() == reference.encode("utf-8")
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--n", "3"],
+    ["run", "--n", "3", "--format", "csv"],
+    ["export", "path", "--n", "3"],
+])
+def test_unwritable_out_path_exits_2_with_one_line(tmp_path, capsys, argv):
+    out = tmp_path / "missing" / "out.json"
+    with pytest.raises(SystemExit) as err:
+        run_cli(argv + ["--out", str(out)])
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot write {out}: ")
+    assert captured.err.count("\n") == 1
+
+
+def test_reduce_unwritable_out_path_exits_2_with_one_line(tmp_path, capsys):
+    cnf = tmp_path / "f.cnf"
+    cnf.write_text("p cnf 2 1\n1 -2 0\n")
+    out = tmp_path / "missing" / "f.poly.json"
+    with pytest.raises(SystemExit) as err:
+        run_cli(["reduce", str(cnf), "--check", "--out", str(out)])
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot write {out}: ")
+    assert captured.err.count("\n") == 1
 
 
 def test_run_engine_error_exits_nonzero(tmp_path, capsys):

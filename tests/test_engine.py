@@ -1,3 +1,5 @@
+import dataclasses
+import io
 import itertools
 import json
 import random
@@ -17,6 +19,7 @@ from pivotforge import (
     equivalence_check,
     improving_candidates,
     make_rule,
+    pad,
     simplex_run,
 )
 from pivotforge.engine import (
@@ -508,3 +511,56 @@ def test_trajectory_approx_fields_are_marked_lossy(oracle_for):
     assert row["final_value"] == "3/1"
     assert row["final_value_approx_lossy"] == 3.0
     assert row["final_vertex_id"] == 2
+
+
+def _reference_json(trajectory, objective, **options):
+    return json.dumps(trajectory.to_json_dict(objective, **options),
+                      indent=2, sort_keys=True) + "\n"
+
+
+def _streamed_json(trajectory, objective, **options):
+    buffer = io.StringIO()
+    trajectory.write_json(buffer, objective, **options)
+    return buffer.getvalue()
+
+
+def _writer_cases(oracle_for):
+    hard = oracle_for(3)
+    padded = pad(oracle_for(3), 5)
+    # separable: first zeros 1/3 and 2/5, so steps and iterates are fractional
+    fractional = MultiPolyObjective(MultiPoly(2, {
+        (2, 0): -1, (1, 0): Fraction(2, 3), (0, 2): -1, (0, 1): Fraction(4, 5)}))
+    irrational = MultiPolyObjective(MultiPoly(1, {(1,): 2, (3,): -1}))
+    walk = active_set_run(cube(3), hard, (0,) * 3, make_rule("lowest-index"))
+    return {
+        "empty": (active_set_run(cube(3), hard, (0,) * 3, make_rule("lowest-index"),
+                                 max_iter=0), hard),
+        "hard": (walk, hard),
+        # every other record, so no x_before equals the previous x_after
+        "gapped": (dataclasses.replace(walk, records=walk.records[1::2]), hard),
+        "random": (active_set_run(cube(3), hard, (0,) * 3, make_rule("random", 7)), hard),
+        "fractional": (active_set_run(BoxProgram((0, 0), (1, 1)), fractional, (0, 0),
+                                      make_rule("lowest-index")), fractional),
+        "not_representable": (active_set_run(BoxProgram((0,), (2,)), irrational, (0,),
+                                             make_rule("lowest-index")), irrational),
+        "padded": (active_set_run(cube(5), padded, (0,) * 5, make_rule("steepest")), padded),
+    }
+
+
+@pytest.mark.parametrize("case", ["empty", "hard", "gapped", "random", "fractional",
+                                  "not_representable", "padded"])
+def test_streamed_json_is_byte_identical_to_the_reference(oracle_for, case):
+    trajectory, objective = _writer_cases(oracle_for)[case]
+    for rule_name in (None, "lowest-index", "random(seed=7)"):
+        for approx in (False, True):
+            options = {"rule_name": rule_name, "approx": approx}
+            assert _streamed_json(trajectory, objective, **options) == \
+                _reference_json(trajectory, objective, **options)
+
+
+def test_writer_cases_cover_what_they_name(oracle_for):
+    cases = _writer_cases(oracle_for)
+    assert cases["empty"][0].records == []
+    assert cases["fractional"][0].final_point == (Fraction(1, 3), Fraction(2, 5))
+    assert cases["not_representable"][0].stop_reason == STOP_NOT_REPRESENTABLE
+    assert cases["padded"][0].iterations == 7

@@ -127,7 +127,36 @@ def test_forward_mode_equals_boxed_dual_numbers(n, data):
 def test_gradient_vector_and_memoization(oracle_for):
     oracle = oracle_for(2)
     assert oracle.gradient((0, 0)) == (1, -1)
-    assert oracle.gradient((0, 0)) is oracle.gradient((0, 0))  # cached tuple
+    assert oracle.gradient((0, 0)) == LowerBoundPolynomial(2).gradient((0, 0))
+
+
+mixed_scalars = st.one_of(st.integers(min_value=-4, max_value=5), small_rationals)
+
+
+@given(st.integers(min_value=1, max_value=12), st.data())
+@settings(max_examples=150, deadline=None)
+def test_adjoint_gradient_equals_forward_partials(n, data):
+    """The one-pass adjoint gradient must equal the n forward-mode
+    partials at any rational point, whatever mix of int and Fraction
+    coordinates it has."""
+    point = tuple(data.draw(mixed_scalars) for _ in range(n))
+    oracle = LowerBoundPolynomial(n)
+    assert oracle.gradient(point) == tuple(oracle.partial(point, k) for k in range(1, n + 1))
+
+
+def test_adjoint_gradient_equals_expanded_polynomial_gradient():
+    rng = random.Random(17)
+    for n in range(1, 7):
+        oracle = LowerBoundPolynomial(n)
+        explicit = MultiPolyObjective(expand(n))
+        points = [bits_from_id(v, n) for v in range(1 << n)]
+        points += [
+            tuple(rng.choice([rng.randint(-3, 4), Fraction(rng.randint(-9, 9), rng.randint(2, 7))])
+                  for _ in range(n))
+            for _ in range(40)
+        ]
+        for point in points:
+            assert oracle.gradient(point) == explicit.gradient(point)
 
 
 # ------------------------------------------------- edge restrictions --

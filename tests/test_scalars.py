@@ -30,9 +30,13 @@ def test_format_always_carries_denominator():
     assert format_rational(5) == "5/1"
     assert format_rational(Fraction(-3, 9)) == "-1/3"
     assert format_rational(0) == "0/1"
+    assert format_rational(-7) == "-7/1"
+    assert format_rational(-(10**40) - 3) == "-10000000000000000000000000000000000000003/1"
+    assert format_rational(2**70) == "1180591620717411303424/1"
+    assert format_rational(True) == "1/1"
 
 
-@given(rationals)
+@given(st.one_of(rationals, st.integers(min_value=-(10**40), max_value=10**40)))
 def test_format_parse_round_trip(q):
     assert parse_rational(format_rational(q)) == q
 
