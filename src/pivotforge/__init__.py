@@ -59,6 +59,7 @@ from .structure import (
     GrayPath,
     Orientation,
     combed_dimension,
+    combed_in_top_dimensions,
     faces,
     hamiltonian_path,
     improving_dimension,

@@ -11,7 +11,7 @@ marked lossy decimal fields.  Identical commands (and seeds) produce
 byte-identical output files.  Exit codes: 0 pass, 1 property violation or
 engine error (with a witness), 2 usage or parse errors.
 
-Dimension caps guard the exponential scans (USO-style face scans <= 10,
+Dimension caps guard the exponential scans (orientation checks <= 10,
 engine runs and vertex scans <= 20, SAT enumeration <= 24 variables).
 Setting the ``PIVOTFORGE_MAX_N`` environment variable replaces each of
 these command caps with its value, but the brute-force SAT oracles never
@@ -22,6 +22,7 @@ larger request exits 2.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import os
@@ -61,6 +62,7 @@ from .satreduce import (
 from .scalars import format_rational
 from .structure import (
     combed_dimension,
+    combed_in_top_dimensions,
     faces,
     hamiltonian_path,
     improving_dimension,
@@ -99,18 +101,20 @@ def _check_cap(n: int, kind: str, what: str) -> None:
         raise _usage_error("n must be at least 1")
 
 
-def _write_with(path: str, write: Callable) -> None:
-    """Open ``path`` for writing and pass the text handle to ``write``.  A
-    path that cannot be written is a usage error (exit 2, one line)."""
+@contextlib.contextmanager
+def _writing(path: str):
+    """Open ``path`` for writing and yield the text handle.  A path that
+    cannot be opened or written is a usage error (exit 2, one line)."""
     try:
         with open(path, "w", encoding="utf-8", newline="") as handle:
-            write(handle)
+            yield handle
     except OSError as exc:
         raise _usage_error(f"cannot write {path}: {exc}")
 
 
 def _write_text(path: str, text: str) -> None:
-    _write_with(path, lambda handle: handle.write(text))
+    with _writing(path) as handle:
+        handle.write(text)
 
 
 def _json_text(obj) -> str:
@@ -135,23 +139,19 @@ def cmd_run(args) -> int:
     objective = pad(inner, ambient) if ambient > n else inner
     program = BoxProgram.unit_cube(ambient)
     rule = make_rule(args.rule, args.seed)
-    trajectory = active_set_run(program, objective, (0,) * ambient, rule,
-                                max_iter=args.max_iter)
     label = args.rule if args.rule != "random" else f"random(seed={args.seed})"
     out = args.out or (f"trajectory_n{n}" + (f"_pad{ambient}" if ambient > n else "")
                        + f"_{args.rule}.{args.format}")
-    if args.format == "json":
-        _write_with(out, lambda handle: trajectory.write_json(
-            handle, objective, rule_name=label, approx=args.approx))
-    else:
-        row = trajectory.summary_row(objective, label, approx=args.approx)
-
-        def write_csv(handle):
+    with _writing(out) as handle:  # opened first: a bad path fails before the walk
+        trajectory = active_set_run(program, objective, (0,) * ambient, rule,
+                                    max_iter=args.max_iter)
+        if args.format == "json":
+            trajectory.write_json(handle, objective, rule_name=label, approx=args.approx)
+        else:
+            row = trajectory.summary_row(objective, label, approx=args.approx)
             writer = csv.DictWriter(handle, fieldnames=list(row))
             writer.writeheader()
             writer.writerow(row)
-
-        _write_with(out, write_csv)
     final = trajectory.final_point
     final_id = program.vertex_id_or_none(final)
     final_id = "-" if final_id is None else final_id
@@ -289,6 +289,9 @@ def check_uso(n: int):
     ok, witness = is_uso(orientation)
     if not ok:
         return False, {"reason": "face without a unique sink", **witness}
+    if combed_in_top_dimensions(orientation):  # certifies both combedness claims
+        return True, None
+    # the face scans below pick the witness and its reason
     ok, witness = is_decomposable(orientation)
     if not ok:
         return False, {"reason": "uncombed subcube", **witness}

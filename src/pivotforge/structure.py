@@ -5,9 +5,15 @@ structure that makes the lower-bound objective family hard for vertex
 walks: a prefix-product/suffix-parity characterization of the unique
 improving dimension at each vertex, the Hamiltonian path those dimensions
 generate (the reflected binary Gray code), the edge orientation induced by
-vertex values, unique-sink and combedness checks over all ``3^n`` faces,
-and a sink finder that needs only ``O(n)`` value queries on decomposable
-orientations.
+vertex values, unique-sink and combedness checks, and a sink finder that
+needs only ``O(n)`` value queries on decomposable orientations.
+
+The unique-sink check decides with the Szabó-Welzl pair criterion on the
+outgoing masks, and combedness in every face's highest free coordinate
+with an ``O(n * 2^n)`` slice test; neither visits the ``3^n`` faces.  The
+face scans (:func:`sinks_in_face`, :func:`combed_dimension`,
+:func:`is_decomposable`) remain for locating a witness face and for
+combedness in an arbitrary dimension.
 
 Vertices of the unit cube are handled as 0/1 bit tuples (bit ``k-1`` is
 coordinate ``k``) and as little-endian integer ids, matching the id
@@ -61,8 +67,9 @@ def improving_dimension(bits: Sequence[int], oracle: Optional[LowerBoundPolynomi
     Two independent characterizations are evaluated and cross-checked:
 
     (i)  gradient signs: ``d_k > 0`` with ``x_k = 0``, or ``d_k < 0`` with
-         ``x_k = 1``;
-    (ii) predicates: ``s_parity(x, k) == x_k`` and ``pp(x, k) == 1``.
+         ``x_k = 1``, read off one ``oracle.gradient`` call;
+    (ii) predicates: ``s_parity(x, k) == x_k`` and ``pp(x, k) == 1``, for
+         all ``k`` in one prefix-product and suffix-parity sweep.
 
     Any disagreement, or more than one qualifying coordinate, raises
     :class:`AmbiguousImprovementError` -- that would falsify the uniqueness
@@ -74,15 +81,20 @@ def improving_dimension(bits: Sequence[int], oracle: Optional[LowerBoundPolynomi
         raise ValueError(f"{bits!r} is not a 0/1 vertex")
     if oracle is None:
         oracle = LowerBoundPolynomial(n)
-    by_predicates = [
-        k for k in range(1, n + 1)
-        if pp(bits, k) == 1 and s_parity(bits, k) == bits[k - 1]
+    by_predicates = []
+    prefix = 1  # pp(bits, k)
+    zeros = 1   # prod of (1 - x_j) over 1 <= j < k
+    parity = sum(bits) & 1
+    for k, bit in enumerate(bits, start=1):
+        parity ^= bit  # s_parity(bits, k)
+        if prefix == 1 and parity == bit:
+            by_predicates.append(k)
+        prefix = bit * zeros
+        zeros *= 1 - bit
+    by_gradient = [
+        k for k, (dk, bit) in enumerate(zip(oracle.gradient(bits), bits), start=1)
+        if (dk > 0 and bit == 0) or (dk < 0 and bit == 1)
     ]
-    by_gradient = []
-    for k in range(1, n + 1):
-        dk = oracle.partial(bits, k)
-        if (dk > 0 and bits[k - 1] == 0) or (dk < 0 and bits[k - 1] == 1):
-            by_gradient.append(k)
     if by_gradient != by_predicates or len(by_gradient) > 1:
         raise AmbiguousImprovementError(
             f"improving-dimension conditions disagree at {bits}: "
@@ -296,12 +308,55 @@ def sinks_in_face(orientation: Orientation, face: Face) -> list:
     return [vid for vid in face.vertex_ids() if masks[vid] & free == 0]
 
 
+def _outmaps_separate_all_pairs(orientation: Orientation) -> bool:
+    """The Szabó-Welzl criterion: ``(u ^ v) & (s(u) ^ s(v)) != 0`` for all
+    vertices ``u != v``, where ``s`` is the outgoing mask.
+
+    Pairs are grouped by ``d = u ^ v``.  Column ``i`` is the ``2^n``-bit set
+    of vertices whose coordinate-``i+1`` edge is outgoing; ``shifted[i]``
+    holds the same set with every vertex ``u`` replaced by ``u ^ d``.  The
+    pairs at ``d`` all separate iff no vertex agrees with its partner on
+    every column in ``d``.  Visiting ``d`` in Gray-code order turns each
+    update of ``shifted`` into one swap of bit blocks per column.
+    """
+    n = orientation.n
+    size = 1 << n
+    masks = orientation.outgoing_masks()
+    full = (1 << size) - 1
+    columns = [
+        int("".join("1" if mask >> i & 1 else "0" for mask in reversed(masks)), 2)
+        for i in range(n)
+    ]
+    # keeps[j]: the vertices with bit j clear, as a 2^n-bit set
+    keeps = [full // ((1 << (2 << j)) - 1) * ((1 << (1 << j)) - 1) for j in range(n)]
+    shifted = list(columns)
+    d = 0
+    for step in range(1, size):
+        j = (step & -step).bit_length() - 1
+        d ^= 1 << j
+        width = 1 << j
+        keep = keeps[j]
+        shifted = [((c & keep) << width) | ((c >> width) & keep) for c in shifted]
+        agree = full
+        for i in range(n):
+            if d >> i & 1:
+                agree &= ~(columns[i] ^ shifted[i])
+        if agree:
+            return False
+    return True
+
+
 def is_uso(orientation: Orientation):
     """Does every one of the ``3^n`` faces have exactly one sink?
 
-    Returns ``(True, None)`` or ``(False, witness)`` with the offending
-    face and its sink list.
+    Decided by the outmap criterion of Szabó and Welzl ("Unique sink
+    orientations of cubes", FOCS 2001) in ``O(n * 4^n / w)`` word
+    operations on ``2^n``-bit sets.  Only when it fails are the faces scanned, to
+    return ``(False, witness)`` with the first face in :func:`faces` order
+    that has no unique sink, and its sink list; otherwise ``(True, None)``.
     """
+    if _outmaps_separate_all_pairs(orientation):
+        return True, None
     for face in faces(orientation.n):
         sinks = sinks_in_face(orientation, face)
         if len(sinks) != 1:
@@ -348,6 +403,26 @@ def is_decomposable(orientation: Orientation):
         if not combed_dimension(orientation, face):
             return False, {"face": face.json_pattern()}
     return True, None
+
+
+def combed_in_top_dimensions(orientation: Orientation) -> bool:
+    """Is every face of dimension >= 1 combed in its highest free coordinate?
+
+    A face whose highest free coordinate is ``c`` fixes every coordinate
+    above ``c``; its ``c``-edges lie among those of the slice that fixes the
+    same coordinates above ``c`` and frees all below.  So the property holds
+    iff, for every ``c``, all ``c``-edges of each such slice point one way.
+    A slice's low endpoints are one contiguous block of vertex ids, which
+    makes the test ``O(n * 2^n)``.  Passing it also certifies
+    :func:`is_decomposable`, since every face is then combed somewhere.
+    """
+    masks = orientation.outgoing_masks()
+    for i in range(orientation.n):
+        bit = 1 << i
+        for base in range(0, 1 << orientation.n, bit << 1):
+            if len({mask & bit for mask in masks[base:base + bit]}) > 1:
+                return False
+    return True
 
 
 def sink_find_decomposable(value_at: Callable[[tuple], Rational], n: int):

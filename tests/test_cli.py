@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 
@@ -10,6 +11,15 @@ from pivotforge import (
     make_rule,
     pad,
     violation_polynomial,
+)
+from pivotforge.structure import (
+    FORWARD,
+    Orientation,
+    combed_dimension,
+    faces,
+    induce_orientation,
+    is_decomposable,
+    sinks_in_face,
 )
 
 
@@ -77,6 +87,22 @@ def test_unwritable_out_path_exits_2_with_one_line(tmp_path, capsys, argv):
     out = tmp_path / "missing" / "out.json"
     with pytest.raises(SystemExit) as err:
         run_cli(argv + ["--out", str(out)])
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot write {out}: ")
+    assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_run_reports_unwritable_out_path_before_the_walk(tmp_path, capsys, monkeypatch, fmt):
+    def must_not_walk(*args, **kwargs):
+        raise AssertionError("the walk ran before --out was opened")
+
+    monkeypatch.setattr(cli, "active_set_run", must_not_walk)
+    out = tmp_path / "missing" / f"out.{fmt}"
+    with pytest.raises(SystemExit) as err:
+        run_cli(["run", "--n", "15", "--format", fmt, "--out", str(out)])
     assert err.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -162,6 +188,51 @@ def test_verify_failure_emits_witness_json(capsys, monkeypatch):
     assert payload["check"] == "uso"
     assert payload["result"] == "fail"
     assert payload["witness"]["face"] == ["*"]
+
+
+def _check_uso_by_face_scans(orientation):
+    """The reference ``check_uso``: the unique-sink, decomposability and
+    highest-free-dimension face scans, in this order."""
+    for face in faces(orientation.n):
+        sinks = sinks_in_face(orientation, face)
+        if len(sinks) != 1:
+            return False, {"reason": "face without a unique sink",
+                           "face": face.json_pattern(), "sinks": sinks}
+    ok, witness = is_decomposable(orientation)
+    if not ok:
+        return False, {"reason": "uncombed subcube", **witness}
+    for face in faces(orientation.n, min_dimension=1):
+        if max(face.free_coords) not in combed_dimension(orientation, face):
+            return False, {"reason": "not combed in the highest free dimension",
+                           "face": face.json_pattern()}
+    return True, None
+
+
+def test_verify_uso_witness_bytes_equal_the_face_scans(capsys, monkeypatch):
+    rng = random.Random(59)
+    reasons = set()
+    for _ in range(300):
+        n = rng.randint(1, 4)
+        hard = induce_orientation(LowerBoundPolynomial(n), n)
+        edges = {(low, coord): hard.edge_direction(low, coord) == FORWARD
+                 for low in range(1 << n) for coord in range(1, n + 1)
+                 if not (low >> (coord - 1)) & 1}
+        flips = rng.sample(sorted(edges), rng.randint(0, len(edges)))
+        for edge in flips:
+            edges[edge] = not edges[edge]
+        orientation = Orientation(n, edges)
+        monkeypatch.setattr(cli, "induce_orientation", lambda objective, n: orientation)
+        ok, witness = _check_uso_by_face_scans(orientation)
+        code = run_cli(["verify", "uso", "--n", str(n)])
+        out = capsys.readouterr().out
+        if ok:
+            assert (code, out) == (0, f"check=uso n={n} result=pass\n")
+        else:
+            expected = {"check": "uso", "result": "fail", "witness": witness}
+            assert (code, out) == (1, json.dumps(expected, indent=2, sort_keys=True) + "\n")
+            reasons.add(witness["reason"])
+    assert reasons == {"face without a unique sink", "uncombed subcube",
+                       "not combed in the highest free dimension"}
 
 
 def test_verify_help_names_each_claim(capsys):

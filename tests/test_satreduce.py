@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pivotforge import (
     CnfFormula,
@@ -15,7 +16,7 @@ from pivotforge import (
     parse_dimacs,
     violation_polynomial,
 )
-from pivotforge.satreduce import violated_clause_count
+from pivotforge.satreduce import _vertex_values, violated_clause_count
 
 
 def lit(v):
@@ -143,6 +144,60 @@ def test_brute_force_max_matches_full_evaluation():
         ]
         assert best == max(values)
         assert multi_eval(poly, argmax) == best
+
+
+def _vertex_values_oracle(poly, n):
+    """Per-term evaluation: a term counts at a vertex iff its variable mask
+    is a subset of the vertex id."""
+    masked = []
+    for exps, coeff in poly.terms.items():
+        mask = sum(1 << i for i, e in enumerate(exps) if e)
+        masked.append((mask, coeff))
+    return [sum(coeff for mask, coeff in masked if vid & mask == mask)
+            for vid in range(1 << n)]
+
+
+_coefficients = st.one_of(
+    st.integers(min_value=-10 ** 20, max_value=10 ** 20),
+    st.fractions(min_value=-50, max_value=50, max_denominator=12),
+)
+
+
+@given(st.integers(min_value=0, max_value=15), st.data())
+@settings(max_examples=120, deadline=None)
+def test_zeta_vertex_values_equal_per_term_evaluation(n, data):
+    exponents = st.tuples(*[st.integers(min_value=0, max_value=2)] * n)
+    terms = data.draw(st.dictionaries(exponents, _coefficients, max_size=8))
+    poly = MultiPoly(n, terms)
+    values = _vertex_values(poly, n)
+    assert values == _vertex_values_oracle(poly, n)
+    vid = data.draw(st.integers(min_value=0, max_value=(1 << n) - 1))
+    assert values[vid] == multi_eval(poly, tuple((vid >> i) & 1 for i in range(n)))
+
+
+def test_zeta_vertex_values_through_the_chunked_passes():
+    # from n = 14 on, the passes of the lowest and the highest bits are split
+    # into slices of at most 2^12 entries
+    rng = random.Random(47)
+    for n in (14, 15):
+        terms = {(0,) * n: Fraction(-5, 3)}
+        for _ in range(10):
+            terms[tuple(rng.choice((0, 0, 0, 1, 2)) for _ in range(n))] = \
+                Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+        poly = MultiPoly(n, terms)
+        assert _vertex_values(poly, n) == _vertex_values_oracle(poly, n)
+    assert _vertex_values(MultiPoly.zero(0), 0) == [0]
+    assert _vertex_values(MultiPoly.constant(0, Fraction(3, 7)), 0) == [Fraction(3, 7)]
+
+
+def test_brute_force_max_returns_the_lowest_maximizing_vertex():
+    x1, x2, x3 = (MultiPoly.variable(3, k) for k in (1, 2, 3))
+    # x3 (1 - x1) + x2 + x1 x2 takes its maximum 2 at ids 3, 6 and 7 only
+    poly = x3 * (1 - x1) + x2 + x1 * x2
+    values = _vertex_values(poly, 3)
+    assert [vid for vid in range(8) if values[vid] == 2] == [3, 6, 7]
+    assert brute_force_max(poly, 3) == (2, (1, 1, 0))
+    assert brute_force_max(MultiPoly.zero(3), 3) == (0, (0, 0, 0))
 
 
 def test_brute_force_sat_examples():

@@ -8,11 +8,13 @@ from pivotforge import (
     BoxProgram,
     Face,
     LinearObjective,
+    LowerBoundPolynomial,
     Orientation,
     TieError,
     active_set_run,
     bits_from_id,
     combed_dimension,
+    combed_in_top_dimensions,
     faces,
     hamiltonian_path,
     improving_dimension,
@@ -25,7 +27,7 @@ from pivotforge import (
     s_parity,
     sink_find_decomposable,
 )
-from pivotforge.structure import FREE, sinks_in_face
+from pivotforge.structure import FORWARD, FREE, _outmaps_separate_all_pairs, sinks_in_face
 
 
 # ------------------------------------------------------- predicates --
@@ -62,6 +64,9 @@ def test_improving_dimension_unique_on_every_vertex(oracle_for):
             bits = bits_from_id(vid, n)
             k = improving_dimension(bits, oracle)  # raises if conditions disagree
             assert (k is None) == (bits == e_n)
+            by_definition = [j for j in range(1, n + 1)
+                             if pp(bits, j) == 1 and s_parity(bits, j) == bits[j - 1]]
+            assert by_definition == ([] if k is None else [k])
 
 
 def test_improving_dimension_rejects_non_bits():
@@ -278,6 +283,65 @@ def test_random_value_tables_match_naive_face_scan():
         expected_uso, expected_decomposable = _naive_face_scan(table, n)
         assert is_uso(orientation)[0] == expected_uso
         assert is_decomposable(orientation)[0] == expected_decomposable
+
+
+def _is_uso_by_face_scan(orientation):
+    """The reference USO test: the sinks of every face, in faces() order."""
+    for face in faces(orientation.n):
+        sinks = sinks_in_face(orientation, face)
+        if len(sinks) != 1:
+            return False, {"face": face.json_pattern(), "sinks": sinks}
+    return True, None
+
+
+def _top_combed_by_face_scan(orientation):
+    return all(max(face.free_coords) in combed_dimension(orientation, face)
+               for face in faces(orientation.n, min_dimension=1))
+
+
+def _edge_keys(n):
+    return [(low, coord) for low in range(1 << n) for coord in range(1, n + 1)
+            if not (low >> (coord - 1)) & 1]
+
+
+def _random_orientation(rng):
+    """A random value table, fully random edges, or the lower-bound
+    orientation with one or two edges flipped."""
+    n = rng.randint(1, 5)
+    kind = rng.randrange(3)
+    if kind == 0:
+        table = list(range(1 << n))
+        rng.shuffle(table)
+        values = {bits_from_id(v, n): table[v] for v in range(1 << n)}
+        return kind, induce_orientation(TableObjective(n, values), n)
+    if kind == 1:
+        return kind, Orientation(n, {edge: rng.random() < 0.5 for edge in _edge_keys(n)})
+    hard = induce_orientation(LowerBoundPolynomial(n), n)
+    edges = {edge: hard.edge_direction(*edge) == FORWARD for edge in _edge_keys(n)}
+    for edge in rng.sample(sorted(edges), min(rng.randint(1, 2), len(edges))):
+        edges[edge] = not edges[edge]
+    return kind, Orientation(n, edges)
+
+
+def test_pair_criterion_and_slice_test_agree_with_face_scans():
+    rng = random.Random(53)
+    seen = set()
+    for _ in range(600):
+        kind, orientation = _random_orientation(rng)
+        expected = _is_uso_by_face_scan(orientation)
+        # a too-strict pair test would still give is_uso's answer, through
+        # the face scan it falls back to
+        assert _outmaps_separate_all_pairs(orientation) == expected[0]
+        assert is_uso(orientation) == expected
+        top = _top_combed_by_face_scan(orientation)
+        assert combed_in_top_dimensions(orientation) == top
+        if top:
+            assert is_decomposable(orientation) == (True, None)
+        seen.add((kind, expected[0], top))
+    # every kind produced both verdicts of both tests
+    both = {(kind, verdict) for kind in range(3) for verdict in (True, False)}
+    assert {(kind, uso) for kind, uso, _ in seen} == both
+    assert {(kind, top) for kind, _, top in seen} == both
 
 
 # ------------------------------------------------------- sink finder --
