@@ -7,12 +7,15 @@ from .engine import (
     IterationRecord,
     PivotRule,
     Trajectory,
+    Walk,
     active_set_run,
+    active_set_steps,
     builtin_rules,
     equivalence_check,
     improving_candidates,
     make_rule,
     simplex_run,
+    write_walk_json,
 )
 from .errors import (
     AmbiguousImprovementError,

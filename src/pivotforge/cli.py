@@ -11,8 +11,13 @@ marked lossy decimal fields.  Identical commands (and seeds) produce
 byte-identical output files.  Exit codes: 0 pass, 1 property violation or
 engine error (with a witness), 2 usage or parse errors.
 
-Dimension caps guard the exponential scans (orientation checks <= 10,
-engine runs and vertex scans <= 20, SAT enumeration <= 24 variables).
+Dimension caps guard the exponential work, each set where a measured
+command still finishes in bounded time and memory (``CAP_HELP`` lists
+them): engine runs and vertex scans n <= 20 (``run``, ``verify path``
+and the other vertex checks, ``export path``), the Szabó–Welzl pair test
+over 2^n x 2^n vertex pairs n <= 16 (``verify uso``, ``export
+orientation``), the expanded polynomial n <= 18 (``export polynomial``,
+whose term list is built in memory), SAT enumeration <= 24 variables.
 Setting the ``PIVOTFORGE_MAX_N`` environment variable replaces each of
 these command caps with its value, but the brute-force SAT oracles never
 enumerate more than ``satreduce.ENUMERATION_LIMIT`` (24) variables: a
@@ -27,17 +32,23 @@ import csv
 import json
 import os
 import random
+import stat
 import sys
 from fractions import Fraction
+from itertools import zip_longest
 from typing import Callable, NamedTuple
 
 from .boxes import AxisDirection, BoxProgram, bits_from_id
 from .engine import (
     OUTCOME_CRITICAL_POINT,
     RULE_NAMES,
-    active_set_run,
+    SPOOL_CHUNK,
+    Walk,
+    active_set_run,  # not called here; the benchmark's tracer rebinds cli.active_set_run
+    active_set_steps,
     equivalence_check,
     make_rule,
+    write_walk_json,
 )
 from .errors import DimacsParseError, PivotforgeError, TooLargeError
 from .objectives import (
@@ -73,7 +84,20 @@ from .structure import (
     sink_find_decomposable,
 )
 
-DEFAULT_CAPS = {"run": 20, "face-scan": 10, "sat": ENUMERATION_LIMIT}
+# Set from measurements (2-vCPU VM, Python 3.11; the README has the table):
+# run --n 20 takes 100 s in 18 MB, as every n does; verify uso --n 16 takes
+# 13 s and 94 MB, about four times the time of n = 15; export polynomial --n 18
+# takes 770 MB, and n = 19 would take twice that.
+DEFAULT_CAPS = {"run": 20, "pair-test": 16, "expansion": 18, "sat": ENUMERATION_LIMIT}
+
+CAP_HELP = (
+    f"dimension caps: engine runs and vertex scans n <= {DEFAULT_CAPS['run']};\n"
+    f"the pair test of 'verify uso' and 'export orientation' n <= "
+    f"{DEFAULT_CAPS['pair-test']};\n"
+    f"'export polynomial' n <= {DEFAULT_CAPS['expansion']}; "
+    f"SAT enumeration <= {DEFAULT_CAPS['sat']} variables.\n"
+    "The environment variable PIVOTFORGE_MAX_N replaces each cap with its value."
+)
 
 
 def _usage_error(message: str) -> "SystemExit":
@@ -104,12 +128,26 @@ def _check_cap(n: int, kind: str, what: str) -> None:
 @contextlib.contextmanager
 def _writing(path: str):
     """Open ``path`` for writing and yield the text handle.  A path that
-    cannot be opened or written is a usage error (exit 2, one line)."""
+    cannot be opened or written is a usage error (exit 2, one line).  If
+    the body raises anything, an interrupt included, the file is removed,
+    so a failed command leaves no partial output; only a regular file that
+    ``path`` itself names is removed, never a device or a symlink's
+    target."""
     try:
-        with open(path, "w", encoding="utf-8", newline="") as handle:
-            yield handle
+        handle = open(path, "w", encoding="utf-8", newline="")
     except OSError as exc:
         raise _usage_error(f"cannot write {path}: {exc}")
+    opened = os.fstat(handle.fileno())
+    try:
+        with handle:
+            yield handle
+    except BaseException as exc:
+        with contextlib.suppress(OSError):
+            if stat.S_ISREG(opened.st_mode) and os.path.samestat(os.lstat(path), opened):
+                os.remove(path)
+        if isinstance(exc, OSError):
+            raise _usage_error(f"cannot write {path}: {exc}")
+        raise
 
 
 def _write_text(path: str, text: str) -> None:
@@ -142,24 +180,34 @@ def cmd_run(args) -> int:
     label = args.rule if args.rule != "random" else f"random(seed={args.seed})"
     out = args.out or (f"trajectory_n{n}" + (f"_pad{ambient}" if ambient > n else "")
                        + f"_{args.rule}.{args.format}")
+    start = (0,) * ambient
     with _writing(out) as handle:  # opened first: a bad path fails before the walk
-        trajectory = active_set_run(program, objective, (0,) * ambient, rule,
-                                    max_iter=args.max_iter)
+        walk = Walk(program, start,
+                    active_set_steps(program, objective, start, rule, max_iter=args.max_iter))
         if args.format == "json":
-            trajectory.write_json(handle, objective, rule_name=label, approx=args.approx)
+            import tempfile  # here, not at the top: no other command needs it
+
+            # the record text waits in an unnamed file beside the output
+            # (not in RAM, nor in a tmpfs /tmp) until the header is known
+            spool_dir = os.path.dirname(os.path.abspath(out))
+            with tempfile.TemporaryFile("w+", buffering=SPOOL_CHUNK, encoding="utf-8",
+                                        newline="", dir=spool_dir) as spool:
+                write_walk_json(handle, spool, walk, objective, rule_name=label,
+                                approx=args.approx)
         else:
-            row = trajectory.summary_row(objective, label, approx=args.approx)
+            for _ in walk:  # the summary needs only the count and the last record
+                pass
+            row = walk.summary_row(objective, label, approx=args.approx)
             writer = csv.DictWriter(handle, fieldnames=list(row))
             writer.writeheader()
             writer.writerow(row)
-    final = trajectory.final_point
-    final_id = program.vertex_id_or_none(final)
+    final_id = program.vertex_id_or_none(walk.final_point)
     final_id = "-" if final_id is None else final_id
-    value = format_rational(objective.value(final))
+    value = format_rational(walk.final_value(objective))
     pad_note = f" pad_to={ambient}" if ambient > n else ""
-    print(f"n={n}{pad_note} rule={args.rule} iterations={trajectory.iterations} "
-          f"final={final_id} value={value} outcome={trajectory.outcome} file={out}")
-    return 0 if trajectory.outcome == OUTCOME_CRITICAL_POINT else 1
+    print(f"n={n}{pad_note} rule={args.rule} iterations={walk.iterations} "
+          f"final={final_id} value={value} outcome={walk.outcome} file={out}")
+    return 0 if walk.outcome == OUTCOME_CRITICAL_POINT else 1
 
 
 # ------------------------------------------------------------- verify --
@@ -214,10 +262,17 @@ def check_path(n: int):
         if ids[half:] != [v | half for v in reversed(ids[:half])]:
             return False, {"reason": "half-reflection law violated", "path": ids}
     program = BoxProgram.unit_cube(n)
-    trajectory = active_set_run(program, oracle, (0,) * n, make_rule("lowest-index"))
-    if trajectory.vertex_ids() != ids:
+    start = (0,) * n
+
+    def engine_ids():  # the walk's vertex ids, one pass at a time
+        yield program.vertex_id_or_none(start)
+        for record in active_set_steps(program, oracle, start, make_rule("lowest-index")):
+            yield program.vertex_id_or_none(record.x_after)
+
+    missing = object()
+    if any(a != b for a, b in zip_longest(engine_ids(), ids, fillvalue=missing)):
         return False, {"reason": "engine trajectory differs from the path",
-                       "engine": trajectory.vertex_ids(), "path": ids}
+                       "engine": list(engine_ids()), "path": ids}
     return True, None
 
 
@@ -404,7 +459,7 @@ CHECKS = {
         "the induced orientation has exactly one sink in every face, is combed "
         "on every subcube, and is combed in each subcube's highest free "
         "dimension",
-        check_uso, "face-scan", 8),
+        check_uso, "pair-test", 8),
     "sink": Check(
         "the descent sink finder returns the brute-force optimum vertex, the "
         "last unit vector, with at most 2n value queries",
@@ -443,13 +498,13 @@ def cmd_verify(args) -> int:
 def cmd_export(args) -> int:
     n = args.n
     if args.what == "polynomial":
-        _check_cap(n, "run", "expansion")
+        _check_cap(n, "expansion", "expansion")
         poly = expand(n)
         out = args.out or f"polynomial_n{n}.json"
         _write_text(out, _json_text(poly.to_json_dict()))
         print(f"degree={poly.total_degree} terms={len(poly.terms)} file={out}")
     elif args.what == "orientation":
-        _check_cap(n, "face-scan", "orientation")
+        _check_cap(n, "pair-test", "orientation")
         orientation = induce_orientation(LowerBoundPolynomial(n), n)
         out = args.out or f"orientation_n{n}.json"
         _write_text(out, _json_text(orientation.to_json_dict()))
@@ -510,6 +565,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="pivotforge",
         description="Exact active-set/simplex runs on box programs and "
                     "brute-force certification of their worst-case instances.",
+        epilog=CAP_HELP,
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -519,6 +575,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Runs the active-set method from the origin on the "
                     "n-dimensional lower-bound objective (optionally padded "
                     "into a larger cube) and writes the full trajectory.",
+        epilog=CAP_HELP,
     )
     run.add_argument("--n", type=int, required=True, help="objective dimension")
     run.add_argument("--rule", choices=RULE_NAMES, default="lowest-index")
@@ -539,6 +596,7 @@ def build_parser() -> argparse.ArgumentParser:
         "verify",
         help="run one certification check (exit 0 pass, 1 fail with witness)",
         description="Each check certifies one property:\n" + claims,
+        epilog=CAP_HELP,
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     verify.add_argument("check", choices=sorted(CHECKS))
@@ -553,6 +611,7 @@ def build_parser() -> argparse.ArgumentParser:
     export = sub.add_parser(
         "export",
         help="write polynomial/orientation/path artifacts as JSON",
+        epilog=CAP_HELP,
     )
     export.add_argument("what", choices=("polynomial", "orientation", "path"))
     export.add_argument("--n", type=int, required=True)

@@ -23,14 +23,20 @@ with ``g`` the exact univariate polynomial ``grad f(x + t d)^T d``.  An
 irrational objective-side stopping point aborts the run with an error
 outcome instead of rounding.
 
-Every pass is recorded; trajectories are the audit trail all certification
-checks run against, and they serialize to deterministic JSON/CSV.  The
-JSON writer streams one record at a time; ``Trajectory.to_json_dict`` is
-the reference form it reproduces byte for byte.
+Every pass is recorded.  :func:`active_set_steps` yields the records one
+at a time, so a consumer that keeps none of them (``run`` and
+``verify path``) walks all ``2^n`` vertices in memory independent of the
+pass count; :func:`active_set_run` collects them into a
+:class:`Trajectory`, the audit trail the library API and the equivalence
+check work on.  Both serialize to deterministic JSON/CSV through one
+writer, :func:`write_walk_json`, which spools the record text and so never
+holds more than one record; ``Trajectory.to_json_dict`` is the reference
+form it reproduces byte for byte.
 """
 
 from __future__ import annotations
 
+import io
 import json
 import random
 from abc import ABC, abstractmethod
@@ -181,7 +187,8 @@ def builtin_rules() -> dict:
 class IterationRecord:
     """One while-loop pass: what was chosen, dropped, added, and where the
     iterate moved.  ``x_after == x_before`` when the pass only dropped a
-    row; ``stop_reason`` is set on the final record only."""
+    row; ``value_after`` is the objective value at ``x_after``;
+    ``stop_reason`` is set on the final record only."""
 
     index: int
     x_before: Point
@@ -193,6 +200,7 @@ class IterationRecord:
     added_row: Optional[int]
     num_candidates: int
     stop_reason: Optional[str] = None
+    value_after: Optional[Rational] = None
 
 
 def _json_array(items: list, indent: int) -> str:
@@ -297,109 +305,199 @@ class Trajectory:
             out["final"]["objective_value_approx_lossy"] = float(final_value)
         return out
 
+    def _replay(self):
+        """The records as a record generator, like :func:`active_set_steps`."""
+        yield from self.records
+        return self.outcome, self.stop_reason
+
     def write_json(self, handle, objective, rule_name: Optional[str] = None,
                    approx: bool = False) -> None:
         """Write ``to_json_dict(objective, rule_name, approx)`` to the open
         text ``handle`` as exactly the bytes of ``json.dumps(...,
-        indent=2, sort_keys=True) + "\\n"``, one record at a time, without
-        building the document.  Keys are written in sorted order.  Each
-        iterate is formatted and identified once: a record whose
-        ``x_before`` equals the previous ``x_after`` reuses its text."""
-        program = self.program
-        vertex_id = program.vertex_id_or_none
-        final = self.final_point
-        final_value = objective.value(final)
-        handle.write(
-            '{\n  "final": {\n'
-            f'    "objective_value": "{format_rational(final_value)}",\n'
-            + (f'    "objective_value_approx_lossy": {json.dumps(float(final_value))},\n'
-               if approx else "")
-            + f'    "point": {_point_json(final, 4)},\n'
-            f'    "vertex_id": {_json_int(vertex_id(final))}\n'
-            "  },\n"
-            f'  "iterations": {self.iterations},\n'
-            f'  "n": {program.n},\n'
-            f'  "outcome": {_json_str(self.outcome)},\n'
-            '  "records": ['
-        )
-        x_prev = self.start
-        point_prev = _point_json(x_prev, 6)
-        id_prev = vertex_id(x_prev)
-        separator = "\n"
-        for r in self.records:
-            if r.x_before != x_prev:
-                point_prev = _point_json(r.x_before, 6)
-                id_prev = vertex_id(r.x_before)
-            x_after = r.x_after
-            point_after = _point_json(x_after, 6)
-            id_after = vertex_id(x_after)
-            value_after = objective.value(x_after)
-            d = r.direction
-            handle.write(
-                separator + "    {\n"
-                f'      "active_rows": '
-                f'{_json_array([str(row) for row in r.active_before], 6)},\n'
-                f'      "added_row": {_json_int(r.added_row)},\n'
-                '      "direction": '
-                + ("null" if d is None else
-                   f'{{\n        "coord": {d.coord},\n        "sign": {d.sign}\n      }}')
-                + ",\n"
-                f'      "iteration": {r.index},\n'
-                f'      "num_candidates": {r.num_candidates},\n'
-                f'      "objective_value": "{format_rational(value_after)}",\n'
-                + (f'      "objective_value_approx_lossy": {json.dumps(float(value_after))},\n'
-                   if approx else "")
-                + f'      "point": {point_prev},\n'
-                f'      "point_after": {point_after},\n'
-                f'      "removed_row": {_json_int(r.removed_row)},\n'
-                '      "step": '
-                + ("null" if r.step is None else f'"{format_rational(r.step)}"')
-                + ",\n"
-                f'      "stop_reason": {_json_str(r.stop_reason)},\n'
-                f'      "vertex_id": {_json_int(id_prev)},\n'
-                f'      "vertex_id_after": {_json_int(id_after)}\n'
-                "    }"
-            )
-            separator = ",\n"
-            x_prev, point_prev, id_prev = x_after, point_after, id_after
-        handle.write(
-            ("\n  ]" if self.records else "]") + ",\n"
-            f'  "rule": {_json_str(rule_name)},\n'
-            '  "start": {\n'
-            f'    "point": {_point_json(self.start, 4)},\n'
-            f'    "vertex_id": {_json_int(vertex_id(self.start))}\n'
-            "  },\n"
-            f'  "stop_reason": {_json_str(self.stop_reason)}\n'
-            "}\n"
-        )
+        indent=2, sort_keys=True) + "\\n"``, through
+        :func:`write_walk_json`.  Its spool is in memory, where the records
+        already are.  Record values come from each record's
+        ``value_after``."""
+        write_walk_json(handle, io.StringIO(), Walk(self.program, self.start, self._replay()),
+                        objective, rule_name=rule_name, approx=approx)
 
     def summary_row(self, objective, rule_name: str, approx: bool = False) -> dict:
         """One CSV row: n, rule, iterations, final_vertex_id, final_value."""
-        value = objective.value(self.final_point)
-        final_id = self.program.vertex_id_or_none(self.final_point)
-        row = {
-            "n": self.program.n,
-            "rule": rule_name,
-            "iterations": self.iterations,
-            "final_vertex_id": "" if final_id is None else final_id,
-            "final_value": format_rational(value),
-        }
-        if approx:
-            row["final_value_approx_lossy"] = float(value)
-        return row
+        return _summary_row(self.program, self.iterations, self.final_point,
+                            objective.value(self.final_point), rule_name, approx)
+
+
+def _summary_row(program: BoxProgram, iterations: int, final: Point, value: Rational,
+                 rule_name: str, approx: bool) -> dict:
+    final_id = program.vertex_id_or_none(final)
+    row = {
+        "n": program.n,
+        "rule": rule_name,
+        "iterations": iterations,
+        "final_vertex_id": "" if final_id is None else final_id,
+        "final_value": format_rational(value),
+    }
+    if approx:
+        row["final_value_approx_lossy"] = float(value)
+    return row
+
+
+class Walk:
+    """One pass over a record generator such as :func:`active_set_steps`.
+
+    Iterating yields the generator's records.  Meanwhile the walk counts
+    them and keeps the last, so once the generator has returned,
+    ``iterations``, ``final_point``, ``outcome`` and ``stop_reason`` say
+    what the :class:`Trajectory` of the same records would say, without
+    holding the records.
+    """
+
+    def __init__(self, program: BoxProgram, start: Point, steps):
+        self.program = program
+        self.start = start
+        self._steps = steps
+        self.iterations = 0
+        self.last: Optional[IterationRecord] = None
+        self.outcome: Optional[str] = None
+        self.stop_reason: Optional[str] = None
+
+    def __iter__(self):
+        steps = self._steps
+        while True:
+            try:
+                record = next(steps)
+            except StopIteration as done:
+                self.outcome, self.stop_reason = done.value
+                return
+            self.iterations += 1
+            self.last = record
+            yield record
+
+    @property
+    def final_point(self) -> Point:
+        return self.start if self.last is None else self.last.x_after
+
+    def final_value(self, objective) -> Rational:
+        """The value at the final point: the last record's ``value_after``,
+        or ``objective.value(start)`` when there was no pass."""
+        return objective.value(self.start) if self.last is None else self.last.value_after
+
+    def summary_row(self, objective, rule_name: str, approx: bool = False) -> dict:
+        """``Trajectory.summary_row`` of the walked records."""
+        return _summary_row(self.program, self.iterations, self.final_point,
+                            self.final_value(objective), rule_name, approx)
+
+
+#: characters copied from the spool per read; ``run`` also gives its spool
+#: file a write buffer of this many bytes, so the walk writes it in as few
+#: system calls as it copies it back
+SPOOL_CHUNK = 1 << 16
+
+
+def write_walk_json(handle, spool, walk: Walk, objective,
+                    rule_name: Optional[str] = None, approx: bool = False) -> None:
+    """Walk ``walk`` to its end and write its trajectory JSON to the open
+    text ``handle``: the bytes of ``json.dumps(to_json_dict(objective,
+    rule_name, approx), indent=2, sort_keys=True) + "\\n"`` for the
+    :class:`Trajectory` of the same records.
+
+    With sorted keys, ``final``, ``iterations`` and ``outcome`` precede
+    ``records`` but are known only once the walk has ended.  So the record
+    text goes to ``spool``, an open read/write text file, one record at a
+    time as the walk yields it; then the header goes to ``handle``, the
+    spool is copied after it in chunks of ``SPOOL_CHUNK`` characters, and
+    the footer closes the document.  No record is kept, so memory does
+    not grow with the walk.  Values come from each record's
+    ``value_after``; ``objective`` is called only when the walk has no
+    record, for the value at its start.  Each iterate is formatted and
+    identified once: a record whose ``x_before`` equals the previous
+    ``x_after`` reuses its text.
+    """
+    vertex_id = walk.program.vertex_id_or_none
+    start = walk.start
+    x_prev = start
+    point_prev = _point_json(x_prev, 6)
+    id_prev = vertex_id(x_prev)
+    separator = "\n"
+    for r in walk:
+        if r.x_before != x_prev:
+            point_prev = _point_json(r.x_before, 6)
+            id_prev = vertex_id(r.x_before)
+        x_after = r.x_after
+        point_after = _point_json(x_after, 6)
+        id_after = vertex_id(x_after)
+        value_after = r.value_after
+        d = r.direction
+        spool.write(
+            separator + "    {\n"
+            f'      "active_rows": '
+            f'{_json_array([str(row) for row in r.active_before], 6)},\n'
+            f'      "added_row": {_json_int(r.added_row)},\n'
+            '      "direction": '
+            + ("null" if d is None else
+               f'{{\n        "coord": {d.coord},\n        "sign": {d.sign}\n      }}')
+            + ",\n"
+            f'      "iteration": {r.index},\n'
+            f'      "num_candidates": {r.num_candidates},\n'
+            f'      "objective_value": "{format_rational(value_after)}",\n'
+            + (f'      "objective_value_approx_lossy": {json.dumps(float(value_after))},\n'
+               if approx else "")
+            + f'      "point": {point_prev},\n'
+            f'      "point_after": {point_after},\n'
+            f'      "removed_row": {_json_int(r.removed_row)},\n'
+            '      "step": '
+            + ("null" if r.step is None else f'"{format_rational(r.step)}"')
+            + ",\n"
+            f'      "stop_reason": {_json_str(r.stop_reason)},\n'
+            f'      "vertex_id": {_json_int(id_prev)},\n'
+            f'      "vertex_id_after": {_json_int(id_after)}\n'
+            "    }"
+        )
+        separator = ",\n"
+        x_prev, point_prev, id_prev = x_after, point_after, id_after
+    final = walk.final_point
+    final_value = walk.final_value(objective)
+    handle.write(
+        '{\n  "final": {\n'
+        f'    "objective_value": "{format_rational(final_value)}",\n'
+        + (f'    "objective_value_approx_lossy": {json.dumps(float(final_value))},\n'
+           if approx else "")
+        + f'    "point": {_point_json(final, 4)},\n'
+        f'    "vertex_id": {_json_int(vertex_id(final))}\n'
+        "  },\n"
+        f'  "iterations": {walk.iterations},\n'
+        f'  "n": {walk.program.n},\n'
+        f'  "outcome": {_json_str(walk.outcome)},\n'
+        '  "records": ['
+    )
+    spool.seek(0)
+    while chunk := spool.read(SPOOL_CHUNK):
+        handle.write(chunk)
+    handle.write(
+        ("\n  ]" if walk.iterations else "]") + ",\n"
+        f'  "rule": {_json_str(rule_name)},\n'
+        '  "start": {\n'
+        f'    "point": {_point_json(start, 4)},\n'
+        f'    "vertex_id": {_json_int(vertex_id(start))}\n'
+        "  },\n"
+        f'  "stop_reason": {_json_str(walk.stop_reason)}\n'
+        "}\n"
+    )
 
 
 def improving_candidates(program: BoxProgram, objective, x: Point,
-                         active: frozenset) -> list:
+                         active: frozenset, grad: Optional[tuple] = None) -> list:
     """Feasible improving axis directions at ``x``, restricted to those
     orthogonal to the maximum number of rows in ``active``.
 
     Feasibility is with respect to every row tight at ``x`` (not just the
     maintained active set); on a box that is a per-coordinate bound check.
     Empty exactly when ``x`` is a critical point.  Candidates come back
-    sorted by coordinate.
+    sorted by coordinate.  ``grad`` is the gradient at ``x`` when the
+    caller has it already; otherwise it is asked of ``objective``.
     """
-    grad = objective.gradient(x)
+    if grad is None:
+        grad = objective.gradient(x)
     n = program.n
     lower, upper = program.lower, program.upper
     base = len(active)
@@ -450,9 +548,11 @@ def _entering_rows(program: BoxProgram, x: Point, active: set) -> list:
     return uppers + lowers
 
 
-def active_set_run(program: BoxProgram, objective, start: Point, rule: PivotRule,
-                   max_iter: Optional[int] = None) -> Trajectory:
-    """Run the active-set method from ``start`` until a critical point.
+def active_set_steps(program: BoxProgram, objective, start: Point, rule: PivotRule,
+                     max_iter: Optional[int] = None):
+    """Run the active-set method from ``start`` until a critical point,
+    yielding each pass's :class:`IterationRecord`; the generator returns
+    ``(outcome, stop_reason)``.
 
     The active set starts as the full tight set of ``start``.  Each pass:
     select a maximum-overlap improving candidate by the rule; if some
@@ -464,8 +564,15 @@ def active_set_run(program: BoxProgram, objective, start: Point, rule: PivotRule
 
     and, when the directional derivative at the new point is still
     positive (the move stopped on the boundary), add one rule-chosen newly
-    tight row.  Returns an error trajectory on iteration overrun or an
+    tight row.  Ends with an error outcome on iteration overrun or an
     irrational stopping point.
+
+    Each pass starts with one ``objective.value_and_gradient`` call at the
+    iterate.  Its value completes the previous pass's record, which is
+    held back until then: every record is yielded with its
+    ``value_after``, and the last one already carries its
+    ``stop_reason``.  Nothing else is kept from pass to pass, so memory
+    is O(n) whatever the number of passes.
     """
     _check_dimensions(program, objective)
     start = as_point(start)
@@ -475,16 +582,22 @@ def active_set_run(program: BoxProgram, objective, start: Point, rule: PivotRule
     n = program.n
     active = set(program.eq_set(start))
     x = start
-    records = []
+    passes = 0
+    held = None  # the previous pass's record, until the value at its x_after is known
 
     while True:
-        candidates = improving_candidates(program, objective, x, active)
+        value, grad = objective.value_and_gradient(x)
+        if held is not None:
+            held.value_after = value
+        candidates = improving_candidates(program, objective, x, active, grad)
         if not candidates:
             outcome, stop = OUTCOME_CRITICAL_POINT, STOP_CRITICAL_POINT
             break
-        if len(records) >= max_iter:
+        if passes >= max_iter:
             outcome, stop = OUTCOME_ERROR, STOP_MAX_ITER
             break
+        if held is not None:
+            yield held
         chosen = rule.choose_direction(candidates)
         d = chosen.direction
         k = d.coord
@@ -523,27 +636,37 @@ def active_set_run(program: BoxProgram, objective, start: Point, rule: PivotRule
                         )
                     added = rule.choose_addition(options)
                     active.add(added)
-        records.append(
-            IterationRecord(
-                index=len(records) + 1,
-                x_before=x_before,
-                active_before=active_before,
-                direction=d,
-                removed_row=removed,
-                step=step,
-                x_after=x,
-                added_row=added,
-                num_candidates=len(candidates),
-            )
+        passes += 1
+        held = IterationRecord(
+            index=passes,
+            x_before=x_before,
+            active_before=active_before,
+            direction=d,
+            removed_row=removed,
+            step=step,
+            x_after=x,
+            added_row=added,
+            num_candidates=len(candidates),
         )
         if error_stop is not None:
+            held.value_after = value  # the iterate did not move
             outcome, stop = OUTCOME_ERROR, error_stop
             break
 
-    if records:
-        records[-1].stop_reason = stop
+    if held is not None:
+        held.stop_reason = stop
+        yield held
+    return outcome, stop
+
+
+def active_set_run(program: BoxProgram, objective, start: Point, rule: PivotRule,
+                   max_iter: Optional[int] = None) -> Trajectory:
+    """:func:`active_set_steps` collected into a :class:`Trajectory`."""
+    start = as_point(start)
+    walk = Walk(program, start, active_set_steps(program, objective, start, rule, max_iter))
+    records = list(walk)
     return Trajectory(program=program, start=start, records=records,
-                      outcome=outcome, stop_reason=stop)
+                      outcome=walk.outcome, stop_reason=walk.stop_reason)
 
 
 def simplex_run(program: BoxProgram, objective: LinearObjective, start: Point,
@@ -571,7 +694,10 @@ def simplex_run(program: BoxProgram, objective: LinearObjective, start: Point,
     records = []
 
     while True:
-        candidates = improving_candidates(program, objective, x, basis)
+        value, grad = objective.value_and_gradient(x)
+        if records:
+            records[-1].value_after = value
+        candidates = improving_candidates(program, objective, x, basis, grad)
         if not candidates:
             outcome, stop = OUTCOME_CRITICAL_POINT, STOP_CRITICAL_POINT
             break

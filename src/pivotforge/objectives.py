@@ -33,6 +33,8 @@ restrictions, and multivariate polynomials give the expanded monomial form.
 
 from __future__ import annotations
 
+import math
+from fractions import Fraction
 from typing import Protocol, Sequence, runtime_checkable
 
 from .boxes import AxisDirection, Point, as_point
@@ -104,10 +106,13 @@ def _partial_forward(coords: Sequence, k: int):
     return acc - db
 
 
-def _gradient_adjoint(coords: Sequence) -> list:
-    """All n partial derivatives of the recursion in one O(n) pass.
+def _adjoint_sweep(coords: Sequence, with_value: bool) -> tuple:
+    """All n partial derivatives of the recursion in one O(n) pass, and
+    with ``with_value`` the value too: returns ``(value, grad)``, with
+    ``value`` None when not asked for, so that a caller that needs only
+    the gradient does not pay for it.
 
-    This is the adjoint (reverse-mode) form of the recursion, i.e.
+    The gradient is the adjoint (reverse-mode) form of the recursion, i.e.
     :func:`partial_closed_form` generalised off the vertices.  The partial
     in coordinate k is
 
@@ -119,15 +124,18 @@ def _gradient_adjoint(coords: Sequence) -> list:
     ``T_k = (1 - 2 x_{k-1}) T_{k-1} + 2^{k-1}``.  The first term collects
     ``d a_i / d x_k = (1 - 2 a_{k+1}) prod_{j=i..k-1} (1 - 2 x_j)`` over
     ``i <= k``; the bracket collects the ``b_i`` that read ``x_k``.  A
-    suffix sweep yields ``a_{k+1}`` and the ``w`` sums, a prefix sweep
-    ``T_k`` and ``s_k``.
+    suffix sweep yields ``a_k``, ``2^k w_k`` and the ``w`` sums, a prefix
+    sweep ``T_k`` and ``s_k``; the value ``sum_k 2^{k-1} a_k - 2^k w_k s_k``
+    is summed from the same quantities along the way.
     """
     n = len(coords)
     scale = [0] * n  # scale[k-1] = 1 - 2 a_{k+1}
     tail = [0] * n   # tail[k-1] = sum_{i>=k+2} 2^i w_i - 2^{k+1} w_{k+1}
+    weighted = [0] * n if with_value else None  # weighted[k-1] = 2^k w_k
     a = 0
     later = 0        # sum_{i>=k+2} 2^i w_i
     nearest = 0      # 2^{k+1} w_{k+1}
+    value = 0 if with_value else None
     for i in range(n - 1, -1, -1):  # coordinate k = i + 1
         scale[i] = 1 - 2 * a
         tail[i] = later - nearest
@@ -135,6 +143,9 @@ def _gradient_adjoint(coords: Sequence) -> list:
         later += nearest
         nearest = (1 << (i + 1)) * (xi - xi * xi)
         a = xi + (1 - 2 * xi) * a
+        if with_value:
+            weighted[i] = nearest
+            value += (1 << i) * a
     grad = []
     t = 1       # T_k
     prefix = 0  # sum_{j<=k-2} x_j
@@ -142,12 +153,15 @@ def _gradient_adjoint(coords: Sequence) -> list:
     for i in range(n):
         xk = coords[i]
         c = 1 - 2 * xk
-        grad.append(scale[i] * t - (1 << (i + 1)) * c * (1 - prev + prefix) - tail[i])
+        s = 1 - prev + prefix
+        if with_value and weighted[i]:  # b_k = 2^k w_k s_k vanishes on the vertices
+            value -= weighted[i] * s
+        grad.append(scale[i] * t - (1 << (i + 1)) * c * s - tail[i])
         if i:
             prefix += prev
         prev = xk
         t = c * t + (1 << (i + 1))
-    return grad
+    return value, grad
 
 
 def alpha(n: int, i: int, x: Sequence) -> Rational:
@@ -232,13 +246,17 @@ def partial_closed_form(n: int, k: int, x: Sequence) -> Rational:
 @runtime_checkable
 class ObjectiveOracle(Protocol):
     """What the engine needs from an objective: exact values, exact
-    gradients, and exact edge restrictions.  All operations are pure."""
+    gradients, and exact edge restrictions.  All operations are pure.
+    ``value_and_gradient(x)`` equals ``(value(x), gradient(x))``; the
+    engine makes one such call per pass."""
 
     n: int
 
     def value(self, x: Point) -> Rational: ...
 
     def gradient(self, x: Point) -> tuple: ...
+
+    def value_and_gradient(self, x: Point) -> tuple: ...
 
     def edge_restriction(self, x: Point, d: AxisDirection) -> UniPoly: ...
 
@@ -310,11 +328,13 @@ def _edge_value_coeffs(coords: Sequence, k: int, s) -> tuple:
 class LowerBoundPolynomial:
     """The degree-n objective family defined by the module recursions.
 
-    Gradients come from one O(n) adjoint pass over the recursion;
-    ``partial`` differentiates one coordinate in forward mode.  Edge
-    restrictions substitute the parametrized edge into the recursion with
-    polynomial-valued scalars and differentiate the resulting univariate
-    polynomial.  Nothing is cached: every reply is computed afresh.
+    Gradients come from one O(n) adjoint pass over the recursion, which
+    also sums the value for ``value_and_gradient``; ``value`` runs the
+    defining recursion itself, and ``partial`` differentiates one
+    coordinate in forward mode.  Edge restrictions substitute the
+    parametrized edge into the recursion with polynomial-valued scalars
+    and differentiate the resulting univariate polynomial.  Nothing is
+    cached: every reply is computed afresh.
     """
 
     def __init__(self, n: int):
@@ -339,7 +359,12 @@ class LowerBoundPolynomial:
 
     def gradient(self, x: Point) -> tuple:
         self._check(x)
-        return tuple(map(as_rational, _gradient_adjoint(x)))
+        return tuple(map(as_rational, _adjoint_sweep(x, False)[1]))
+
+    def value_and_gradient(self, x: Point) -> tuple:
+        self._check(x)
+        value, grad = _adjoint_sweep(x, True)
+        return as_rational(value), tuple(map(as_rational, grad))
 
     def edge_restriction(self, x: Point, d: AxisDirection) -> UniPoly:
         self._check(x)
@@ -373,6 +398,10 @@ class LinearObjective:
         if not self.c:
             raise ValueError("coefficient vector must be nonempty")
         self.n = len(self.c)
+        # c = numerators / denominator, so that the value at an integral point
+        # (every vertex of a walk on the unit cube) is one integer dot product
+        self._denominator = math.lcm(*(Fraction(ci).denominator for ci in self.c))
+        self._numerators = tuple(int(ci * self._denominator) for ci in self.c)
 
     def _check(self, x: Sequence) -> None:
         if len(x) != self.n:
@@ -380,11 +409,15 @@ class LinearObjective:
 
     def value(self, x: Point) -> Rational:
         self._check(x)
-        return as_rational(sum(ci * xi for ci, xi in zip(self.c, x)))
+        total = sum(ni * xi for ni, xi in zip(self._numerators, x) if xi)
+        return as_rational(Fraction(total, self._denominator))
 
     def gradient(self, x: Point) -> tuple:
         self._check(x)
         return self.c
+
+    def value_and_gradient(self, x: Point) -> tuple:
+        return self.value(x), self.c
 
     def edge_restriction(self, x: Point, d: AxisDirection) -> UniPoly:
         self._check(x)
@@ -416,6 +449,11 @@ class PaddedObjective:
         head = self.inner.gradient(tuple(x[: self.inner.n]))
         return head + (0,) * (self.n - self.inner.n)
 
+    def value_and_gradient(self, x: Point) -> tuple:
+        self._check(x)
+        value, head = self.inner.value_and_gradient(tuple(x[: self.inner.n]))
+        return value, head + (0,) * (self.n - self.inner.n)
+
     def edge_restriction(self, x: Point, d: AxisDirection) -> UniPoly:
         self._check(x)
         if d.coord <= self.inner.n:
@@ -431,10 +469,13 @@ def pad(inner, n: int) -> PaddedObjective:
 class MultiPolyObjective:
     """Oracle view of an explicit multivariate polynomial.
 
-    Gradients come from symbolic partial derivatives computed once at
+    ``gradient`` evaluates symbolic partial derivatives computed once at
     construction; edge restrictions substitute the parametrized edge and
     differentiate.  Used as an independent implementation for cross-checks
     and for running the engine on arbitrary polynomial objectives.
+    ``value_and_gradient``, the engine's call, differentiates each term in
+    place instead, in one pass over the terms with one power table per
+    variable; ``value`` and ``gradient`` are its reference.
     """
 
     def __init__(self, poly: MultiPoly):
@@ -443,6 +484,14 @@ class MultiPolyObjective:
         if self.n < 1:
             raise ValueError("objective needs at least one variable")
         self._partials = tuple(poly.partial(k) for k in range(1, self.n + 1))
+        # each term as its coefficient, its (variable index, exponent) pairs
+        # with a nonzero exponent, and coefficient * exponent for each pair
+        self._terms = []
+        for exps, coeff in sorted(poly.terms.items()):
+            factors = tuple((i, e) for i, e in enumerate(exps) if e)
+            self._terms.append((coeff, factors, tuple(coeff * e for _, e in factors)))
+        self._degrees = [max((exps[i] for exps in poly.terms), default=0)
+                         for i in range(self.n)]
 
     def _check(self, x: Sequence) -> None:
         if len(x) != self.n:
@@ -455,6 +504,30 @@ class MultiPolyObjective:
     def gradient(self, x: Point) -> tuple:
         self._check(x)
         return tuple(as_rational(p.eval(x)) for p in self._partials)
+
+    def value_and_gradient(self, x: Point) -> tuple:
+        self._check(x)
+        powers = []
+        for xi, degree in zip(x, self._degrees):
+            table = [1]
+            for _ in range(degree):
+                table.append(table[-1] * xi)
+            powers.append(table)
+        value = 0
+        grad = [0] * self.n
+        for coeff, factors, scaled in self._terms:
+            term = coeff
+            for i, e in factors:
+                term = term * powers[i][e]
+            value = value + term
+            for (k, _), partial in zip(factors, scaled):  # d/dx_k lowers x_k's exponent
+                for i, e in factors:
+                    if i == k:
+                        e -= 1
+                    if e:
+                        partial = partial * powers[i][e]
+                grad[k] = grad[k] + partial
+        return as_rational(value), tuple(map(as_rational, grad))
 
     def edge_restriction(self, x: Point, d: AxisDirection) -> UniPoly:
         self._check(x)

@@ -1,13 +1,21 @@
+import dataclasses
+import itertools
 import json
 import random
+import tracemalloc
+from fractions import Fraction
 
 import pytest
 
 from pivotforge import (
     BoxProgram,
     LowerBoundPolynomial,
+    Trajectory,
+    Walk,
     active_set_run,
     cli,
+    engine,
+    hamiltonian_path,
     make_rule,
     pad,
     violation_polynomial,
@@ -99,7 +107,7 @@ def test_run_reports_unwritable_out_path_before_the_walk(tmp_path, capsys, monke
     def must_not_walk(*args, **kwargs):
         raise AssertionError("the walk ran before --out was opened")
 
-    monkeypatch.setattr(cli, "active_set_run", must_not_walk)
+    monkeypatch.setattr(cli, "active_set_steps", must_not_walk)
     out = tmp_path / "missing" / f"out.{fmt}"
     with pytest.raises(SystemExit) as err:
         run_cli(["run", "--n", "15", "--format", fmt, "--out", str(out)])
@@ -108,6 +116,116 @@ def test_run_reports_unwritable_out_path_before_the_walk(tmp_path, capsys, monke
     assert captured.out == ""
     assert captured.err.startswith(f"error: cannot write {out}: ")
     assert captured.err.count("\n") == 1
+
+
+def _failing_after(passes: int, error):
+    """``cli.active_set_steps`` that raises ``error`` after ``passes`` records."""
+    steps = cli.active_set_steps
+
+    def failing(*args, **kwargs):
+        yield from itertools.islice(steps(*args, **kwargs), passes)
+        raise error("stopped in the middle of the walk")
+
+    return failing
+
+
+@pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_failed_run_leaves_no_output_and_no_spool(tmp_path, capsys, monkeypatch, fmt, error):
+    monkeypatch.setattr(cli, "active_set_steps", _failing_after(5, error))
+    out = tmp_path / f"out.{fmt}"
+    out.write_text("an earlier run's output\n")
+    with pytest.raises(error):
+        run_cli(["run", "--n", "6", "--format", fmt, "--out", str(out)])
+    assert capsys.readouterr().out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_failed_run_removes_only_a_file_the_out_path_names(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "active_set_steps", _failing_after(5, RuntimeError))
+    target = tmp_path / "target.json"
+    link = tmp_path / "link.json"
+    link.symlink_to(target)
+    with pytest.raises(RuntimeError):
+        run_cli(["run", "--n", "6", "--out", str(link)])
+    assert link.is_symlink() and target.exists()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link.json", "target.json"]
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_run_memory_does_not_grow_with_the_walk(tmp_path, capsys, fmt):
+    """``run --n 12`` walks eight times as many passes as ``run --n 9``;
+    the peak of traced allocations may grow by less than 128 KiB (holding
+    the records grows it by about 1.6 MB)."""
+    def peak(n: int) -> int:
+        tracemalloc.start()
+        try:
+            assert run_cli(["run", "--n", str(n), "--format", fmt,
+                            "--out", str(tmp_path / f"n{n}.{fmt}")]) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    # a first run at each size fills caches that do not grow with the walk,
+    # such as the interpreter's free lists of n-tuples
+    peak(9), peak(12)
+    small, large = peak(9), peak(12)
+    capsys.readouterr()
+    assert large - small < 128 * 1024, (small, large)
+
+
+def _check_path_on_the_trajectory(n: int):
+    """The walk part of ``check_path`` as it was when it held the whole
+    trajectory, with the walk taken from ``cli.active_set_steps``: the
+    oracle for the witness bytes.  (The path checks before it are
+    unchanged.)"""
+    program = BoxProgram.unit_cube(n)
+    ids = list(hamiltonian_path(n).vertex_ids)
+    start = (0,) * n
+    walk = Walk(program, start, cli.active_set_steps(program, LowerBoundPolynomial(n), start,
+                                                     make_rule("lowest-index")))
+    trajectory = Trajectory(program, start, list(walk), walk.outcome, walk.stop_reason)
+    if trajectory.vertex_ids() != ids:
+        return False, {"reason": "engine trajectory differs from the path",
+                       "engine": trajectory.vertex_ids(), "path": ids}
+    return True, None
+
+
+def _diverging_steps(kind: str):
+    """``active_set_steps`` altered to stray from the Gray-code path."""
+    def steps(*args, **kwargs):
+        for record in engine.active_set_steps(*args, **kwargs):
+            n = len(record.x_after)
+            if kind == "short" and record.index == (1 << n) - 2:
+                return "critical_point", "critical_point"
+            if kind == "first" and record.index == 1:
+                record = dataclasses.replace(record, x_after=(0,) * (n - 1) + (1,))
+            if kind == "detour" and record.index == 6:
+                record = dataclasses.replace(record, x_after=record.x_before)
+            if kind == "off_vertex" and record.index == 9:
+                record = dataclasses.replace(record, x_after=(Fraction(1, 2),) * n)
+            yield record
+        if kind == "long":
+            yield dataclasses.replace(record, index=record.index + 1, x_before=record.x_after,
+                                      x_after=(0,) * n)
+        return "critical_point", "critical_point"
+    return steps
+
+
+@pytest.mark.parametrize("kind", ["none", "short", "long", "first", "detour", "off_vertex"])
+def test_verify_path_witness_bytes_on_a_diverging_walk(capsys, monkeypatch, kind):
+    monkeypatch.setattr(cli, "active_set_steps", _diverging_steps(kind))
+    n = 4
+    ok, witness = _check_path_on_the_trajectory(n)
+    assert ok == (kind == "none")
+    assert cli.check_path(n) == (ok, witness)
+    code = run_cli(["verify", "path", "--n", str(n)])
+    out = capsys.readouterr().out
+    if ok:
+        assert (code, out) == (0, f"check=path n={n} result=pass\n")
+    else:
+        expected = {"check": "path", "result": "fail", "witness": witness}
+        assert (code, out) == (1, json.dumps(expected, indent=2, sort_keys=True) + "\n")
 
 
 def test_reduce_unwritable_out_path_exits_2_with_one_line(tmp_path, capsys):
@@ -246,9 +364,28 @@ def test_verify_help_names_each_claim(capsys):
 
 
 def test_caps_and_override(monkeypatch, capsys):
+    assert cli.DEFAULT_CAPS == {"run": 20, "pair-test": 16, "expansion": 18, "sat": 24}
+    for argv in (["verify", "uso", "--n", "17"], ["export", "orientation", "--n", "17"],
+                 ["export", "polynomial", "--n", "19"], ["run", "--n", "21"],
+                 ["verify", "path", "--n", "21"]):
+        with pytest.raises(SystemExit) as err:
+            run_cli(argv)
+        assert err.value.code == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: n=17 exceeds the 'uso' cap 16 (set PIVOTFORGE_MAX_N to override)",
+        "error: n=17 exceeds the orientation cap 16 (set PIVOTFORGE_MAX_N to override)",
+        "error: n=19 exceeds the expansion cap 18 (set PIVOTFORGE_MAX_N to override)",
+        "error: n=21 exceeds the engine-run cap 20 (set PIVOTFORGE_MAX_N to override)",
+        "error: n=21 exceeds the 'path' cap 20 (set PIVOTFORGE_MAX_N to override)",
+    ]
     with pytest.raises(SystemExit) as err:
-        run_cli(["verify", "uso", "--n", "11"])
-    assert err.value.code == 2
+        run_cli(["--help"])
+    assert err.value.code == 0
+    assert " ".join(capsys.readouterr().out.split()).endswith(
+        "dimension caps: engine runs and vertex scans n <= 20; the pair test of "
+        "'verify uso' and 'export orientation' n <= 16; 'export polynomial' n <= 18; "
+        "SAT enumeration <= 24 variables. The environment variable PIVOTFORGE_MAX_N "
+        "replaces each cap with its value.")
     monkeypatch.setenv("PIVOTFORGE_MAX_N", "3")
     with pytest.raises(SystemExit) as err:
         run_cli(["verify", "uniqueness", "--n", "5"])

@@ -15,6 +15,7 @@ from pivotforge import (
     MultiPolyObjective,
     NotAVertexError,
     active_set_run,
+    active_set_steps,
     builtin_rules,
     equivalence_check,
     improving_candidates,
@@ -29,6 +30,7 @@ from pivotforge.engine import (
     STOP_MAX_ITER,
     STOP_NOT_REPRESENTABLE,
     Candidate,
+    Walk,
 )
 
 
@@ -524,31 +526,52 @@ def _streamed_json(trajectory, objective, **options):
     return buffer.getvalue()
 
 
-def _writer_cases(oracle_for):
+def _walk_inputs(oracle_for):
+    """``(program, objective, start, (rule name, seed), max_iter)`` of each
+    active-set walk the writer and the generator are tested on."""
     hard = oracle_for(3)
     padded = pad(oracle_for(3), 5)
     # separable: first zeros 1/3 and 2/5, so steps and iterates are fractional
     fractional = MultiPolyObjective(MultiPoly(2, {
         (2, 0): -1, (1, 0): Fraction(2, 3), (0, 2): -1, (0, 1): Fraction(4, 5)}))
     irrational = MultiPolyObjective(MultiPoly(1, {(1,): 2, (3,): -1}))
-    walk = active_set_run(cube(3), hard, (0,) * 3, make_rule("lowest-index"))
+    lowest = ("lowest-index", 0)
     return {
-        "empty": (active_set_run(cube(3), hard, (0,) * 3, make_rule("lowest-index"),
-                                 max_iter=0), hard),
-        "hard": (walk, hard),
-        # every other record, so no x_before equals the previous x_after
-        "gapped": (dataclasses.replace(walk, records=walk.records[1::2]), hard),
-        "random": (active_set_run(cube(3), hard, (0,) * 3, make_rule("random", 7)), hard),
-        "fractional": (active_set_run(BoxProgram((0, 0), (1, 1)), fractional, (0, 0),
-                                      make_rule("lowest-index")), fractional),
-        "not_representable": (active_set_run(BoxProgram((0,), (2,)), irrational, (0,),
-                                             make_rule("lowest-index")), irrational),
-        "padded": (active_set_run(cube(5), padded, (0,) * 5, make_rule("steepest")), padded),
+        "empty": (cube(3), hard, (0,) * 3, lowest, 0),
+        "max_iter": (cube(3), hard, (0,) * 3, lowest, 4),
+        "hard": (cube(3), hard, (0,) * 3, lowest, None),
+        "random": (cube(3), hard, (0,) * 3, ("random", 7), None),
+        "fractional": (BoxProgram((0, 0), (1, 1)), fractional, (0, 0), lowest, None),
+        "not_representable": (BoxProgram((0,), (2,)), irrational, (0,), lowest, None),
+        "padded": (cube(5), padded, (0,) * 5, ("steepest", 0), None),
     }
 
 
-@pytest.mark.parametrize("case", ["empty", "hard", "gapped", "random", "fractional",
-                                  "not_representable", "padded"])
+def _writer_cases(oracle_for):
+    cases = {}
+    for name, (program, objective, start, rule, max_iter) in _walk_inputs(oracle_for).items():
+        trajectory = active_set_run(program, objective, start, make_rule(*rule),
+                                    max_iter=max_iter)
+        cases[name] = (trajectory, objective)
+    walk = cases["hard"][0]
+    # every other record, so no x_before equals the previous x_after
+    cases["gapped"] = (dataclasses.replace(walk, records=walk.records[1::2]), cases["hard"][1])
+    linear = LinearObjective((Fraction(2, 3), -1, 3))
+    program = BoxProgram((0, Fraction(1, 2), -1), (Fraction(5, 4), 2, Fraction(1, 3)))
+    cases["simplex"] = (simplex_run(program, linear, (0, 2, -1), make_rule("steepest")),
+                        linear)
+    cases["simplex_at_optimum"] = (
+        simplex_run(program, linear, (Fraction(5, 4), Fraction(1, 2), Fraction(1, 3)),
+                    make_rule("lowest-index")), linear)
+    return cases
+
+
+WALK_CASES = ["empty", "max_iter", "hard", "random", "fractional", "not_representable",
+              "padded"]
+WRITER_CASES = WALK_CASES + ["gapped", "simplex", "simplex_at_optimum"]
+
+
+@pytest.mark.parametrize("case", WRITER_CASES)
 def test_streamed_json_is_byte_identical_to_the_reference(oracle_for, case):
     trajectory, objective = _writer_cases(oracle_for)[case]
     for rule_name in (None, "lowest-index", "random(seed=7)"):
@@ -560,7 +583,49 @@ def test_streamed_json_is_byte_identical_to_the_reference(oracle_for, case):
 
 def test_writer_cases_cover_what_they_name(oracle_for):
     cases = _writer_cases(oracle_for)
+    assert sorted(cases) == sorted(WRITER_CASES)
+    assert sorted(_walk_inputs(oracle_for)) == sorted(WALK_CASES)
     assert cases["empty"][0].records == []
+    assert cases["max_iter"][0].stop_reason == STOP_MAX_ITER
+    assert cases["max_iter"][0].iterations == 4
     assert cases["fractional"][0].final_point == (Fraction(1, 3), Fraction(2, 5))
     assert cases["not_representable"][0].stop_reason == STOP_NOT_REPRESENTABLE
     assert cases["padded"][0].iterations == 7
+    assert cases["simplex"][0].iterations == 3
+    assert cases["simplex"][0].final_point == (Fraction(5, 4), Fraction(1, 2), Fraction(1, 3))
+    assert cases["simplex_at_optimum"][0].records == []
+
+
+@pytest.mark.parametrize("case", WALK_CASES)
+def test_steps_yield_complete_records_that_collect_to_the_run(oracle_for, case):
+    """Every record leaves the generator complete: a copy taken when it is
+    yielded equals the record of ``active_set_run``, carries the value at
+    its ``x_after``, and only the last carries the stop reason.  A
+    :class:`Walk` over the same generator reports what the trajectory
+    reports."""
+    program, objective, start, rule, max_iter = _walk_inputs(oracle_for)[case]
+    steps = active_set_steps(program, objective, start, make_rule(*rule), max_iter)
+    yielded = []
+    while True:
+        try:
+            yielded.append(dataclasses.replace(next(steps)))
+        except StopIteration as done:
+            returned = done.value
+            break
+    trajectory = active_set_run(program, objective, start, make_rule(*rule),
+                                max_iter=max_iter)
+    assert yielded == trajectory.records
+    assert returned == (trajectory.outcome, trajectory.stop_reason)
+    assert all(r.value_after == objective.value(r.x_after) for r in yielded)
+    assert [r.stop_reason for r in yielded] == \
+        [None] * (len(yielded) - 1) + [returned[1]] * bool(yielded)
+
+    walk = Walk(program, start, active_set_steps(program, objective, start,
+                                                 make_rule(*rule), max_iter))
+    assert sum(1 for _ in walk) == trajectory.iterations
+    assert (walk.iterations, walk.final_point, walk.outcome, walk.stop_reason) == \
+        (trajectory.iterations, trajectory.final_point, trajectory.outcome,
+         trajectory.stop_reason)
+    assert walk.final_value(objective) == objective.value(trajectory.final_point)
+    assert walk.summary_row(objective, "r", approx=True) == \
+        trajectory.summary_row(objective, "r", approx=True)

@@ -10,6 +10,7 @@ from pivotforge import (
     DualNumber,
     LinearObjective,
     LowerBoundPolynomial,
+    MultiPoly,
     MultiPolyObjective,
     NotAVertexError,
     alpha,
@@ -157,6 +158,40 @@ def test_adjoint_gradient_equals_expanded_polynomial_gradient():
         ]
         for point in points:
             assert oracle.gradient(point) == explicit.gradient(point)
+
+
+def _oracles_at(n: int, data) -> list:
+    """One oracle of each kind on n dimensions, with drawn coefficients."""
+    terms = {}
+    for _ in range(data.draw(st.integers(0, 6))):
+        exps = tuple(data.draw(st.integers(0, 3)) for _ in range(n))
+        terms[exps] = data.draw(mixed_scalars)
+    head = data.draw(st.integers(1, n))
+    return [
+        LowerBoundPolynomial(n),
+        LinearObjective(tuple(data.draw(mixed_scalars) for _ in range(n))),
+        MultiPolyObjective(MultiPoly(n, terms)),
+        pad(LowerBoundPolynomial(head), n),
+    ]
+
+
+@given(st.integers(min_value=1, max_value=10), st.booleans(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_value_and_gradient_equals_value_and_gradient_calls(n, vertex, data):
+    """The fused call the engine makes once per pass must return exactly
+    ``(value(x), gradient(x))`` for all four oracles, at 0/1 vertices and
+    at rational points off them."""
+    if vertex:
+        point = bits_from_id(data.draw(st.integers(0, (1 << n) - 1)), n)
+    else:
+        point = tuple(data.draw(mixed_scalars) for _ in range(n))
+    oracles = _oracles_at(n, data)
+    for oracle in oracles:
+        assert oracle.value_and_gradient(point) == (oracle.value(point), oracle.gradient(point))
+    linear = oracles[1]
+    unit = [tuple(int(j == i) for j in range(n)) for i in range(n)]
+    as_polynomial = MultiPolyObjective(MultiPoly(n, dict(zip(unit, linear.c))))
+    assert linear.value_and_gradient(point) == as_polynomial.value_and_gradient(point)
 
 
 # ------------------------------------------------- edge restrictions --
