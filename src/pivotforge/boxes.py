@@ -76,10 +76,6 @@ class BoxProgram:
     def n(self) -> int:
         return len(self.lower)
 
-    @property
-    def num_rows(self) -> int:
-        return 2 * self.n
-
     def is_feasible(self, x: Point) -> bool:
         if len(x) != self.n:
             raise DimensionMismatchError(f"point length {len(x)} != n {self.n}")

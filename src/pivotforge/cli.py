@@ -86,7 +86,7 @@ from .structure import (
 
 # Set from measurements (2-vCPU VM, Python 3.11; the README has the table):
 # run --n 20 takes 100 s in 18 MB, as every n does; verify uso --n 16 takes
-# 13 s and 94 MB, about four times the time of n = 15; export polynomial --n 18
+# 11 s and 23 MB, about three times the time of n = 15; export polynomial --n 18
 # takes 770 MB, and n = 19 would take twice that.
 DEFAULT_CAPS = {"run": 20, "pair-test": 16, "expansion": 18, "sat": ENUMERATION_LIMIT}
 
@@ -474,6 +474,8 @@ CHECKS = {
 
 
 def cmd_verify(args) -> int:
+    if args.trials < 1:
+        raise _usage_error(f"--trials must be at least 1, got {args.trials}")
     check = CHECKS[args.check]
     n = check.default_n if args.n is None else args.n
     _check_cap(n, check.cap, f"'{args.check}'")
@@ -534,11 +536,7 @@ def cmd_reduce(args) -> int:
         print(f"error: {args.input}: {exc}", file=sys.stderr)
         return 2
     poly = violation_polynomial(formula)
-    out = args.out or (os.path.splitext(args.input)[0] + ".poly.json")
-    _write_text(out, _json_text(poly.to_json_dict()))
-    print(f"nvars={formula.n_vars} clauses={len(formula.clauses)} "
-          f"degree={poly.total_degree} file={out}")
-    if args.check:
+    if args.check:  # before anything is written, so a refused check leaves no output
         if formula.n_vars > _cap("sat"):
             raise _usage_error(f"n={formula.n_vars} exceeds the SAT enumeration cap")
         try:
@@ -546,6 +544,11 @@ def cmd_reduce(args) -> int:
             satisfiable, witness = brute_force_sat(formula)
         except TooLargeError as exc:
             raise _usage_error(str(exc))
+    out = args.out or (os.path.splitext(args.input)[0] + ".poly.json")
+    _write_text(out, _json_text(poly.to_json_dict()))
+    print(f"nvars={formula.n_vars} clauses={len(formula.clauses)} "
+          f"degree={poly.total_degree} file={out}")
+    if args.check:
         verdict = "SAT" if satisfiable else "UNSAT"
         print(f"verdict={verdict} max={format_rational(best)}")
         if (best == 0) != satisfiable:

@@ -72,14 +72,6 @@ class UniPoly:
     def zero() -> "UniPoly":
         return UniPoly(())
 
-    @staticmethod
-    def constant(c) -> "UniPoly":
-        return UniPoly((c,))
-
-    @staticmethod
-    def variable() -> "UniPoly":
-        return UniPoly((0, 1))
-
     @property
     def degree(self) -> int:
         """Degree of the polynomial; -1 for the zero polynomial."""
@@ -87,9 +79,6 @@ class UniPoly:
 
     def is_zero(self) -> bool:
         return not self.coeffs
-
-    def __call__(self, t):
-        return self.eval(t)
 
     def eval(self, t):
         """Horner evaluation; ``t`` may live in any compatible ring."""

@@ -8,10 +8,12 @@ generate (the reflected binary Gray code), the edge orientation induced by
 vertex values, unique-sink and combedness checks, and a sink finder that
 needs only ``O(n)`` value queries on decomposable orientations.
 
-The unique-sink check decides with the Szabó-Welzl pair criterion on the
-outgoing masks, and combedness in every face's highest free coordinate
-with an ``O(n * 2^n)`` slice test; neither visits the ``3^n`` faces.  The
-face scans (:func:`sinks_in_face`, :func:`combed_dimension`,
+An orientation is stored as its outmap alone: one outgoing-coordinate mask
+per vertex, ``2^n`` integers in all.  Every check reads those masks.  The
+unique-sink check decides with the Szabó-Welzl pair criterion on them,
+and combedness in every face's highest free coordinate with an
+``O(n * 2^n)`` slice test; neither visits the ``3^n`` faces.  The face
+scans (:func:`sinks_in_face`, :func:`combed_dimension`,
 :func:`is_decomposable`) remain for locating a witness face and for
 combedness in an arbitrary dimension.
 
@@ -113,9 +115,6 @@ class GrayPath:
 
     n: int
     vertex_ids: tuple
-
-    def bits(self) -> list:
-        return [bits_from_id(v, self.n) for v in self.vertex_ids]
 
     def to_json_dict(self) -> dict:
         return {"n": self.n, "path": list(self.vertex_ids)}
@@ -228,50 +227,50 @@ def faces(n: int, min_dimension: int = 0):
 
 
 class Orientation:
-    """A direction for every edge of the n-cube.
+    """A direction for every edge of the n-cube, stored as its outmap: one
+    mask per vertex whose bit ``k-1`` is set when the coordinate-``k`` edge
+    leaves that vertex.
 
     FORWARD means the edge points from its bit-0 endpoint to its bit-1
     endpoint along the edge's coordinate; both endpoints of an edge report
     the same direction.
     """
 
-    def __init__(self, n: int, forward: dict):
-        """``forward`` maps ``(low_vertex_id, coord)`` -> bool for every
-        edge, keyed by the endpoint with bit ``coord - 1`` equal to 0."""
+    def __init__(self, n: int, outgoing: Sequence[int]):
+        """``outgoing[vid]`` is the outgoing mask of vertex ``vid``; every
+        edge must leave exactly one of its two endpoints."""
+        masks = list(outgoing)
+        size = 1 << n
+        if len(masks) != size:
+            raise ValueError(f"expected {size} vertex masks, got {len(masks)}")
+        for low, mask in enumerate(masks):
+            if not 0 <= mask < size:
+                raise ValueError(f"vertex {low} has mask {mask} outside 0..{size - 1}")
+            for coord in range(1, n + 1):
+                bit = 1 << (coord - 1)
+                if not low & bit and not (mask ^ masks[low | bit]) & bit:
+                    raise ValueError(
+                        f"the coordinate-{coord} edge at vertex {low} must leave "
+                        f"exactly one endpoint"
+                    )
         self.n = n
-        expected = n * (1 << (n - 1))
-        if len(forward) != expected:
-            raise ValueError(f"expected {expected} edges, got {len(forward)}")
-        self._forward = dict(forward)
-        self._outgoing = None
+        self._masks = masks
 
     def edge_direction(self, vid: int, coord: int) -> str:
         """Direction of the edge at ``vid`` along ``coord`` (either endpoint)."""
-        low = vid & ~(1 << (coord - 1))
-        return FORWARD if self._forward[(low, coord)] else BACKWARD
+        bit = 1 << (coord - 1)
+        return FORWARD if self._masks[vid & ~bit] & bit else BACKWARD
 
     def points_away_from(self, vid: int, coord: int) -> bool:
         """Is the edge at ``vid`` along ``coord`` outgoing from ``vid``?"""
-        bit = (vid >> (coord - 1)) & 1
-        low = vid & ~(1 << (coord - 1))
-        forward = self._forward[(low, coord)]
-        return forward if bit == 0 else not forward
+        return bool(self._masks[vid] >> (coord - 1) & 1)
 
     def outgoing_masks(self) -> list:
         """Per-vertex bitmask of outgoing coordinates (bit k-1 for coord k)."""
-        if self._outgoing is None:
-            masks = [0] * (1 << self.n)
-            for (low, coord), forward in self._forward.items():
-                high = low | (1 << (coord - 1))
-                if forward:
-                    masks[low] |= 1 << (coord - 1)
-                else:
-                    masks[high] |= 1 << (coord - 1)
-            self._outgoing = masks
-        return self._outgoing
+        return self._masks
 
     def to_json_dict(self) -> dict:
-        masks = self.outgoing_masks()
+        masks = self._masks
         outgoing = {
             str(vid): [k for k in range(1, self.n + 1) if masks[vid] >> (k - 1) & 1]
             for vid in range(1 << self.n)
@@ -286,19 +285,20 @@ def induce_orientation(objective, n: int) -> Orientation:
     if objective.n != n:
         raise ValueError(f"objective dimension {objective.n} != n {n}")
     values = [objective.value(bits_from_id(vid, n)) for vid in range(1 << n)]
-    forward = {}
+    masks = [0] * (1 << n)
     for low in range(1 << n):
         for coord in range(1, n + 1):
-            if (low >> (coord - 1)) & 1:
+            bit = 1 << (coord - 1)
+            if low & bit:
                 continue
-            high = low | (1 << (coord - 1))
+            high = low | bit
             if values[low] == values[high]:
                 raise TieError(
                     f"vertices {low} and {high} share value {values[low]}",
                     edge=(low, high),
                 )
-            forward[(low, coord)] = values[low] < values[high]
-    return Orientation(n, forward)
+            masks[low if values[low] < values[high] else high] |= bit
+    return Orientation(n, masks)
 
 
 def sinks_in_face(orientation: Orientation, face: Face) -> list:
@@ -368,27 +368,18 @@ def combed_dimension(orientation: Orientation, face: Face) -> set:
     """Free coordinates whose edges inside the face all point one way."""
     if face.dimension < 1:
         raise ValueError("combedness needs a face of dimension >= 1")
+    masks = orientation.outgoing_masks()
     out = set()
     free = face.free_mask()
-    base = face.base_id()
+    base = face.base_id()  # free bits clear: base | sub is an edge's low endpoint
     for coord in face.free_coords:
         bit = 1 << (coord - 1)
         rest = free & ~bit
-        first = None
-        combed = True
+        first = masks[base] & bit  # nonzero iff the edge is FORWARD
         sub = rest
-        while True:
-            low = base | sub
-            direction = orientation.edge_direction(low, coord)
-            if first is None:
-                first = direction
-            elif direction != first:
-                combed = False
-                break
-            if sub == 0:
-                break
+        while sub and masks[base | sub] & bit == first:
             sub = (sub - 1) & rest
-        if combed:
+        if not sub:
             out.add(coord)
     return out
 

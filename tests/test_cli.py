@@ -21,7 +21,6 @@ from pivotforge import (
     violation_polynomial,
 )
 from pivotforge.structure import (
-    FORWARD,
     Orientation,
     combed_dimension,
     faces,
@@ -295,6 +294,14 @@ def test_verify_sat_past_the_enumeration_limit_exits_2(capsys, monkeypatch):
     assert captured.err == "error: n=26 exceeds the enumeration cap 24\n"
 
 
+@pytest.mark.parametrize("check, trials", [("equivalence", "0"), ("sat", "-3")])
+def test_verify_trials_below_one_exit_2(check, trials, capsys):
+    with pytest.raises(SystemExit) as err:
+        run_cli(["verify", check, "--trials", trials])
+    assert err.value.code == 2
+    assert capsys.readouterr() == ("", f"error: --trials must be at least 1, got {trials}\n")
+
+
 def test_verify_failure_emits_witness_json(capsys, monkeypatch):
     monkeypatch.setitem(
         cli.CHECKS, "uso",
@@ -332,13 +339,14 @@ def test_verify_uso_witness_bytes_equal_the_face_scans(capsys, monkeypatch):
     for _ in range(300):
         n = rng.randint(1, 4)
         hard = induce_orientation(LowerBoundPolynomial(n), n)
-        edges = {(low, coord): hard.edge_direction(low, coord) == FORWARD
-                 for low in range(1 << n) for coord in range(1, n + 1)
-                 if not (low >> (coord - 1)) & 1}
-        flips = rng.sample(sorted(edges), rng.randint(0, len(edges)))
-        for edge in flips:
-            edges[edge] = not edges[edge]
-        orientation = Orientation(n, edges)
+        edges = [(low, coord) for low in range(1 << n) for coord in range(1, n + 1)
+                 if not (low >> (coord - 1)) & 1]
+        masks = list(hard.outgoing_masks())
+        for low, coord in rng.sample(edges, rng.randint(0, len(edges))):
+            bit = 1 << (coord - 1)  # reverse the edge: it leaves the other endpoint
+            masks[low] ^= bit
+            masks[low | bit] ^= bit
+        orientation = Orientation(n, masks)
         monkeypatch.setattr(cli, "induce_orientation", lambda objective, n: orientation)
         ok, witness = _check_uso_by_face_scans(orientation)
         code = run_cli(["verify", "uso", "--n", str(n)])
@@ -444,10 +452,22 @@ def test_reduce_past_the_enumeration_limit_exits_2(tmp_path, capsys, monkeypatch
     monkeypatch.setenv("PIVOTFORGE_MAX_N", "30")
     cnf = tmp_path / "wide.cnf"
     cnf.write_text("p cnf 25 1\n1 -13 25 0\n")
+    out = tmp_path / "w.json"
     with pytest.raises(SystemExit) as err:
-        run_cli(["reduce", str(cnf), "--check", "--out", str(tmp_path / "w.json")])
+        run_cli(["reduce", str(cnf), "--check", "--out", str(out)])
     assert err.value.code == 2
-    assert capsys.readouterr().err == "error: n=25 exceeds the enumeration cap 24\n"
+    assert capsys.readouterr() == ("", "error: n=25 exceeds the enumeration cap 24\n")
+    assert not out.exists()
+
+
+def test_reduce_check_over_the_sat_cap_writes_nothing(tmp_path, capsys):
+    cnf = tmp_path / "wide.cnf"
+    cnf.write_text("p cnf 25 1\n1 -13 25 0\n")
+    with pytest.raises(SystemExit) as err:
+        run_cli(["reduce", str(cnf), "--check"])
+    assert err.value.code == 2
+    assert capsys.readouterr() == ("", "error: n=25 exceeds the SAT enumeration cap\n")
+    assert not (tmp_path / "wide.poly.json").exists()
 
 
 def test_reduce_parse_error_exits_2(tmp_path, capsys):

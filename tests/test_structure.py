@@ -166,6 +166,19 @@ def test_orientation_is_consistent_from_both_endpoints(oracle_for):
                 orientation.points_away_from(high, coord)
 
 
+@pytest.mark.parametrize("masks", [
+    [1, 2, 2],        # too few vertices
+    [1, 2, 2, 1, 0],  # too many vertices
+    [3, 2, 2, 1],     # the coordinate-2 edge 0-2 leaves both endpoints
+    [0, 2, 2, 1],     # the coordinate-1 edge 0-1 leaves neither endpoint
+    [1, 2, 2, 5],     # coordinate 3 does not exist in the square
+    [1, 2, 2, -1],    # masks are not negative
+])
+def test_orientation_rejects_what_is_not_an_outmap(masks):
+    with pytest.raises(ValueError):
+        Orientation(2, masks)
+
+
 def test_orientation_json_lists_outgoing_coords(oracle_for):
     # vertex values are 0, 1, 3, 2 at ids 0, 1, 2, 3: both neighbors of the
     # origin are larger, so both its edges point away
@@ -177,9 +190,19 @@ def test_orientation_json_lists_outgoing_coords(oracle_for):
 # -------------------------------------------------------- USO checks --
 
 
+def _outmap(n, forward):
+    """Outgoing masks of the orientation given as ``{(low, coord): forward}``."""
+    masks = [0] * (1 << n)
+    for (low, coord), is_forward in forward.items():
+        bit = 1 << (coord - 1)
+        masks[low if is_forward else low | bit] |= bit
+    return masks
+
+
 def cyclic_square():
     # 00 -> 10 -> 11 -> 01 -> 00: no sink anywhere in the full face
-    return Orientation(2, {(0, 1): True, (1, 2): True, (2, 1): False, (0, 2): False})
+    return Orientation(2, _outmap(2, {(0, 1): True, (1, 2): True, (2, 1): False,
+                                      (0, 2): False}))
 
 
 def test_hard_objective_induces_uso_and_decomposable(oracle_for):
@@ -315,12 +338,13 @@ def _random_orientation(rng):
         values = {bits_from_id(v, n): table[v] for v in range(1 << n)}
         return kind, induce_orientation(TableObjective(n, values), n)
     if kind == 1:
-        return kind, Orientation(n, {edge: rng.random() < 0.5 for edge in _edge_keys(n)})
+        return kind, Orientation(n, _outmap(n, {edge: rng.random() < 0.5
+                                                 for edge in _edge_keys(n)}))
     hard = induce_orientation(LowerBoundPolynomial(n), n)
     edges = {edge: hard.edge_direction(*edge) == FORWARD for edge in _edge_keys(n)}
     for edge in rng.sample(sorted(edges), min(rng.randint(1, 2), len(edges))):
         edges[edge] = not edges[edge]
-    return kind, Orientation(n, edges)
+    return kind, Orientation(n, _outmap(n, edges))
 
 
 def test_pair_criterion_and_slice_test_agree_with_face_scans():
