@@ -34,8 +34,9 @@ import os
 import random
 import stat
 import sys
+from array import array
 from fractions import Fraction
-from itertools import zip_longest
+from itertools import pairwise, zip_longest
 from typing import Callable, NamedTuple
 
 from .boxes import AxisDirection, BoxProgram, bits_from_id
@@ -77,6 +78,7 @@ from .structure import (
     faces,
     hamiltonian_path,
     improving_dimension,
+    improving_walk,
     induce_orientation,
     is_decomposable,
     is_uso,
@@ -85,7 +87,7 @@ from .structure import (
 )
 
 # Set from measurements (2-vCPU VM, Python 3.11; the README has the table):
-# run --n 20 takes 100 s in 18 MB, as every n does; verify uso --n 16 takes
+# run --n 20 takes 72 s in 18 MB, as every n does; verify uso --n 16 takes
 # 11 s and 23 MB, about three times the time of n = 15; export polynomial --n 18
 # takes 770 MB, and n = 19 would take twice that.
 DEFAULT_CAPS = {"run": 20, "pair-test": 16, "expansion": 18, "sat": ENUMERATION_LIMIT}
@@ -172,6 +174,8 @@ def cmd_run(args) -> int:
     ambient = args.pad_to if args.pad_to is not None else n
     if ambient < n:
         raise _usage_error("--pad-to must be at least --n")
+    if args.max_iter is not None and args.max_iter < 0:
+        raise _usage_error(f"--max-iter must be at least 0, got {args.max_iter}")
     _check_cap(ambient, "run", "engine-run")
     inner = LowerBoundPolynomial(n)
     objective = pad(inner, ambient) if ambient > n else inner
@@ -246,21 +250,25 @@ def check_gradient(n: int):
 
 def check_path(n: int):
     oracle = LowerBoundPolynomial(n)
-    path = hamiltonian_path(n, oracle)
-    ids = list(path.vertex_ids)
-    if sorted(ids) != list(range(1 << n)) or ids[-1] != 1 << (n - 1):
+    size = 1 << n
+    # the walk's ids in 8 bytes each; lists are built only for a witness
+    ids = array("Q", improving_walk(n, oracle))
+    visited = bytearray(size)
+    for v in ids:
+        visited[v] = 1
+    if len(ids) != size or visited.count(0) or ids[-1] != 1 << (n - 1):
         return False, {"reason": "not a Hamiltonian path to the optimum",
-                       "path": ids}
-    for a, b in zip(ids, ids[1:]):
-        if bin(a ^ b).count("1") != 1:
+                       "path": ids.tolist()}
+    for a, b in pairwise(ids):
+        if (a ^ b).bit_count() != 1:
             return False, {"reason": "non-adjacent step", "from": a, "to": b}
-    if ids != reflected_gray_ids(n):
+    if any(v != i ^ (i >> 1) for i, v in enumerate(ids)):
         return False, {"reason": "differs from the reflected Gray code",
-                       "path": ids, "gray": reflected_gray_ids(n)}
+                       "path": ids.tolist(), "gray": reflected_gray_ids(n)}
     if n >= 2:  # half-reflection: second half = reversed first half + top bit
-        half = 1 << (n - 1)
-        if ids[half:] != [v | half for v in reversed(ids[:half])]:
-            return False, {"reason": "half-reflection law violated", "path": ids}
+        half = size >> 1
+        if any(ids[half + j] != ids[half - 1 - j] | half for j in range(half)):
+            return False, {"reason": "half-reflection law violated", "path": ids.tolist()}
     program = BoxProgram.unit_cube(n)
     start = (0,) * n
 
@@ -272,7 +280,7 @@ def check_path(n: int):
     missing = object()
     if any(a != b for a, b in zip_longest(engine_ids(), ids, fillvalue=missing)):
         return False, {"reason": "engine trajectory differs from the path",
-                       "engine": list(engine_ids()), "path": ids}
+                       "engine": list(engine_ids()), "path": ids.tolist()}
     return True, None
 
 

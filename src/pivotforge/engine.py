@@ -19,9 +19,11 @@ The line-search step is exact:
     mu = min( largest feasible step,
               first t >= 0 where the edge restriction g(t) <= 0 )
 
-with ``g`` the exact univariate polynomial ``grad f(x + t d)^T d``.  An
-irrational objective-side stopping point aborts the run with an error
-outcome instead of rounding.
+with ``g`` the exact univariate polynomial ``grad f(x + t d)^T d``.  Its
+value at 0 is the chosen candidate's slope, which the pass has from its
+one gradient call, so the oracle's ``edge_restriction`` is handed that
+slope rather than deriving it again.  An irrational objective-side
+stopping point aborts the run with an error outcome instead of rounding.
 
 Every pass is recorded.  :func:`active_set_steps` yields the records one
 at a time, so a consumer that keeps none of them (``run`` and
@@ -212,8 +214,12 @@ def _json_array(items: list, indent: int) -> str:
     return "[" + inner + ("," + inner).join(items) + "\n" + " " * indent + "]"
 
 
+def _coord_json(c: Rational) -> str:
+    return '"' + format_rational(c) + '"'
+
+
 def _point_json(p: Point, indent: int) -> str:
-    return _json_array(['"' + format_rational(c) + '"' for c in p], indent)
+    return _json_array([_coord_json(c) for c in p], indent)
 
 
 def _json_int(value: Optional[int]) -> str:
@@ -411,23 +417,42 @@ def write_walk_json(handle, spool, walk: Walk, objective,
     ``value_after``; ``objective`` is called only when the walk has no
     record, for the value at its start.  Each iterate is formatted and
     identified once: a record whose ``x_before`` equals the previous
-    ``x_after`` reuses its text.
+    ``x_after`` reuses its text.  The text is kept per coordinate, so when
+    ``x_after`` differs from ``x_before`` at most in the direction's
+    coordinate, as it does after every pass of the engine, only that
+    coordinate is formatted again and the vertex id changes by one bit.
     """
     vertex_id = walk.program.vertex_id_or_none
+    lower, upper = walk.program.lower, walk.program.upper
     start = walk.start
-    x_prev = start
-    point_prev = _point_json(x_prev, 6)
-    id_prev = vertex_id(x_prev)
+    x_prev = None  # the iterate whose text is kept; none before the first record
     separator = "\n"
     for r in walk:
-        if r.x_before != x_prev:
-            point_prev = _point_json(r.x_before, 6)
-            id_prev = vertex_id(r.x_before)
+        x_before = r.x_before
+        if x_before != x_prev:
+            coords_prev = [_coord_json(c) for c in x_before]
+            point_prev = _json_array(coords_prev, 6)
+            id_prev = vertex_id(x_before)
         x_after = r.x_after
-        point_after = _point_json(x_after, 6)
-        id_after = vertex_id(x_after)
-        value_after = r.value_after
         d = r.direction
+        k = None if d is None else d.coord - 1
+        if k is not None and x_after[:k] == x_before[:k] and x_after[k + 1:] == x_before[k + 1:]:
+            xk = x_after[k]
+            coords_after = coords_prev.copy()
+            coords_after[k] = _coord_json(xk)
+            if id_prev is None:  # x_after may still be a vertex: scan it
+                id_after = vertex_id(x_after)
+            elif xk == upper[k]:
+                id_after = id_prev | (1 << k)
+            elif xk == lower[k]:
+                id_after = id_prev & ~(1 << k)
+            else:
+                id_after = None
+        else:
+            coords_after = [_coord_json(c) for c in x_after]
+            id_after = vertex_id(x_after)
+        point_after = _json_array(coords_after, 6)
+        value_after = r.value_after
         spool.write(
             separator + "    {\n"
             f'      "active_rows": '
@@ -454,7 +479,7 @@ def write_walk_json(handle, spool, walk: Walk, objective,
             "    }"
         )
         separator = ",\n"
-        x_prev, point_prev, id_prev = x_after, point_after, id_after
+        x_prev, coords_prev, point_prev, id_prev = x_after, coords_after, point_after, id_after
     final = walk.final_point
     final_value = walk.final_value(objective)
     handle.write(
@@ -499,22 +524,19 @@ def improving_candidates(program: BoxProgram, objective, x: Point,
     if grad is None:
         grad = objective.gradient(x)
     n = program.n
-    lower, upper = program.lower, program.upper
     base = len(active)
     candidates = []
-    for k in range(1, n + 1):
-        xk = x[k - 1]
-        if not lower[k - 1] <= xk <= upper[k - 1]:
+    for k, (lo, xk, hi, gk) in enumerate(zip(program.lower, x, program.upper, grad), start=1):
+        if not lo <= xk <= hi:
             raise InfeasiblePointError(f"point {x} violates a bound")
-        gk = grad[k - 1]
         if gk == 0:
             continue
         if gk > 0:
-            if xk == upper[k - 1]:  # +e_k would leave the box
+            if xk == hi:  # +e_k would leave the box
                 continue
             direction, slope = AxisDirection(k, 1), gk
         else:
-            if xk == lower[k - 1]:  # -e_k would leave the box
+            if xk == lo:  # -e_k would leave the box
                 continue
             direction, slope = AxisDirection(k, -1), -gk
         overlap = base - (k in active) - (k + n in active)
@@ -618,7 +640,7 @@ def active_set_steps(program: BoxProgram, objective, start: Point, rule: PivotRu
         error_stop = None
         if k not in active and k + n not in active:
             mu_boundary = program.step_to_boundary(x, d)
-            g = objective.edge_restriction(x, d)
+            g = objective.edge_restriction(x, d, chosen.slope)  # slope = grad^T d
             try:
                 mu_objective = first_nonpositive(g, mu_boundary)
             except NotRepresentableError:

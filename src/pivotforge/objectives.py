@@ -37,14 +37,17 @@ is constant along an axis edge, where ``s_k = 1 - x_{k-1} + sum_{j<=k-2}
 x_j`` is the last factor of ``b_k``.  The restriction along ``d = c*e_k``
 is therefore the affine
 
-    g(mu) = c * dF/dx_k(x) + mu * c^2 * 2^{k+1} * s_k.
+    g(mu) = c * dF/dx_k(x) + mu * c^2 * 2^{k+1} * s_k,
+
+whose constant term ``c * dF/dx_k(x) = grad F(x)^T d`` the engine already
+holds from the pass's gradient and hands over as ``slope``.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Protocol, Sequence, runtime_checkable
+from typing import Optional, Protocol, Sequence, runtime_checkable
 
 from .boxes import AxisDirection, Point, as_point
 from .errors import DimensionMismatchError, NotAVertexError
@@ -120,11 +123,12 @@ def _partial_forward(coords: Sequence, k: int):
     return acc - db
 
 
-def _adjoint_sweep(coords: Sequence, with_value: bool) -> tuple:
+def _adjoint_sweep(coords: Sequence, with_value: bool, powers: Sequence) -> tuple:
     """All n partial derivatives of the recursion in one O(n) pass, and
     with ``with_value`` the value too: returns ``(value, grad)``, with
     ``value`` None when not asked for, so that a caller that needs only
-    the gradient does not pay for it.
+    the gradient does not pay for it.  ``powers[i]`` is ``2^i`` for
+    ``i <= n``.
 
     The gradient is the adjoint (reverse-mode) form of the recursion, i.e.
     :func:`partial_closed_form` generalised off the vertices.  The partial
@@ -155,11 +159,11 @@ def _adjoint_sweep(coords: Sequence, with_value: bool) -> tuple:
         tail[i] = later - nearest
         xi = coords[i]
         later += nearest
-        nearest = (1 << (i + 1)) * (xi - xi * xi)
+        nearest = powers[i + 1] * (xi - xi * xi)
         a = xi + (1 - 2 * xi) * a
         if with_value:
             weighted[i] = nearest
-            value += (1 << i) * a
+            value += powers[i] * a
     grad = []
     t = 1       # T_k
     prefix = 0  # sum_{j<=k-2} x_j
@@ -170,12 +174,18 @@ def _adjoint_sweep(coords: Sequence, with_value: bool) -> tuple:
         s = 1 - prev + prefix
         if with_value and weighted[i]:  # b_k = 2^k w_k s_k vanishes on the vertices
             value -= weighted[i] * s
-        grad.append(scale[i] * t - (1 << (i + 1)) * c * s - tail[i])
+        grad.append(scale[i] * t - powers[i + 1] * c * s - tail[i])
         if i:
             prefix += prev
         prev = xk
-        t = c * t + (1 << (i + 1))
+        t = c * t + powers[i + 1]
     return value, grad
+
+
+def _exact(values: list) -> tuple:
+    """``values`` in the canonical exact form of :func:`as_rational`, which
+    is called only for the components that are not already ``int``."""
+    return tuple([v if type(v) is int else as_rational(v) for v in values])
 
 
 def alpha(n: int, i: int, x: Sequence) -> Rational:
@@ -262,7 +272,13 @@ class ObjectiveOracle(Protocol):
     """What the engine needs from an objective: exact values, exact
     gradients, and exact edge restrictions.  All operations are pure.
     ``value_and_gradient(x)`` equals ``(value(x), gradient(x))``; the
-    engine makes one such call per pass."""
+    engine makes one such call per pass.
+
+    ``edge_restriction(x, d, slope)`` takes the directional derivative
+    ``slope`` when the caller already has it; ``slope``, when given, must
+    equal ``grad f(x)^T d`` (the restriction's value at 0), and the reply
+    equals that of ``edge_restriction(x, d)``.  ``slope=None`` is the
+    reference path that derives everything from ``x`` and ``d``."""
 
     n: int
 
@@ -272,7 +288,8 @@ class ObjectiveOracle(Protocol):
 
     def value_and_gradient(self, x: Point) -> tuple: ...
 
-    def edge_restriction(self, x: Point, d: AxisDirection) -> UniPoly: ...
+    def edge_restriction(self, x: Point, d: AxisDirection,
+                         slope: Optional[Rational] = None) -> UniPoly: ...
 
 
 def _line_coords(x: Point, d: AxisDirection) -> tuple:
@@ -289,15 +306,18 @@ class LowerBoundPolynomial:
     also sums the value for ``value_and_gradient``; ``value`` runs the
     defining recursion itself, and ``partial`` differentiates one
     coordinate in forward mode.  An edge restriction is the affine
-    polynomial of the module docstring: the forward-mode partial at ``x``
-    and the constant second derivative along the edge.  Nothing is
-    cached: every reply is computed afresh.
+    polynomial of the module docstring: the directional derivative at
+    ``x`` (the caller's ``slope``, or else the forward-mode partial) and
+    the constant second derivative along the edge.  Nothing is cached:
+    every reply is computed afresh; the only table is ``2^i`` for
+    ``i <= n + 1``, a constant of the oracle.
     """
 
     def __init__(self, n: int):
         if n < 1:
             raise ValueError("dimension must be at least 1")
         self.n = n
+        self._powers = tuple(1 << i for i in range(n + 2))
 
     def _check(self, x: Sequence) -> None:
         if len(x) != self.n:
@@ -316,18 +336,23 @@ class LowerBoundPolynomial:
 
     def gradient(self, x: Point) -> tuple:
         self._check(x)
-        return tuple(map(as_rational, _adjoint_sweep(x, False)[1]))
+        return _exact(_adjoint_sweep(x, False, self._powers)[1])
 
     def value_and_gradient(self, x: Point) -> tuple:
         self._check(x)
-        value, grad = _adjoint_sweep(x, True)
-        return as_rational(value), tuple(map(as_rational, grad))
+        value, grad = _adjoint_sweep(x, True, self._powers)
+        return as_rational(value), _exact(grad)
 
-    def edge_restriction(self, x: Point, d: AxisDirection) -> UniPoly:
+    def edge_restriction(self, x: Point, d: AxisDirection,
+                         slope: Optional[Rational] = None) -> UniPoly:
+        """``g(mu) = grad F(x + mu*d)^T d``; ``slope``, when given, is
+        ``grad F(x)^T d`` and spares the forward-mode partial."""
         self._check(x)
         k, c = d.coord, d.component
-        slope = c * c * (1 << (k + 1)) * _s_k(x, k)  # c^2 d^2F/dx_k^2
-        return UniPoly._make((c * _partial_forward(x, k), slope))
+        if slope is None:
+            slope = c * _partial_forward(x, k)
+        curvature = c * c * self._powers[k + 1] * _s_k(x, k)  # c^2 d^2F/dx_k^2
+        return UniPoly._make((slope, curvature))
 
     def expand(self) -> MultiPoly:
         """Fully expanded monomial form, obtained by evaluating the
@@ -377,9 +402,11 @@ class LinearObjective:
     def value_and_gradient(self, x: Point) -> tuple:
         return self.value(x), self.c
 
-    def edge_restriction(self, x: Point, d: AxisDirection) -> UniPoly:
+    def edge_restriction(self, x: Point, d: AxisDirection,
+                         slope: Optional[Rational] = None) -> UniPoly:
+        """The constant ``c^T d``, which is ``slope`` when given."""
         self._check(x)
-        return UniPoly((self.c[d.coord - 1] * d.component,))
+        return UniPoly((self.c[d.coord - 1] * d.component if slope is None else slope,))
 
 
 class PaddedObjective:
@@ -412,10 +439,13 @@ class PaddedObjective:
         value, head = self.inner.value_and_gradient(tuple(x[: self.inner.n]))
         return value, head + (0,) * (self.n - self.inner.n)
 
-    def edge_restriction(self, x: Point, d: AxisDirection) -> UniPoly:
+    def edge_restriction(self, x: Point, d: AxisDirection,
+                         slope: Optional[Rational] = None) -> UniPoly:
+        """The inner restriction, handed ``slope``, on the head
+        coordinates; zero on the tail."""
         self._check(x)
         if d.coord <= self.inner.n:
-            return self.inner.edge_restriction(tuple(x[: self.inner.n]), d)
+            return self.inner.edge_restriction(tuple(x[: self.inner.n]), d, slope)
         return UniPoly.zero()
 
 
@@ -487,7 +517,11 @@ class MultiPolyObjective:
                 grad[k] = grad[k] + partial
         return as_rational(value), tuple(map(as_rational, grad))
 
-    def edge_restriction(self, x: Point, d: AxisDirection) -> UniPoly:
+    def edge_restriction(self, x: Point, d: AxisDirection,
+                         slope: Optional[Rational] = None) -> UniPoly:
+        """Substitute the edge and differentiate; ``slope`` is accepted
+        for the protocol and not used, so this stays the independent
+        route."""
         self._check(x)
         restricted = self.poly.eval(_line_coords(tuple(x), d))
         if not isinstance(restricted, UniPoly):

@@ -120,31 +120,38 @@ class GrayPath:
         return {"n": self.n, "path": list(self.vertex_ids)}
 
 
-def hamiltonian_path(n: int, oracle: Optional[LowerBoundPolynomial] = None) -> GrayPath:
-    """Follow the unique improving dimension from the all-zeros vertex.
+def improving_walk(n: int, oracle: Optional[LowerBoundPolynomial] = None):
+    """Follow the unique improving dimension from the all-zeros vertex,
+    yielding each visited vertex id as it is reached.
 
     The walk flips bit ``k`` of the current vertex, where ``k`` is the
-    improving dimension, until the optimal vertex has none.  The result
-    visits every vertex once and coincides with the reflected binary Gray
-    code ordering.
+    improving dimension, until the optimal vertex has none.  It visits
+    every vertex once, in the reflected binary Gray code ordering; a walk
+    longer than ``2^n`` vertices raises :class:`AmbiguousImprovementError`.
     """
     if n < 1:
         raise ValueError("dimension must be at least 1")
     if oracle is None:
         oracle = LowerBoundPolynomial(n)
     bits = (0,) * n
-    ids = [bits_to_id(bits)]
+    yield bits_to_id(bits)
+    visited = 1
     while True:
         k = improving_dimension(bits, oracle)
         if k is None:
-            break
+            return
         bits = bits[: k - 1] + (1 - bits[k - 1],) + bits[k:]
-        ids.append(bits_to_id(bits))
-        if len(ids) > (1 << n):
+        visited += 1
+        if visited > (1 << n):
             raise AmbiguousImprovementError(
                 "walk exceeded 2^n vertices; a vertex repeated", vertex=bits
             )
-    return GrayPath(n, tuple(ids))
+        yield bits_to_id(bits)
+
+
+def hamiltonian_path(n: int, oracle: Optional[LowerBoundPolynomial] = None) -> GrayPath:
+    """The whole :func:`improving_walk` as a :class:`GrayPath`."""
+    return GrayPath(n, tuple(improving_walk(n, oracle)))
 
 
 def reflected_gray_ids(n: int) -> list:

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import itertools
 import json
 import random
@@ -18,6 +19,7 @@ from pivotforge import (
     hamiltonian_path,
     make_rule,
     pad,
+    reflected_gray_ids,
     violation_polynomial,
 )
 from pivotforge.structure import (
@@ -53,6 +55,26 @@ def test_run_is_byte_deterministic(tmp_path):
         run_cli(["run", "--n", "5", "--rule", "random", "--seed", "11",
                  "--out", str(p)])
     assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
+#: sha256 of small ``run`` outputs, recorded before the writer reused
+#: coordinate text and the line search reused the pass's slope: output
+#: bytes are the contract, so these must never change.
+RUN_SHA256 = {
+    "--n 8": "93069d4ce2a4bac0085f8ff8cbf1e51e875847b1a5ba101f9734620cc2ac3950",
+    "--n 8 --rule random --seed 3":
+        "0fbd34c71d640261fc96c072b1db27920560f672cce0cc853948be5edebed2b6",
+    "--n 8 --format csv": "ba5583c09a4917f1050f8a69594eaa6da707aa333f594f791ae07d8ff5bef36c",
+    "--n 6 --pad-to 9": "b24f3c62fe38d5d8af41e1ee1e5d1a6b0c8281f1621cf9b5cf368623bdabb7d5",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(RUN_SHA256))
+def test_run_output_bytes_are_pinned(tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    assert run_cli(["run", *argv.split(), "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == RUN_SHA256[argv]
 
 
 def test_run_padding(tmp_path, capsys):
@@ -227,6 +249,51 @@ def test_verify_path_witness_bytes_on_a_diverging_walk(capsys, monkeypatch, kind
         assert (code, out) == (1, json.dumps(expected, indent=2, sort_keys=True) + "\n")
 
 
+def _path_checks_on_lists(n: int, ids: list):
+    """The path part of ``check_path`` as it was when it listed the walk,
+    its sorted copy and the Gray code: the oracle for the witness bytes.
+    ``None`` when every path check passes."""
+    if sorted(ids) != list(range(1 << n)) or ids[-1] != 1 << (n - 1):
+        return False, {"reason": "not a Hamiltonian path to the optimum", "path": ids}
+    for a, b in zip(ids, ids[1:]):
+        if bin(a ^ b).count("1") != 1:
+            return False, {"reason": "non-adjacent step", "from": a, "to": b}
+    if ids != reflected_gray_ids(n):
+        return False, {"reason": "differs from the reflected Gray code",
+                       "path": ids, "gray": reflected_gray_ids(n)}
+    half = 1 << (n - 1)
+    if n >= 2 and ids[half:] != [v | half for v in reversed(ids[:half])]:
+        return False, {"reason": "half-reflection law violated", "path": ids}
+    return None
+
+
+PATH_WALKS = {  # walks over the 3-cube that the improving walk could be swapped for
+    "gray": [0, 1, 3, 2, 6, 7, 5, 4],
+    "short": [0, 1, 3, 2, 6, 7, 5],
+    "long": [0, 1, 3, 2, 6, 7, 5, 4, 0],
+    "repeat": [0, 1, 3, 2, 3, 7, 5, 4],
+    "wrong_end": [4, 5, 7, 6, 2, 3, 1, 0],
+    "non_adjacent": [0, 3, 1, 2, 6, 7, 5, 4],
+    "not_gray": [0, 2, 3, 1, 5, 7, 6, 4],
+}
+
+
+@pytest.mark.parametrize("kind", sorted(PATH_WALKS))
+def test_verify_path_witness_bytes_on_a_wrong_path(capsys, monkeypatch, kind):
+    ids = PATH_WALKS[kind]
+    monkeypatch.setattr(cli, "improving_walk", lambda n, oracle: iter(ids))
+    expected = _path_checks_on_lists(3, ids)
+    assert (expected is None) == (kind == "gray")
+    assert cli.check_path(3) == (expected or (True, None))
+    code = run_cli(["verify", "path", "--n", "3"])
+    out = capsys.readouterr().out
+    if expected is None:
+        assert (code, out) == (0, "check=path n=3 result=pass\n")
+    else:
+        document = {"check": "path", "result": "fail", "witness": expected[1]}
+        assert (code, out) == (1, json.dumps(document, indent=2, sort_keys=True) + "\n")
+
+
 def test_reduce_unwritable_out_path_exits_2_with_one_line(tmp_path, capsys):
     cnf = tmp_path / "f.cnf"
     cnf.write_text("p cnf 2 1\n1 -2 0\n")
@@ -246,6 +313,24 @@ def test_run_engine_error_exits_nonzero(tmp_path, capsys):
     assert code == 1
     assert "outcome=error" in capsys.readouterr().out
     assert json.loads(out.read_text())["stop_reason"] == "max_iter_exceeded"
+
+
+@pytest.mark.parametrize("max_iter", ["-5", "-1"])
+def test_run_negative_max_iter_exits_2_without_output(tmp_path, capsys, max_iter):
+    out = tmp_path / "t.json"
+    with pytest.raises(SystemExit) as err:
+        run_cli(["run", "--n", "3", "--max-iter", max_iter, "--out", str(out)])
+    assert err.value.code == 2
+    assert capsys.readouterr() == ("", f"error: --max-iter must be at least 0, got {max_iter}\n")
+    assert not out.exists()
+
+
+def test_run_max_iter_zero_stops_before_the_first_pass(tmp_path, capsys):
+    out = tmp_path / "t.json"
+    assert run_cli(["run", "--n", "3", "--max-iter", "0", "--out", str(out)]) == 1
+    data = json.loads(out.read_text())
+    assert (data["iterations"], data["stop_reason"]) == (0, "max_iter_exceeded")
+    assert "iterations=0" in capsys.readouterr().out
 
 
 def test_run_csv_summary(tmp_path):

@@ -563,12 +563,32 @@ def _writer_cases(oracle_for):
     cases["simplex_at_optimum"] = (
         simplex_run(program, linear, (Fraction(5, 4), Fraction(1, 2), Fraction(1, 3)),
                     make_rule("lowest-index")), linear)
+    hard = cases["hard"][1]
+
+    def moved(record, x_after):
+        return dataclasses.replace(record, x_after=x_after, value_after=hard.value(x_after))
+
+    # records 1, 2 and 4 move along coordinates 2, 1 and 1:
+    # (1,0,0) -> (1,1,0) -> (0,1,0), then (0,1,1) -> (1,1,1)
+    records = list(walk.records)
+    records[1] = moved(records[1], (0, 1, 0))  # also a coordinate below the direction's
+    records[2] = moved(records[2], (0, 1, 1))  # also one above it
+    records[4] = moved(records[4], (1, Fraction(1, 2), 1))  # off the vertices
+    cases["off_direction"] = (dataclasses.replace(walk, records=records), hard)
+    records = list(walk.records)
+    records[1] = moved(records[1], records[1].x_before)  # the direction's coordinate stays
+    cases["unchanged"] = (dataclasses.replace(walk, records=records), hard)
+    # (1/2, 1/2) -> (1, 1/2) -> (1, 0): inside the box, on a face, onto a vertex
+    tilted = LinearObjective((1, -1))
+    cases["onto_vertex"] = (active_set_run(cube(2), tilted, (Fraction(1, 2), Fraction(1, 2)),
+                                           make_rule("lowest-index")), tilted)
     return cases
 
 
 WALK_CASES = ["empty", "max_iter", "hard", "random", "fractional", "not_representable",
               "padded"]
-WRITER_CASES = WALK_CASES + ["gapped", "simplex", "simplex_at_optimum"]
+WRITER_CASES = WALK_CASES + ["gapped", "simplex", "simplex_at_optimum", "off_direction",
+                             "unchanged", "onto_vertex"]
 
 
 @pytest.mark.parametrize("case", WRITER_CASES)
@@ -594,6 +614,18 @@ def test_writer_cases_cover_what_they_name(oracle_for):
     assert cases["simplex"][0].iterations == 3
     assert cases["simplex"][0].final_point == (Fraction(5, 4), Fraction(1, 2), Fraction(1, 3))
     assert cases["simplex_at_optimum"][0].records == []
+    hard = cases["hard"][0].records
+    assert [(r.x_before, r.x_after, r.direction.coord) for r in hard[1:5]] == [
+        ((1, 0, 0), (1, 1, 0), 2), ((1, 1, 0), (0, 1, 0), 1),
+        ((0, 1, 0), (0, 1, 1), 3), ((0, 1, 1), (1, 1, 1), 1)]
+    off = cases["off_direction"][0].records
+    assert [off[i].x_after != off[i + 1].x_before for i in range(6)] == \
+        [False, True, True, False, True, False]
+    unchanged = cases["unchanged"][0].records[1]
+    assert unchanged.x_after == unchanged.x_before and unchanged.direction is not None
+    onto = cases["onto_vertex"][0]
+    assert onto.vertex_ids() == [None, None, 1]
+    assert [r.direction.coord for r in onto.records] == [1, 2]
 
 
 @pytest.mark.parametrize("case", WALK_CASES)

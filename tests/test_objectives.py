@@ -187,7 +187,10 @@ def test_value_and_gradient_equals_value_and_gradient_calls(n, vertex, data):
         point = tuple(data.draw(mixed_scalars) for _ in range(n))
     oracles = _oracles_at(n, data)
     for oracle in oracles:
-        assert oracle.value_and_gradient(point) == (oracle.value(point), oracle.gradient(point))
+        value, grad = oracle.value_and_gradient(point)
+        assert (value, grad) == (oracle.value(point), oracle.gradient(point))
+        # canonical scalars: an integral value is an int, not a Fraction
+        assert all(type(c) is int or c.denominator != 1 for c in (value,) + grad)
     linear = oracles[1]
     unit = [tuple(int(j == i) for j in range(n)) for i in range(n)]
     as_polynomial = MultiPolyObjective(MultiPoly(n, dict(zip(unit, linear.c))))
@@ -241,24 +244,37 @@ def test_edge_restriction_matches_generic_polynomial_ring_route(n, data):
     restricted = _evaluate_value(_line_coords(point, d))
     if not isinstance(restricted, UniPoly):
         restricted = UniPoly((restricted,))
-    assert LowerBoundPolynomial(n).edge_restriction(point, d) == \
-        restricted.derivative()
+    oracle = LowerBoundPolynomial(n)
+    assert oracle.edge_restriction(point, d) == restricted.derivative()
+    # the engine's route: the directional derivative from the adjoint gradient
+    slope = s * oracle.gradient(point)[k - 1]
+    assert oracle.edge_restriction(point, d, slope) == restricted.derivative()
 
 
 @given(st.integers(min_value=1, max_value=5), st.data())
 @settings(max_examples=60, deadline=None)
 def test_edge_restriction_matches_gradient_along_edge(n, data):
+    """For each of the four oracles, the restriction along ``d`` is the
+    directional derivative along the edge; handed ``slope = grad f(x)^T d``,
+    as the engine hands it, the reply is the same polynomial.  Points lie
+    off the vertices."""
     point = tuple(data.draw(small_rationals) for _ in range(n))
+    if all(c in (0, 1) for c in point):
+        point = (Fraction(1, 2),) + point[1:]
     k = data.draw(st.integers(1, n))
     sign = data.draw(st.sampled_from([1, -1]))
-    oracle = LowerBoundPolynomial(n)
     d = AxisDirection(k, sign)
-    g = oracle.edge_restriction(point, d)
-    for mu in (Fraction(0), Fraction(1, 3), Fraction(-2), Fraction(5, 2)):
-        shifted = tuple(
-            point[i] + sign * mu if i == k - 1 else point[i] for i in range(n)
-        )
-        assert g.eval(mu) == sign * oracle.partial(shifted, k)
+    for oracle in _oracles_at(n, data):
+        g = oracle.edge_restriction(point, d)
+        for mu in (Fraction(0), Fraction(1, 3), Fraction(-2), Fraction(5, 2)):
+            shifted = tuple(
+                point[i] + sign * mu if i == k - 1 else point[i] for i in range(n)
+            )
+            assert g.eval(mu) == sign * oracle.gradient(shifted)[k - 1]
+            if isinstance(oracle, LowerBoundPolynomial):
+                assert g.eval(mu) == sign * oracle.partial(shifted, k)
+        slope = sign * oracle.gradient(point)[k - 1]
+        assert oracle.edge_restriction(point, d, slope) == g
 
 
 # ------------------------------------------------------- expansion --
