@@ -10,7 +10,6 @@ from .engine import (
     Walk,
     active_set_run,
     active_set_steps,
-    builtin_rules,
     equivalence_check,
     improving_candidates,
     make_rule,

@@ -36,7 +36,7 @@ import stat
 import sys
 from array import array
 from fractions import Fraction
-from itertools import pairwise, zip_longest
+from itertools import islice, pairwise, zip_longest
 from typing import Callable, NamedTuple
 
 from .boxes import AxisDirection, BoxProgram, bits_from_id
@@ -89,7 +89,8 @@ from .structure import (
 # Set from measurements (2-vCPU VM, Python 3.11; the README has the table):
 # run --n 20 takes 72 s in 18 MB, as every n does; verify uso --n 16 takes
 # 11 s and 23 MB, about three times the time of n = 15; export polynomial --n 18
-# takes 770 MB, and n = 19 would take twice that.
+# took 770 MB while the export built its whole text, and n = 19 would have
+# taken twice that (streamed, they take 257 and 505 MB).
 DEFAULT_CAPS = {"run": 20, "pair-test": 16, "expansion": 18, "sat": ENUMERATION_LIMIT}
 
 CAP_HELP = (
@@ -152,9 +153,20 @@ def _writing(path: str):
         raise
 
 
-def _write_text(path: str, text: str) -> None:
+#: encoder chunks joined per write by ``_write_json``: a write per chunk takes
+#: about 1.5 times as long, and one string for the whole document holds it all
+_JSON_WRITE_BATCH = 4096
+
+
+def _write_json(path: str, doc) -> None:
+    """Write the bytes of ``_json_text(doc)`` to ``path`` without building
+    that text: the encoder's chunks are written ``_JSON_WRITE_BATCH`` at a
+    time."""
+    chunks = json.JSONEncoder(indent=2, sort_keys=True).iterencode(doc)
     with _writing(path) as handle:
-        handle.write(text)
+        while batch := list(islice(chunks, _JSON_WRITE_BATCH)):
+            handle.write("".join(batch))
+        handle.write("\n")
 
 
 def _json_text(obj) -> str:
@@ -511,19 +523,19 @@ def cmd_export(args) -> int:
         _check_cap(n, "expansion", "expansion")
         poly = expand(n)
         out = args.out or f"polynomial_n{n}.json"
-        _write_text(out, _json_text(poly.to_json_dict()))
+        _write_json(out, poly.to_json_dict())
         print(f"degree={poly.total_degree} terms={len(poly.terms)} file={out}")
     elif args.what == "orientation":
         _check_cap(n, "pair-test", "orientation")
         orientation = induce_orientation(LowerBoundPolynomial(n), n)
         out = args.out or f"orientation_n{n}.json"
-        _write_text(out, _json_text(orientation.to_json_dict()))
+        _write_json(out, orientation.to_json_dict())
         print(f"n={n} edges={n * (1 << (n - 1))} file={out}")
     else:
         _check_cap(n, "run", "path")
         path = hamiltonian_path(n)
         out = args.out or f"path_n{n}.json"
-        _write_text(out, _json_text(path.to_json_dict()))
+        _write_json(out, path.to_json_dict())
         print(f"n={n} length={len(path.vertex_ids)} file={out}")
     return 0
 
@@ -553,7 +565,7 @@ def cmd_reduce(args) -> int:
         except TooLargeError as exc:
             raise _usage_error(str(exc))
     out = args.out or (os.path.splitext(args.input)[0] + ".poly.json")
-    _write_text(out, _json_text(poly.to_json_dict()))
+    _write_json(out, poly.to_json_dict())
     print(f"nvars={formula.n_vars} clauses={len(formula.clauses)} "
           f"degree={poly.total_degree} file={out}")
     if args.check:

@@ -26,19 +26,20 @@ slope rather than deriving it again.  An irrational objective-side
 stopping point aborts the run with an error outcome instead of rounding.
 
 Every pass is recorded.  :func:`active_set_steps` yields the records one
-at a time, so a consumer that keeps none of them (``run`` and
-``verify path``) walks all ``2^n`` vertices in memory independent of the
-pass count; :func:`active_set_run` collects them into a
-:class:`Trajectory`, the audit trail the library API and the equivalence
-check work on.  Both serialize to deterministic JSON/CSV through one
-writer, :func:`write_walk_json`, which spools the record text and so never
-holds more than one record; ``Trajectory.to_json_dict`` is the reference
-form it reproduces byte for byte.
+at a time and returns the stop reason, so a consumer that keeps none of
+them (``run`` and ``verify path``) walks all ``2^n`` vertices in memory
+independent of the pass count; a :class:`Walk` counts them and keeps the
+last, and :func:`active_set_run` collects them into a :class:`Trajectory`,
+the audit trail the library API and the equivalence check work on.  A
+walk's outcome is derived from its stop reason.  The trajectory JSON has
+one writer, :func:`write_walk_json`, which spools the record text and so
+never holds more than one record; ``Trajectory.to_json_dict`` is the
+independent reference form it reproduces byte for byte, and an in-memory
+trajectory serializes as ``json.dumps`` of that form.
 """
 
 from __future__ import annotations
 
-import io
 import json
 import random
 from abc import ABC, abstractmethod
@@ -163,26 +164,29 @@ class SeededRandomRule(PivotRule):
         return self._pick(rows)
 
 
-RULE_NAMES = ("lowest-index", "highest-index", "steepest", "random")
+#: name -> factory of a fresh, deterministic rule instance from a seed
+_RULE_FACTORIES = {
+    "lowest-index": lambda seed: LowestIndexRule(),
+    "highest-index": lambda seed: HighestIndexRule(),
+    "steepest": lambda seed: SteepestRule(),
+    "random": SeededRandomRule,
+}
+RULE_NAMES = tuple(_RULE_FACTORIES)
 
 
 def make_rule(name: str, seed: int = 0) -> PivotRule:
     """Fresh pivot-rule instance by name (seed only matters for "random")."""
-    factories = builtin_rules()
-    if name not in factories:
+    if name not in _RULE_FACTORIES:
         raise ValueError(f"unknown rule {name!r}; expected one of {RULE_NAMES}")
-    return factories[name](seed)
+    return _RULE_FACTORIES[name](seed)
 
 
-def builtin_rules() -> dict:
-    """Name -> factory for the built-in rules.  Each factory takes a seed
-    and returns a fresh, deterministic rule instance."""
-    return {
-        "lowest-index": lambda seed=0: LowestIndexRule(),
-        "highest-index": lambda seed=0: HighestIndexRule(),
-        "steepest": lambda seed=0: SteepestRule(),
-        "random": lambda seed=0: SeededRandomRule(seed),
-    }
+def _outcome(stop_reason: Optional[str]) -> Optional[str]:
+    """The outcome a stop reason means: ``critical_point`` or ``error``,
+    and None for a walk that has not ended."""
+    if stop_reason is None:
+        return None
+    return OUTCOME_CRITICAL_POINT if stop_reason == STOP_CRITICAL_POINT else OUTCOME_ERROR
 
 
 @dataclass(slots=True)
@@ -218,10 +222,6 @@ def _coord_json(c: Rational) -> str:
     return '"' + format_rational(c) + '"'
 
 
-def _point_json(p: Point, indent: int) -> str:
-    return _json_array([_coord_json(c) for c in p], indent)
-
-
 def _json_int(value: Optional[int]) -> str:
     return "null" if value is None else str(value)
 
@@ -237,8 +237,11 @@ class Trajectory:
     program: BoxProgram
     start: Point
     records: list
-    outcome: str
     stop_reason: str
+
+    @property
+    def outcome(self) -> str:
+        return _outcome(self.stop_reason)
 
     @property
     def iterations(self) -> int:
@@ -311,51 +314,17 @@ class Trajectory:
             out["final"]["objective_value_approx_lossy"] = float(final_value)
         return out
 
-    def _replay(self):
-        """The records as a record generator, like :func:`active_set_steps`."""
-        yield from self.records
-        return self.outcome, self.stop_reason
-
-    def write_json(self, handle, objective, rule_name: Optional[str] = None,
-                   approx: bool = False) -> None:
-        """Write ``to_json_dict(objective, rule_name, approx)`` to the open
-        text ``handle`` as exactly the bytes of ``json.dumps(...,
-        indent=2, sort_keys=True) + "\\n"``, through
-        :func:`write_walk_json`.  Its spool is in memory, where the records
-        already are.  Record values come from each record's
-        ``value_after``."""
-        write_walk_json(handle, io.StringIO(), Walk(self.program, self.start, self._replay()),
-                        objective, rule_name=rule_name, approx=approx)
-
-    def summary_row(self, objective, rule_name: str, approx: bool = False) -> dict:
-        """One CSV row: n, rule, iterations, final_vertex_id, final_value."""
-        return _summary_row(self.program, self.iterations, self.final_point,
-                            objective.value(self.final_point), rule_name, approx)
-
-
-def _summary_row(program: BoxProgram, iterations: int, final: Point, value: Rational,
-                 rule_name: str, approx: bool) -> dict:
-    final_id = program.vertex_id_or_none(final)
-    row = {
-        "n": program.n,
-        "rule": rule_name,
-        "iterations": iterations,
-        "final_vertex_id": "" if final_id is None else final_id,
-        "final_value": format_rational(value),
-    }
-    if approx:
-        row["final_value_approx_lossy"] = float(value)
-    return row
-
 
 class Walk:
     """One pass over a record generator such as :func:`active_set_steps`.
 
     Iterating yields the generator's records.  Meanwhile the walk counts
-    them and keeps the last, so once the generator has returned,
-    ``iterations``, ``final_point``, ``outcome`` and ``stop_reason`` say
-    what the :class:`Trajectory` of the same records would say, without
-    holding the records.
+    them and keeps the last, and takes the generator's return value as its
+    ``stop_reason``.  So once the generator has returned, ``iterations``,
+    ``final_point``, ``stop_reason`` and the ``outcome`` derived from it
+    say what the :class:`Trajectory` of the same records would say,
+    without holding the records.  Before that, ``stop_reason`` and
+    ``outcome`` are None.
     """
 
     def __init__(self, program: BoxProgram, start: Point, steps):
@@ -364,7 +333,6 @@ class Walk:
         self._steps = steps
         self.iterations = 0
         self.last: Optional[IterationRecord] = None
-        self.outcome: Optional[str] = None
         self.stop_reason: Optional[str] = None
 
     def __iter__(self):
@@ -373,11 +341,15 @@ class Walk:
             try:
                 record = next(steps)
             except StopIteration as done:
-                self.outcome, self.stop_reason = done.value
+                self.stop_reason = done.value
                 return
             self.iterations += 1
             self.last = record
             yield record
+
+    @property
+    def outcome(self) -> Optional[str]:
+        return _outcome(self.stop_reason)
 
     @property
     def final_point(self) -> Point:
@@ -389,9 +361,19 @@ class Walk:
         return objective.value(self.start) if self.last is None else self.last.value_after
 
     def summary_row(self, objective, rule_name: str, approx: bool = False) -> dict:
-        """``Trajectory.summary_row`` of the walked records."""
-        return _summary_row(self.program, self.iterations, self.final_point,
-                            self.final_value(objective), rule_name, approx)
+        """One CSV row: n, rule, iterations, final_vertex_id, final_value."""
+        value = self.final_value(objective)
+        final_id = self.program.vertex_id_or_none(self.final_point)
+        row = {
+            "n": self.program.n,
+            "rule": rule_name,
+            "iterations": self.iterations,
+            "final_vertex_id": "" if final_id is None else final_id,
+            "final_value": format_rational(value),
+        }
+        if approx:
+            row["final_value_approx_lossy"] = float(value)
+        return row
 
 
 #: characters copied from the spool per read; ``run`` also gives its spool
@@ -410,9 +392,9 @@ def write_walk_json(handle, spool, walk: Walk, objective,
     With sorted keys, ``final``, ``iterations`` and ``outcome`` precede
     ``records`` but are known only once the walk has ended.  So the record
     text goes to ``spool``, an open read/write text file, one record at a
-    time as the walk yields it; then the header goes to ``handle``, the
-    spool is copied after it in chunks of ``SPOOL_CHUNK`` characters, and
-    the footer closes the document.  No record is kept, so memory does
+    time as the walk yields it; then ``json`` lays out the end-of-walk
+    fields around an empty ``records`` list, and the spool is copied
+    into it in chunks of ``SPOOL_CHUNK``.  No record is kept, so memory does
     not grow with the walk.  Values come from each record's
     ``value_after``; ``objective`` is called only when the walk has no
     record, for the value at its start.  Each iterate is formatted and
@@ -424,7 +406,6 @@ def write_walk_json(handle, spool, walk: Walk, objective,
     """
     vertex_id = walk.program.vertex_id_or_none
     lower, upper = walk.program.lower, walk.program.upper
-    start = walk.start
     x_prev = None  # the iterate whose text is kept; none before the first record
     separator = "\n"
     for r in walk:
@@ -482,47 +463,42 @@ def write_walk_json(handle, spool, walk: Walk, objective,
         x_prev, coords_prev, point_prev, id_prev = x_after, coords_after, point_after, id_after
     final = walk.final_point
     final_value = walk.final_value(objective)
-    handle.write(
-        '{\n  "final": {\n'
-        f'    "objective_value": "{format_rational(final_value)}",\n'
-        + (f'    "objective_value_approx_lossy": {json.dumps(float(final_value))},\n'
-           if approx else "")
-        + f'    "point": {_point_json(final, 4)},\n'
-        f'    "vertex_id": {_json_int(vertex_id(final))}\n'
-        "  },\n"
-        f'  "iterations": {walk.iterations},\n'
-        f'  "n": {walk.program.n},\n'
-        f'  "outcome": {_json_str(walk.outcome)},\n'
-        '  "records": ['
-    )
+    end = {
+        "final": {
+            "objective_value": format_rational(final_value),
+            "point": [format_rational(c) for c in final],
+            "vertex_id": vertex_id(final),
+        },
+        "iterations": walk.iterations,
+        "n": walk.program.n,
+        "outcome": walk.outcome,
+        "records": [],
+        "rule": rule_name,
+        "start": {"point": [format_rational(c) for c in walk.start],
+                  "vertex_id": vertex_id(walk.start)},
+        "stop_reason": walk.stop_reason,
+    }
+    if approx:
+        end["final"]["objective_value_approx_lossy"] = float(final_value)
+    # json escapes every quote inside a value, so only the key can match
+    head, _, tail = json.dumps(end, indent=2, sort_keys=True).partition('"records": []')
+    handle.write(head + '"records": [')
     spool.seek(0)
     while chunk := spool.read(SPOOL_CHUNK):
         handle.write(chunk)
-    handle.write(
-        ("\n  ]" if walk.iterations else "]") + ",\n"
-        f'  "rule": {_json_str(rule_name)},\n'
-        '  "start": {\n'
-        f'    "point": {_point_json(start, 4)},\n'
-        f'    "vertex_id": {_json_int(vertex_id(start))}\n'
-        "  },\n"
-        f'  "stop_reason": {_json_str(walk.stop_reason)}\n'
-        "}\n"
-    )
+    handle.write(("\n  ]" if walk.iterations else "]") + tail + "\n")
 
 
-def improving_candidates(program: BoxProgram, objective, x: Point,
-                         active: frozenset, grad: Optional[tuple] = None) -> list:
+def improving_candidates(program: BoxProgram, x: Point, active: frozenset,
+                         grad: Sequence[Rational]) -> list:
     """Feasible improving axis directions at ``x``, restricted to those
     orthogonal to the maximum number of rows in ``active``.
 
     Feasibility is with respect to every row tight at ``x`` (not just the
     maintained active set); on a box that is a per-coordinate bound check.
     Empty exactly when ``x`` is a critical point.  Candidates come back
-    sorted by coordinate.  ``grad`` is the gradient at ``x`` when the
-    caller has it already; otherwise it is asked of ``objective``.
+    sorted by coordinate.  ``grad`` is the objective's gradient at ``x``.
     """
-    if grad is None:
-        grad = objective.gradient(x)
     n = program.n
     base = len(active)
     candidates = []
@@ -574,7 +550,7 @@ def active_set_steps(program: BoxProgram, objective, start: Point, rule: PivotRu
                      max_iter: Optional[int] = None):
     """Run the active-set method from ``start`` until a critical point,
     yielding each pass's :class:`IterationRecord`; the generator returns
-    ``(outcome, stop_reason)``.
+    the stop reason.
 
     The active set starts as the full tight set of ``start``.  Each pass:
     select a maximum-overlap improving candidate by the rule; if some
@@ -586,7 +562,7 @@ def active_set_steps(program: BoxProgram, objective, start: Point, rule: PivotRu
 
     and, when the directional derivative at the new point is still
     positive (the move stopped on the boundary), add one rule-chosen newly
-    tight row.  Ends with an error outcome on iteration overrun or an
+    tight row.  Ends with an error stop reason on iteration overrun or an
     irrational stopping point.
 
     Each pass starts with one ``objective.value_and_gradient`` call at the
@@ -611,12 +587,12 @@ def active_set_steps(program: BoxProgram, objective, start: Point, rule: PivotRu
         value, grad = objective.value_and_gradient(x)
         if held is not None:
             held.value_after = value
-        candidates = improving_candidates(program, objective, x, active, grad)
+        candidates = improving_candidates(program, x, active, grad)
         if not candidates:
-            outcome, stop = OUTCOME_CRITICAL_POINT, STOP_CRITICAL_POINT
+            stop = STOP_CRITICAL_POINT
             break
         if passes >= max_iter:
-            outcome, stop = OUTCOME_ERROR, STOP_MAX_ITER
+            stop = STOP_MAX_ITER
             break
         if held is not None:
             yield held
@@ -672,13 +648,13 @@ def active_set_steps(program: BoxProgram, objective, start: Point, rule: PivotRu
         )
         if error_stop is not None:
             held.value_after = value  # the iterate did not move
-            outcome, stop = OUTCOME_ERROR, error_stop
+            stop = error_stop
             break
 
     if held is not None:
         held.stop_reason = stop
         yield held
-    return outcome, stop
+    return stop
 
 
 def active_set_run(program: BoxProgram, objective, start: Point, rule: PivotRule,
@@ -688,7 +664,7 @@ def active_set_run(program: BoxProgram, objective, start: Point, rule: PivotRule
     walk = Walk(program, start, active_set_steps(program, objective, start, rule, max_iter))
     records = list(walk)
     return Trajectory(program=program, start=start, records=records,
-                      outcome=walk.outcome, stop_reason=walk.stop_reason)
+                      stop_reason=walk.stop_reason)
 
 
 def simplex_run(program: BoxProgram, objective: LinearObjective, start: Point,
@@ -719,12 +695,12 @@ def simplex_run(program: BoxProgram, objective: LinearObjective, start: Point,
         value, grad = objective.value_and_gradient(x)
         if records:
             records[-1].value_after = value
-        candidates = improving_candidates(program, objective, x, basis, grad)
+        candidates = improving_candidates(program, x, basis, grad)
         if not candidates:
-            outcome, stop = OUTCOME_CRITICAL_POINT, STOP_CRITICAL_POINT
+            stop = STOP_CRITICAL_POINT
             break
         if len(records) >= max_iter:
-            outcome, stop = OUTCOME_ERROR, STOP_MAX_ITER
+            stop = STOP_MAX_ITER
             break
         assert all(c.overlap == n - 1 for c in candidates)
         chosen = rule.choose_direction(candidates)
@@ -758,8 +734,7 @@ def simplex_run(program: BoxProgram, objective: LinearObjective, start: Point,
 
     if records:
         records[-1].stop_reason = stop
-    return Trajectory(program=program, start=start, records=records,
-                      outcome=outcome, stop_reason=stop)
+    return Trajectory(program=program, start=start, records=records, stop_reason=stop)
 
 
 def equivalence_check(program: BoxProgram, objective: LinearObjective, start: Point,

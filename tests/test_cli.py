@@ -3,8 +3,11 @@ import hashlib
 import itertools
 import json
 import random
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -75,6 +78,38 @@ def test_run_output_bytes_are_pinned(tmp_path, capsys, argv):
     assert run_cli(["run", *argv.split(), "--out", str(out)]) == 0
     capsys.readouterr()
     assert hashlib.sha256(out.read_bytes()).hexdigest() == RUN_SHA256[argv]
+
+
+#: sha256 of small ``export`` and ``reduce --check`` outputs, recorded while
+#: each document was still built as one string before it was written
+WRITE_SHA256 = {
+    "export polynomial --n 6": "d62c8bba57fd8a1db1b5b0ceee0ddbd8d254e54ae95c3e1f7afa720b29b6b518",
+    "export orientation --n 5": "906140446a5710e29d788e20dd9541fea0d58ee291c3f14960dfdf178c3424a3",
+    "export path --n 6": "ddf5bf48c3c5593a537ca34fda60edfbcebf61183d85579877c0134ceef68617",
+    "reduce CNF --check": "9f69ab6191e5e595e59f103586e2c83903900c25cb4cc334b11f6d3188947437",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(WRITE_SHA256))
+def test_export_and_reduce_output_bytes_are_pinned(tmp_path, capsys, argv):
+    cnf = tmp_path / "f.cnf"
+    cnf.write_text("p cnf 4 3\n1 -2 3 0\n-1 4 0\n2 -3 -4 0\n")
+    out = tmp_path / "out"
+    assert run_cli(argv.replace("CNF", str(cnf)).split() + ["--out", str(out)]) == 0
+    capsys.readouterr()
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == WRITE_SHA256[argv]
+
+
+def test_cli_runs_without_site_packages():
+    """The package has no runtime dependency: with only its source on the
+    path and no site directory, the command still imports and checks."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import pivotforge.cli; "
+            "sys.exit(pivotforge.cli.main(['verify', 'uniqueness', '--n', '3']))")
+    proc = subprocess.run([sys.executable, "-I", "-S", "-c", code, src],
+                          capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == \
+        (0, "check=uniqueness n=3 result=pass\n", "")
 
 
 def test_run_padding(tmp_path, capsys):
@@ -205,7 +240,7 @@ def _check_path_on_the_trajectory(n: int):
     start = (0,) * n
     walk = Walk(program, start, cli.active_set_steps(program, LowerBoundPolynomial(n), start,
                                                      make_rule("lowest-index")))
-    trajectory = Trajectory(program, start, list(walk), walk.outcome, walk.stop_reason)
+    trajectory = Trajectory(program, start, list(walk), walk.stop_reason)
     if trajectory.vertex_ids() != ids:
         return False, {"reason": "engine trajectory differs from the path",
                        "engine": trajectory.vertex_ids(), "path": ids}
@@ -218,7 +253,7 @@ def _diverging_steps(kind: str):
         for record in engine.active_set_steps(*args, **kwargs):
             n = len(record.x_after)
             if kind == "short" and record.index == (1 << n) - 2:
-                return "critical_point", "critical_point"
+                return "critical_point"
             if kind == "first" and record.index == 1:
                 record = dataclasses.replace(record, x_after=(0,) * (n - 1) + (1,))
             if kind == "detour" and record.index == 6:
@@ -229,7 +264,7 @@ def _diverging_steps(kind: str):
         if kind == "long":
             yield dataclasses.replace(record, index=record.index + 1, x_before=record.x_after,
                                       x_after=(0,) * n)
-        return "critical_point", "critical_point"
+        return "critical_point"
     return steps
 
 

@@ -16,7 +16,6 @@ from pivotforge import (
     NotAVertexError,
     active_set_run,
     active_set_steps,
-    builtin_rules,
     equivalence_check,
     improving_candidates,
     make_rule,
@@ -31,7 +30,9 @@ from pivotforge.engine import (
     STOP_NOT_REPRESENTABLE,
     Candidate,
     Walk,
+    write_walk_json,
 )
+from pivotforge.scalars import format_rational
 
 
 def cube(n):
@@ -45,7 +46,7 @@ def test_candidates_unique_on_hard_objective(oracle_for):
     program = cube(2)
     oracle = oracle_for(2)
     active = frozenset({3, 4})
-    cands = improving_candidates(program, oracle, (0, 0), active)
+    cands = improving_candidates(program, (0, 0), active, oracle.gradient((0, 0)))
     assert len(cands) == 1
     assert cands[0].direction == AxisDirection(1, 1)
     assert cands[0].overlap == 1
@@ -57,13 +58,14 @@ def test_candidates_empty_at_the_optimum(oracle_for):
         program = cube(n)
         e_n = tuple(1 if i == n - 1 else 0 for i in range(n))
         active = program.eq_set(e_n)
-        assert improving_candidates(program, oracle_for(n), e_n, active) == []
+        assert improving_candidates(program, e_n, active, oracle_for(n).gradient(e_n)) == []
 
 
 def test_candidates_tie_for_symmetric_linear_objective():
     program = cube(2)
     objective = LinearObjective((1, 1))
-    cands = improving_candidates(program, objective, (0, 0), frozenset({3, 4}))
+    cands = improving_candidates(program, (0, 0), frozenset({3, 4}),
+                                 objective.gradient((0, 0)))
     assert [c.direction for c in cands] == [AxisDirection(1, 1), AxisDirection(2, 1)]
 
 
@@ -72,9 +74,8 @@ def test_candidates_prefer_maximum_overlap():
     # (overlap 1), moving down in coordinate 2 drops it (overlap 0)
     program = cube(2)
     objective = LinearObjective((1, -1))
-    cands = improving_candidates(
-        program, objective, (Fraction(1, 2), 1), frozenset({2})
-    )
+    point = (Fraction(1, 2), 1)
+    cands = improving_candidates(program, point, frozenset({2}), objective.gradient(point))
     assert [c.direction for c in cands] == [AxisDirection(1, 1)]
 
 
@@ -112,10 +113,8 @@ def test_seeded_random_rule_reproducible():
 
 
 def test_builtin_rules_registry():
-    rules = builtin_rules()
-    assert set(rules) == set(RULE_NAMES)
-    for name, factory in rules.items():
-        assert factory(0).name == name
+    for name in RULE_NAMES:
+        assert make_rule(name).name == name
     with pytest.raises(ValueError):
         make_rule("nonsense")
 
@@ -222,7 +221,8 @@ def test_scaled_box_walk(oracle_for):
     trajectory = active_set_run(program, oracle, (0, 0), make_rule("lowest-index"))
     assert trajectory.outcome == OUTCOME_CRITICAL_POINT
     final = trajectory.final_point
-    assert improving_candidates(program, oracle, final, program.eq_set(final)) == []
+    assert improving_candidates(program, final, program.eq_set(final),
+                                oracle.gradient(final)) == []
     values = [oracle.value(p) for p in trajectory.points()]
     assert all(a < b for a, b in zip(values, values[1:]))
 
@@ -370,8 +370,8 @@ def test_no_axis_improvement_means_no_improvement_at_all():
         objective = MultiPolyObjective(MultiPoly(n, terms))
         point = tuple(rng.choice([0, 1, Fraction(1, 2), Fraction(1, 3)])
                       for _ in range(n))
-        axis = bool(improving_candidates(program, objective, point,
-                                         program.eq_set(point)))
+        axis = bool(improving_candidates(program, point, program.eq_set(point),
+                                         objective.gradient(point)))
         assert axis == _brute_has_improving_direction(program, objective, point)
 
 
@@ -509,7 +509,11 @@ def test_trajectory_approx_fields_are_marked_lossy(oracle_for):
     t = active_set_run(program, oracle, (0, 0), make_rule("lowest-index"))
     data = t.to_json_dict(oracle, approx=True)
     assert data["final"]["objective_value_approx_lossy"] == 3.0
-    row = t.summary_row(oracle, "lowest-index", approx=True)
+    walk = Walk(program, (0, 0), active_set_steps(program, oracle, (0, 0),
+                                                  make_rule("lowest-index")))
+    for _ in walk:
+        pass
+    row = walk.summary_row(oracle, "lowest-index", approx=True)
     assert row["final_value"] == "3/1"
     assert row["final_value_approx_lossy"] == 3.0
     assert row["final_vertex_id"] == 2
@@ -520,9 +524,17 @@ def _reference_json(trajectory, objective, **options):
                       indent=2, sort_keys=True) + "\n"
 
 
+def _replay(trajectory):
+    """The records of ``trajectory`` as a record generator, like
+    ``active_set_steps``."""
+    yield from trajectory.records
+    return trajectory.stop_reason
+
+
 def _streamed_json(trajectory, objective, **options):
     buffer = io.StringIO()
-    trajectory.write_json(buffer, objective, **options)
+    walk = Walk(trajectory.program, trajectory.start, _replay(trajectory))
+    write_walk_json(buffer, io.StringIO(), walk, objective, **options)
     return buffer.getvalue()
 
 
@@ -594,7 +606,7 @@ WRITER_CASES = WALK_CASES + ["gapped", "simplex", "simplex_at_optimum", "off_dir
 @pytest.mark.parametrize("case", WRITER_CASES)
 def test_streamed_json_is_byte_identical_to_the_reference(oracle_for, case):
     trajectory, objective = _writer_cases(oracle_for)[case]
-    for rule_name in (None, "lowest-index", "random(seed=7)"):
+    for rule_name in (None, "lowest-index", "random(seed=7)", '"records": [] \\ é'):
         for approx in (False, True):
             options = {"rule_name": rule_name, "approx": approx}
             assert _streamed_json(trajectory, objective, **options) == \
@@ -647,17 +659,22 @@ def test_steps_yield_complete_records_that_collect_to_the_run(oracle_for, case):
     trajectory = active_set_run(program, objective, start, make_rule(*rule),
                                 max_iter=max_iter)
     assert yielded == trajectory.records
-    assert returned == (trajectory.outcome, trajectory.stop_reason)
+    assert returned == trajectory.stop_reason
     assert all(r.value_after == objective.value(r.x_after) for r in yielded)
     assert [r.stop_reason for r in yielded] == \
-        [None] * (len(yielded) - 1) + [returned[1]] * bool(yielded)
+        [None] * (len(yielded) - 1) + [returned] * bool(yielded)
 
     walk = Walk(program, start, active_set_steps(program, objective, start,
                                                  make_rule(*rule), max_iter))
+    assert (walk.stop_reason, walk.outcome) == (None, None)
     assert sum(1 for _ in walk) == trajectory.iterations
     assert (walk.iterations, walk.final_point, walk.outcome, walk.stop_reason) == \
         (trajectory.iterations, trajectory.final_point, trajectory.outcome,
          trajectory.stop_reason)
     assert walk.final_value(objective) == objective.value(trajectory.final_point)
-    assert walk.summary_row(objective, "r", approx=True) == \
-        trajectory.summary_row(objective, "r", approx=True)
+    final_id = program.vertex_id_or_none(trajectory.final_point)
+    value = objective.value(trajectory.final_point)
+    assert walk.summary_row(objective, "r", approx=True) == {
+        "n": program.n, "rule": "r", "iterations": trajectory.iterations,
+        "final_vertex_id": "" if final_id is None else final_id,
+        "final_value": format_rational(value), "final_value_approx_lossy": float(value)}
