@@ -88,10 +88,9 @@ from .structure import (
 
 # Set from measurements (2-vCPU VM, Python 3.11; the README has the table):
 # run --n 20 takes 72 s in 18 MB, as every n does; verify uso --n 16 takes
-# 11 s and 23 MB, about three times the time of n = 15; export polynomial --n 18
-# took 770 MB while the export built its whole text, and n = 19 would have
-# taken twice that (streamed, they take 257 and 505 MB).
-DEFAULT_CAPS = {"run": 20, "pair-test": 16, "expansion": 18, "sat": ENUMERATION_LIMIT}
+# 11 s and 23 MB, about three times the time of n = 15; export polynomial --n 19
+# takes 20 s and 504 MB, the largest n under 1 GB (the terms double per n).
+DEFAULT_CAPS = {"run": 20, "pair-test": 16, "expansion": 19, "sat": ENUMERATION_LIMIT}
 
 CAP_HELP = (
     f"dimension caps: engine runs and vertex scans n <= {DEFAULT_CAPS['run']};\n"

@@ -6,6 +6,12 @@ Sturm chains and :func:`first_nonpositive`, which computes
 root by bisection and then tests the one rational that can be that root,
 the best approximation with denominator at most the leading coefficient;
 no integer is ever factored, so the cost is polynomial in the bit size.
+From the primitive square-free part onward the search runs on ``int``:
+the Sturm chain and the gcd are built from integer pseudo-remainders
+(``|lead(b)|^(δ+1) · a mod b``, a positive multiple of the remainder,
+made primitive again), and the bisection visits only the dyadic points
+``t_max · a / 2^k``, where each chain polynomial's sign is the sign of an
+integer homogenized Horner sum.
 Irrational stopping points are reported as
 :class:`~pivotforge.errors.NotRepresentableError` rather than approximated,
 because downstream iteration counting depends on stopping points being
@@ -26,7 +32,7 @@ dual numbers, and polynomial rings.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Optional, Sequence
 
 from .errors import DimensionMismatchError, NotRepresentableError
@@ -198,57 +204,108 @@ class UniPoly:
         """
         if not self.coeffs:
             return self
-        den_lcm = 1
-        for c in self.coeffs:
-            if isinstance(c, Fraction):
-                den_lcm = den_lcm * c.denominator // gcd(den_lcm, c.denominator)
-        ints = [int(c * den_lcm) for c in self.coeffs]
-        g = 0
-        for v in ints:
-            g = gcd(g, v)
-        return UniPoly(tuple(v // g for v in ints))
+        den_lcm = lcm(*(c.denominator for c in self.coeffs))
+        return UniPoly._make(_primitive_ints(
+            [c.numerator * (den_lcm // c.denominator) for c in self.coeffs]))
 
     def squarefree_part(self) -> "UniPoly":
-        """A polynomial with the same roots, all simple (``p / gcd(p, p')``)."""
-        if self.degree <= 1:
-            return self.primitive()
-        g = poly_gcd(self, self.derivative())
+        """A polynomial with the same roots, all simple (``p / gcd(p, p')``).
+
+        ``p`` is made primitive first; the gcd of a primitive integer
+        polynomial divides it with an integer quotient (Gauss's lemma), so
+        the division runs on ``int`` coefficients.
+        """
+        p = self.primitive()
+        if p.degree <= 1:
+            return p
+        g = poly_gcd(p, p.derivative())
         if g.degree == 0:
-            return self.primitive()
-        q, r = divmod(self, g)
-        assert r.is_zero()
-        return q.primitive()
+            return p
+        return UniPoly._make(_primitive_ints(_exact_quotient(p.coeffs, g.coeffs)))
+
+
+def _primitive_ints(cs) -> tuple:
+    """Integer coefficients divided by their gcd (a positive scaling)."""
+    g = gcd(*cs)
+    if g <= 1:
+        return tuple(cs)
+    return tuple(c // g for c in cs)
+
+
+def _pseudo_remainder(a, b) -> tuple:
+    """``|lead(b)|^(δ+1) · a mod b`` for integer coefficient sequences,
+    ``δ = deg a - deg b``: a positive multiple of the remainder of ``a``
+    by ``b``, computed without leaving ``int``."""
+    rem = list(a)
+    top = len(b) - 1
+    lead = b[-1]
+    scale = abs(lead)
+    sign = 1 if lead > 0 else -1
+    for k in range(len(rem) - len(b), -1, -1):
+        c = sign * rem.pop()
+        rem = [scale * v for v in rem]
+        for j in range(top):
+            rem[k + j] -= c * b[j]
+    while rem and rem[-1] == 0:
+        rem.pop()
+    return tuple(rem)
+
+
+def _exact_quotient(a, b) -> list:
+    """``a / b`` for integer coefficient sequences when ``b`` divides ``a``
+    over the integers."""
+    rem = list(a)
+    top = len(b) - 1
+    lead = b[-1]
+    quot = [0] * (len(a) - top)
+    for k in range(len(quot) - 1, -1, -1):
+        c = quot[k] = rem[k + top] // lead
+        for j in range(top + 1):
+            rem[k + j] -= c * b[j]
+    assert not any(rem)
+    return quot
 
 
 def poly_gcd(a: UniPoly, b: UniPoly) -> UniPoly:
-    """Monic-free Euclidean gcd, returned primitive with positive lead."""
-    a, b = a.primitive(), b.primitive()
-    while not b.is_zero():
-        _, r = divmod(a, b)
-        a, b = b, r.primitive() if not r.is_zero() else r
-    if a.is_zero():
-        return a
-    if a.coeffs[-1] < 0:
-        a = -a
-    return a
+    """Greatest common divisor, returned primitive with positive lead.
+
+    Euclid's algorithm on the primitive integer forms, with each remainder
+    taken as the pseudo-remainder ``|lead(b)|^(δ+1) · a mod b`` (a positive
+    multiple of the true one) and made primitive again, so no ``Fraction``
+    is formed (the primitive pseudo-remainder sequence of Collins 1967).
+    """
+    a, b = a.primitive().coeffs, b.primitive().coeffs
+    while b:
+        a, b = b, _primitive_ints(_pseudo_remainder(a, b))
+    if a and a[-1] < 0:
+        a = tuple(-c for c in a)
+    return UniPoly._make(a)
 
 
 def sturm_chain(p: UniPoly) -> list:
     """The Sturm chain of ``p``: p, p', then negated remainders, each
     rescaled to primitive integer form (a positive scaling, so sign
-    variations are unchanged)."""
+    variations are unchanged).
+
+    The remainders are integer pseudo-remainders
+    ``|lead(b)|^(δ+1) · a mod b``, positive multiples of the true ones, so
+    after the rescaling the chain is the one rational division gives.
+    """
     if p.is_zero():
         raise ValueError("Sturm chain of the zero polynomial is undefined")
-    chain = [p.primitive()]
-    d = p.derivative()
+    head = p.primitive()
+    chain = [head]
+    d = head.derivative()
     if d.is_zero():
         return chain
-    chain.append(d.primitive())
+    a, b = head.coeffs, _primitive_ints(d.coeffs)
+    chain.append(UniPoly._make(b))
     while True:
-        _, r = divmod(chain[-2], chain[-1])
-        if r.is_zero():
+        r = _pseudo_remainder(a, b)
+        if not r:
             return chain
-        chain.append((-r).primitive())
+        a, b = b, _primitive_ints([-c for c in r])
+        chain.append(UniPoly._make(b))
 
 
 def sign_variations(values: Sequence) -> int:
@@ -273,6 +330,28 @@ def count_roots_between(p: UniPoly, a, b) -> int:
     return va - vb
 
 
+def _scaled_to_unit(cs, num: int, den: int) -> tuple:
+    """Coefficients of ``den^d · q(num/den · u)`` for ``q`` of degree ``d``."""
+    d = len(cs) - 1
+    out = []
+    num_power = 1
+    for i, c in enumerate(cs):
+        out.append(c * num_power * den ** (d - i))
+        num_power *= num
+    return tuple(out)
+
+
+def _dyadic_value(cs, a: int, k: int) -> int:
+    """``2^(k d) · q(a / 2^k)`` by homogenized Horner: a positive multiple
+    of ``q(a / 2^k)``, in integers."""
+    value = 0
+    shift = 0
+    for c in reversed(cs):
+        value = value * a + (c << shift)
+        shift += k
+    return value
+
+
 def first_nonpositive(p: UniPoly, t_max) -> Optional[Rational]:
     """Smallest ``t`` in ``[0, t_max]`` with ``p(t) <= 0``, exactly.
 
@@ -292,44 +371,56 @@ def first_nonpositive(p: UniPoly, t_max) -> Optional[Rational]:
     such rationals are at least ``1 / lead^2`` apart, so the only
     candidate is the best approximation to the midpoint with denominator
     at most ``lead``; exact evaluation accepts or rejects it.
+
+    The bisection runs on integers.  With ``t_max = num / den`` every point
+    it visits is ``t = num·a / (den·2^k)``, and the interval is kept as
+    ``(a, k)``: ``lo = num·a / (den·2^k)``, ``hi = num·(a+1) / (den·2^k)``.
+    Each chain polynomial ``q`` of degree ``d`` is evaluated there as the
+    homogenized ``Σ c_i (num·a)^i (den·2^k)^(d-i)``, which has the sign of
+    ``q(t)``; the ``num`` and ``den`` powers are folded into the
+    coefficients once, leaving a shift per coefficient.  The width test
+    ``hi - lo >= 1 / (2 lead^2)`` is ``2·lead^2·num >= den·2^k``.  Only
+    the candidate and the witness are built as ``Fraction``.
     """
     t_max = as_rational(t_max)
     if t_max < 0:
         raise ValueError("t_max must be nonnegative")
-    if p.eval(0) <= 0:
-        return 0
+    if not p.coeffs or p.coeffs[0] <= 0:
+        return 0  # p(0) <= 0
     if t_max == 0 or p.degree == 0:
         return None  # positive constants never dip; intervals of width 0 are done
     # p(0) > 0, so the infimum (if any) is the leftmost root in (0, t_max].
     s = p.squarefree_part()
-    chain = sturm_chain(s)
+    num, den = t_max.numerator, t_max.denominator
+    chain = [_scaled_to_unit(q.coeffs, num, den) for q in sturm_chain(s)]
 
-    def variations(t):
-        return sign_variations([q.eval(t) for q in chain])
+    def variations(a, k):
+        return sign_variations([_dyadic_value(q, a, k) for q in chain])
 
-    v_zero, v_hi = variations(0), variations(t_max)
+    a, k = 0, 0
+    v_zero, v_hi = variations(0, 0), variations(1, 0)
     if v_hi == v_zero:
         return None
-    lo, hi = Fraction(0), Fraction(t_max)
     while v_zero - v_hi > 1:
-        mid = (lo + hi) / 2
-        v_mid = variations(mid)
+        a, k = 2 * a, k + 1
+        v_mid = variations(a + 1, k)
         if v_mid < v_zero:
-            hi, v_hi = mid, v_mid
+            v_hi = v_mid
         else:
-            lo = mid
+            a += 1
     # (lo, hi] holds exactly one root, a simple one: s changes sign there.
     lead = abs(s.coeffs[-1])
-    width = Fraction(1, 2 * lead * lead)
-    positive_at_lo = s.eval(lo) > 0
-    while hi - lo >= width:
-        mid = (lo + hi) / 2
-        value = s.eval(mid)
+    s_unit = chain[0]
+    positive_at_lo = _dyadic_value(s_unit, a, k) > 0
+    width_bound = 2 * lead * lead * num
+    while width_bound >= den << k:
+        a, k = 2 * a, k + 1
+        value = _dyadic_value(s_unit, a + 1, k)
         if value != 0 and (value > 0) == positive_at_lo:
-            lo = mid
-        else:
-            hi = mid
-    candidate = ((lo + hi) / 2).limit_denominator(lead)
+            a += 1
+    lo = Fraction(num * a, den << k)
+    hi = Fraction(num * (a + 1), den << k)
+    candidate = Fraction(num * (2 * a + 1), den << (k + 1)).limit_denominator(lead)
     if lo < candidate <= hi and s.eval(candidate) == 0:
         return as_rational(candidate)
     raise NotRepresentableError(

@@ -492,9 +492,9 @@ def test_verify_help_names_each_claim(capsys):
 
 
 def test_caps_and_override(monkeypatch, capsys):
-    assert cli.DEFAULT_CAPS == {"run": 20, "pair-test": 16, "expansion": 18, "sat": 24}
+    assert cli.DEFAULT_CAPS == {"run": 20, "pair-test": 16, "expansion": 19, "sat": 24}
     for argv in (["verify", "uso", "--n", "17"], ["export", "orientation", "--n", "17"],
-                 ["export", "polynomial", "--n", "19"], ["run", "--n", "21"],
+                 ["export", "polynomial", "--n", "20"], ["run", "--n", "21"],
                  ["verify", "path", "--n", "21"]):
         with pytest.raises(SystemExit) as err:
             run_cli(argv)
@@ -502,7 +502,7 @@ def test_caps_and_override(monkeypatch, capsys):
     assert capsys.readouterr().err.splitlines() == [
         "error: n=17 exceeds the 'uso' cap 16 (set PIVOTFORGE_MAX_N to override)",
         "error: n=17 exceeds the orientation cap 16 (set PIVOTFORGE_MAX_N to override)",
-        "error: n=19 exceeds the expansion cap 18 (set PIVOTFORGE_MAX_N to override)",
+        "error: n=20 exceeds the expansion cap 19 (set PIVOTFORGE_MAX_N to override)",
         "error: n=21 exceeds the engine-run cap 20 (set PIVOTFORGE_MAX_N to override)",
         "error: n=21 exceeds the 'path' cap 20 (set PIVOTFORGE_MAX_N to override)",
     ]
@@ -511,7 +511,7 @@ def test_caps_and_override(monkeypatch, capsys):
     assert err.value.code == 0
     assert " ".join(capsys.readouterr().out.split()).endswith(
         "dimension caps: engine runs and vertex scans n <= 20; the pair test of "
-        "'verify uso' and 'export orientation' n <= 16; 'export polynomial' n <= 18; "
+        "'verify uso' and 'export orientation' n <= 16; 'export polynomial' n <= 19; "
         "SAT enumeration <= 24 variables. The environment variable PIVOTFORGE_MAX_N "
         "replaces each cap with its value.")
     monkeypatch.setenv("PIVOTFORGE_MAX_N", "3")

@@ -15,7 +15,12 @@ from pivotforge import (
     multi_eval,
     uni_eval,
 )
-from pivotforge.polynomials import count_roots_between, poly_gcd, sturm_chain
+from pivotforge.polynomials import (
+    count_roots_between,
+    poly_gcd,
+    sign_variations,
+    sturm_chain,
+)
 
 rationals = st.fractions(min_value=-20, max_value=20, max_denominator=12).map(Fraction)
 small_rationals = st.fractions(min_value=-6, max_value=6, max_denominator=6).map(Fraction)
@@ -144,6 +149,87 @@ def test_sturm_counts_known_roots():
     assert count_roots_between(p, 4, 10) == 0
     chain = sturm_chain(p)
     assert chain[0].degree == 3 and chain[-1].degree == 0
+
+
+# The remainder sequences by rational long division (``divmod``), as they
+# were computed before the integer pseudo-remainders: the references the
+# integer versions must reproduce coefficient for coefficient.
+
+
+def _primitive_by_fractions(p):
+    if p.is_zero():
+        return p
+    den_lcm = 1
+    for c in p.coeffs:
+        if isinstance(c, Fraction):
+            den_lcm = den_lcm * c.denominator // gcd(den_lcm, c.denominator)
+    ints = [int(c * den_lcm) for c in p.coeffs]
+    g = 0
+    for v in ints:
+        g = gcd(g, v)
+    return UniPoly(tuple(v // g for v in ints))
+
+
+def _gcd_by_divmod(a, b):
+    a, b = _primitive_by_fractions(a), _primitive_by_fractions(b)
+    while not b.is_zero():
+        _, r = divmod(a, b)
+        a, b = b, _primitive_by_fractions(r)
+    if not a.is_zero() and a.coeffs[-1] < 0:
+        a = -a
+    return a
+
+
+def _squarefree_by_divmod(p):
+    if p.degree <= 1:
+        return _primitive_by_fractions(p)
+    g = _gcd_by_divmod(p, p.derivative())
+    if g.degree == 0:
+        return _primitive_by_fractions(p)
+    q, r = divmod(p, g)
+    assert r.is_zero()
+    return _primitive_by_fractions(q)
+
+
+def _sturm_chain_by_divmod(p):
+    chain = [_primitive_by_fractions(p)]
+    d = p.derivative()
+    if d.is_zero():
+        return chain
+    chain.append(_primitive_by_fractions(d))
+    while True:
+        _, r = divmod(chain[-2], chain[-1])
+        if r.is_zero():
+            return chain
+        chain.append(_primitive_by_fractions(-r))
+
+
+nonzero_rationals = rationals.filter(lambda r: r != 0)
+# Fraction coefficients, leads of either sign
+coefficient_lists = st.tuples(st.lists(rationals, max_size=3), nonzero_rationals).map(
+    lambda pair: UniPoly(pair[0] + [pair[1]]))
+
+
+@given(coefficient_lists, coefficient_lists, coefficient_lists,
+       st.integers(1, 3), nonzero_rationals, rationals, rationals)
+@settings(max_examples=300, deadline=None)
+def test_integer_remainder_sequences_match_divmod(f, g, h, power, scale, a, b):
+    shared = f ** power * g * scale  # repeated roots and a nontrivial gcd
+    other = f * h
+    for p in (f, g, shared, other):
+        assert [q.coeffs for q in sturm_chain(p)] == [
+            q.coeffs for q in _sturm_chain_by_divmod(p)]
+        assert p.squarefree_part().coeffs == _squarefree_by_divmod(p).coeffs
+        assert p.primitive().coeffs == _primitive_by_fractions(p).coeffs
+        lo, hi = min(a, b), max(a, b)
+        if p.eval(lo) != 0 and p.eval(hi) != 0:
+            chain = _sturm_chain_by_divmod(p)
+            expected = (sign_variations([q.eval(lo) for q in chain])
+                        - sign_variations([q.eval(hi) for q in chain]))
+            assert count_roots_between(p, lo, hi) == expected
+    for x, y in ((shared, other), (other, shared), (f, g), (g * scale, -g),
+                 (UniPoly(()), f), (f, UniPoly(()))):
+        assert poly_gcd(x, y).coeffs == _gcd_by_divmod(x, y).coeffs
 
 
 # --------------------------------------------------- first_nonpositive --
@@ -348,6 +434,107 @@ def test_first_nonpositive_agrees_with_grid_oracle():
             # independent minimality probe: positive strictly before result
             for j in range(1, 24):
                 assert p.eval(result * Fraction(j, 24)) > 0
+
+
+def _first_nonpositive_by_fraction_bisection(p, t_max):
+    """The line search as it was before the integer bisection: the same
+    algorithm with ``Fraction`` midpoints, the rational remainder chains
+    above and ``UniPoly.eval``.  Results and witnesses must match it."""
+    t_max = as_rational(t_max)
+    if p.eval(0) <= 0:
+        return 0
+    if t_max == 0 or p.degree == 0:
+        return None
+    s = _squarefree_by_divmod(p)
+    chain = _sturm_chain_by_divmod(s)
+
+    def variations(t):
+        return sign_variations([q.eval(t) for q in chain])
+
+    v_zero, v_hi = variations(0), variations(t_max)
+    if v_hi == v_zero:
+        return None
+    lo, hi = Fraction(0), Fraction(t_max)
+    while v_zero - v_hi > 1:
+        mid = (lo + hi) / 2
+        v_mid = variations(mid)
+        if v_mid < v_zero:
+            hi, v_hi = mid, v_mid
+        else:
+            lo = mid
+    lead = abs(s.coeffs[-1])
+    width = Fraction(1, 2 * lead * lead)
+    positive_at_lo = s.eval(lo) > 0
+    while hi - lo >= width:
+        mid = (lo + hi) / 2
+        value = s.eval(mid)
+        if value != 0 and (value > 0) == positive_at_lo:
+            lo = mid
+        else:
+            hi = mid
+    candidate = ((lo + hi) / 2).limit_denominator(lead)
+    if lo < candidate <= hi and s.eval(candidate) == 0:
+        return as_rational(candidate)
+    raise NotRepresentableError(
+        "leftmost zero of the restriction is irrational",
+        lower=as_rational(lo), upper=as_rational(hi),
+    )
+
+
+def _assert_same_as_fraction_bisection(p, t_max):
+    try:
+        expected = _first_nonpositive_by_fraction_bisection(p, t_max)
+    except NotRepresentableError as error:
+        with pytest.raises(NotRepresentableError) as info:
+            first_nonpositive(p, t_max)
+        for got, want in ((info.value.lower, error.lower), (info.value.upper, error.upper)):
+            assert got == want and type(got) is type(want)
+        return
+    result = first_nonpositive(p, t_max)
+    assert result == expected and type(result) is type(expected)
+
+
+# (t - a)^2 - k: two irrational roots for k > 0 not a rational square, none for k < 0
+irreducible_quadratics = st.builds(
+    lambda a, k: UniPoly((a * a - k, -2 * a, 1)),
+    small_rationals, st.sampled_from([2, 3, 7, Fraction(1, 3), Fraction(5, 7), -1, -3,
+                                      Fraction(-2, 9)]),
+)
+repeated_factors = st.tuples(
+    st.one_of(linear_factors, irreducible_quadratics), st.integers(1, 3)
+).map(lambda pair: pair[0] ** pair[1])
+t_maxes = st.one_of(
+    st.integers(0, 12),
+    st.fractions(min_value=0, max_value=12, max_denominator=60).map(Fraction),
+)
+
+
+@given(st.lists(repeated_factors, min_size=1, max_size=4), nonzero_rationals, t_maxes)
+@settings(max_examples=400, deadline=None)
+def test_first_nonpositive_matches_fraction_bisection(product, scale, t_max):
+    p = UniPoly((scale,))
+    for factor in product:
+        p = p * factor
+    _assert_same_as_fraction_bisection(p, t_max)
+    _assert_same_as_fraction_bisection(-p, t_max)
+
+
+@pytest.mark.parametrize("m", [10**8 + 7, 2**61 - 1])
+def test_first_nonpositive_matches_fraction_bisection_large_bit_sizes(m):
+    irrational = UniPoly((m * m - 1, 0, -1))
+    for p, t_max in ((irrational, 2 * m), (UniPoly((m * m, 0, -1)), 2 * m),
+                     (irrational * UniPoly((m, -3)), 2 * m),
+                     (irrational * UniPoly((m, -3)), Fraction(2 * m + 1, 3))):
+        _assert_same_as_fraction_bisection(p, t_max)
+
+
+def test_first_nonpositive_matches_fraction_bisection_64_bit_denominator():
+    q = 2**64 - 59
+    root = Fraction(q + 12345, q)
+    for p in (UniPoly((root.numerator, -q)) * UniPoly((2, 0, -1)),
+              UniPoly((root.numerator ** 2 + 1, 0, -q * q))):
+        for t_max in (2, Fraction(2 * q + 1, q)):
+            _assert_same_as_fraction_bisection(p, t_max)
 
 
 # ----------------------------------------------------------- MultiPoly --
