@@ -16,7 +16,7 @@ command still finishes in bounded time and memory (``CAP_HELP`` lists
 them): engine runs and vertex scans n <= 20 (``run``, ``verify path``
 and the other vertex checks, ``export path``), the Szabó–Welzl pair test
 over 2^n x 2^n vertex pairs n <= 16 (``verify uso``, ``export
-orientation``), the expanded polynomial n <= 18 (``export polynomial``,
+orientation``), the expanded polynomial n <= 19 (``export polynomial``,
 whose term list is built in memory), SAT enumeration <= 24 variables.
 Setting the ``PIVOTFORGE_MAX_N`` environment variable replaces each of
 these command caps with its value, but the brute-force SAT oracles never
@@ -37,6 +37,7 @@ import sys
 from array import array
 from fractions import Fraction
 from itertools import islice, pairwise, zip_longest
+from math import lcm
 from typing import Callable, NamedTuple
 
 from .boxes import AxisDirection, BoxProgram, bits_from_id
@@ -320,12 +321,15 @@ def check_constancy(n: int):
 
 def _random_linear_objective(rng: random.Random, n: int) -> LinearObjective:
     """Random rational coefficients, resampled until all 2^n vertex values
-    are distinct (checked by exact subset-sum enumeration)."""
+    are distinct (checked by exact subset-sum enumeration on the integer
+    numerators over the coefficients' common denominator)."""
     while True:
         c = tuple(Fraction(rng.randint(-60, 60), rng.randint(1, 9)) for _ in range(n))
-        sums = [Fraction(0)]
+        scale = lcm(*(ci.denominator for ci in c))
+        sums = [0]
         for ci in c:
-            sums += [s + ci for s in sums]
+            step = ci.numerator * (scale // ci.denominator)
+            sums += [s + step for s in sums]
         if len(set(sums)) == len(sums):
             return LinearObjective(c)
 

@@ -19,13 +19,22 @@ polynomial has total degree at most 3, which turns satisfiability into
 
 Formulas arrive in DIMACS CNF; parse errors carry line/column positions.
 Brute-force maximization and satisfiability checks are guarded exhaustive
-scans, used as independent oracles for the reduction.
+scans, used as independent oracles for the reduction.  Both treat a Python
+integer as a table of all 2^n vertices and work on the whole table at once
+(broadword computing, Knuth, TAOCP 7.1.3): the satisfiability check holds
+one bit per assignment and combines clauses by AND and OR, and the maximum
+comes from a subset-sum (zeta) transform over fixed-width integer fields
+packed into one integer, one AND, shift and add per variable.  Every step
+is exact integer arithmetic.
 """
 
 from __future__ import annotations
 
+import sys
+from array import array
 from dataclasses import dataclass
-from operator import add
+from fractions import Fraction
+from math import lcm
 from typing import Optional, Tuple
 
 from .errors import DimacsParseError, TooLargeError
@@ -33,7 +42,8 @@ from .polynomials import MultiPoly
 from .scalars import Rational, as_rational
 
 ENUMERATION_LIMIT = 24  # 2^24 vertices is the most a brute-force scan will try
-_CHUNK = 1 << 12  # most entries one slice of the zeta transform copies
+#: unsigned ``array`` typecode by item size in bytes, for reading packed fields
+_FIELD_TYPECODES = {array(code).itemsize: code for code in "BHIQ"}
 
 
 @dataclass(frozen=True)
@@ -157,89 +167,151 @@ def violation_polynomial(formula: CnfFormula) -> MultiPoly:
     return total
 
 
-def _vertex_values(poly: MultiPoly, n: int) -> list:
-    """Exact values of ``poly`` on all 2^n vertices, indexed by vertex id.
+def _tile(block: int, period: int, length: int) -> int:
+    """``block`` (at most ``period`` bits wide) repeated every ``period``
+    bits up to bit ``length``, where ``length / period`` is a power of two:
+    each doubling is one shift and one OR of the pattern built so far."""
+    while period < length:
+        block |= block << period
+        period <<= 1
+    return block
+
+
+def _clear_bit_slots(slot: int, width: int, n: int):
+    """For ``i = n - 1`` down to 0, yields ``i`` and the integer that holds
+    ``slot`` in each of its 2^n slots of ``width`` bits whose id has bit
+    ``i`` clear (slot ``v`` starts at bit ``v * width``).  Each is one
+    shift and one XOR from the one before (Knuth's magic masks, TAOCP
+    7.1.3)."""
+    if n:
+        mask = _tile(slot, width, width << (n - 1))
+        for i in reversed(range(n)):
+            yield i, mask
+            if i:
+                mask ^= mask << (width << (i - 1))
+
+
+def _vertex_fields(poly: MultiPoly, n: int):
+    """Exact values of ``poly`` on all 2^n vertices as unsigned integer
+    fields: returns ``(fields, offset, scale)``, and vertex ``v`` has value
+    ``(fields[v] - offset) / scale``.
 
     On 0/1 points a monomial contributes its coefficient exactly when
     every variable it touches is 1, so the value at vertex ``S`` is the
     sum of the coefficients of all terms whose variable mask is a subset
-    of ``S``.  Each coefficient is scattered onto its mask, and one
-    in-place pass per bit, ``a[S | bit] += a[S]``, sums over subsets (the
-    zeta transform, Yates' method): ``O(n * 2^n)`` exact additions instead
-    of ``O(terms * 2^n)`` subset tests.  The passes work on slices of at
-    most ``_CHUNK`` entries, so temporaries stay small next to the table.
+    of ``S`` (the zeta transform).  The coefficients are scaled to
+    integers by the lcm of their denominators and summed per mask;
+    ``offset``, the sum of their absolute values, is added at the empty
+    mask, which every vertex contains, so each vertex value lands in
+    ``[0, 2 * offset]``.
+
+    All 2^n entries live in one integer, entry ``v`` in the field of
+    ``width`` bits at bit ``v * width``.  A field keeps its entry modulo
+    ``2^bits`` in its low ``bits`` bits, ``2^bits > 2 * offset``, and the
+    carries out of them in the guard bits above, at least ``n.bit_length()``
+    of them: a pass adds into a field at most once, so at most ``n``
+    carries land there.  Pass ``i`` adds every field whose
+    id lacks bit ``i`` into the field whose id has it, which is one
+    whole-integer AND, shift and add (Yates' method on packed fields);
+    one last AND clears the guard bits.  ``width`` is a whole number of
+    bytes, a machine word size when the entries fit in one, so the fields
+    are read from the integer's bytes into an ``array`` whose ``max`` and
+    ``index`` run in C.
     """
-    size = 1 << n
-    values = [0] * size
+    scale = lcm(*(coeff.denominator for coeff in poly.terms.values()))
+    scaled: dict = {}
     for exps, coeff in poly.terms.items():
-        mask = 0
-        for i, e in enumerate(exps):
-            if e:
-                mask |= 1 << i
-        values[mask] += coeff
-    for i in range(n):
-        bit = 1 << i
-        step = bit << 1
-        if bit >= size // step:
-            # few wide blocks: add each block's low half to its high half
-            width = min(_CHUNK, bit)
-            for base in range(0, size, step):
-                for lo in range(base, base + bit, width):
-                    hi = lo + bit
-                    values[hi:hi + width] = map(add, values[hi:hi + width],
-                                                values[lo:lo + width])
-        else:
-            # many narrow blocks: one strided slice per offset inside a block
-            span = step * _CHUNK
-            for offset in range(bit):
-                for lo in range(offset, size, span):
-                    stop = min(lo + span, size)
-                    values[lo + bit:stop:step] = map(add, values[lo + bit:stop:step],
-                                                     values[lo:stop:step])
-    return values
+        mask = sum(1 << i for i, e in enumerate(exps) if e)
+        scaled[mask] = scaled.get(mask, 0) + coeff.numerator * (scale // coeff.denominator)
+    offset = sum(map(abs, scaled.values()))
+    scaled[0] = scaled.get(0, 0) + offset
+    bits = (2 * offset).bit_length()
+    value_mask = (1 << bits) - 1
+    nbytes = max(1, -(-(bits + n.bit_length()) // 8))
+    nbytes = min((k for k in _FIELD_TYPECODES if k >= nbytes), default=nbytes)
+    width = 8 * nbytes
+    size = 1 << n
+    table = bytearray(size * nbytes)
+    for mask, coeff in scaled.items():
+        table[mask * nbytes:(mask + 1) * nbytes] = \
+            (coeff & value_mask).to_bytes(nbytes, "little")
+    packed = int.from_bytes(table, "little")
+    del table
+    for i, low in _clear_bit_slots(value_mask, width, n):
+        packed += (packed & low) << (width << i)
+    keep = _tile(value_mask, width, size * width)
+    data = (packed & keep).to_bytes(size * nbytes, "little")
+    del packed
+    typecode = _FIELD_TYPECODES.get(nbytes)
+    if typecode is None:
+        fields = [int.from_bytes(data[k:k + nbytes], "little")
+                  for k in range(0, len(data), nbytes)]
+    else:
+        fields = array(typecode, data)
+        if sys.byteorder == "big":
+            fields.byteswap()
+    return fields, offset, scale
+
+
+def _vertex_values(poly: MultiPoly, n: int) -> list:
+    """Exact values of ``poly`` on all 2^n vertices, indexed by vertex id
+    (``int`` when integral, else ``Fraction``)."""
+    fields, offset, scale = _vertex_fields(poly, n)
+    if scale == 1:
+        return [field - offset for field in fields]
+    return [as_rational(Fraction(field - offset, scale)) for field in fields]
 
 
 def brute_force_max(poly: MultiPoly, n: int) -> Tuple[Rational, tuple]:
     """Exact maximum of ``poly`` over all 2^n vertices and one argmax
-    (the lowest vertex id attaining it).  Guarded by the enumeration cap."""
+    (the lowest vertex id attaining it).  Guarded by the enumeration cap.
+    The maximum and its first index are taken over the packed fields,
+    which order the vertices as their values do."""
     if poly.nvars != n:
         raise ValueError(f"polynomial has {poly.nvars} variables, not {n}")
     if n > ENUMERATION_LIMIT:
         raise TooLargeError(f"n={n} exceeds the enumeration cap {ENUMERATION_LIMIT}")
-    values = _vertex_values(poly, n)
-    best = max(values)
-    best_vid = values.index(best)
+    fields, offset, scale = _vertex_fields(poly, n)
+    top = max(fields)
+    best_vid = fields.index(top)
     bits = tuple((best_vid >> i) & 1 for i in range(n))
-    return as_rational(best), bits
+    return as_rational(Fraction(top - offset, scale)), bits
 
 
 def brute_force_sat(formula: CnfFormula) -> Tuple[bool, Optional[tuple]]:
     """Exhaustive truth-table satisfiability check; returns a witness
     assignment (bit tuple) when satisfiable.  The empty formula is
-    vacuously satisfiable."""
+    vacuously satisfiable.
+
+    Bit ``a`` of a 2^n-bit integer stands for the assignment with vertex
+    id ``a``.  ``clear[k - 1]`` has bit ``a`` set when variable ``k`` is 0
+    in ``a``: the complement of ``k``'s truth table.  A clause's violating
+    set is the AND, over its literals, of ``clear`` for a positive literal
+    and its complement for a negated one, and the formula's violating set
+    is the OR of the clauses' sets.  The formula is satisfiable iff the
+    complement of that OR is nonzero, and its lowest set bit is the
+    witness: the lowest satisfying id, the one a scan in id order would
+    find first.  Each step is one whole-table AND or OR, about ``2^n / w``
+    word operations for word size ``w``.  Only clause semantics are read,
+    never the polynomial.
+    """
     n = formula.n_vars
     if n > ENUMERATION_LIMIT:
         raise TooLargeError(f"n={n} exceeds the enumeration cap {ENUMERATION_LIMIT}")
-    clause_masks = []
+    clear = dict(_clear_bit_slots(1, 1, n))
+    everything = (1 << (1 << n)) - 1
+    violated = 0
     for clause in formula.clauses:
-        positive = 0
-        negative = 0
+        violating = everything
         for lit in clause:
-            bit = 1 << (lit.variable - 1)
-            if lit.negated:
-                negative |= bit
-            else:
-                positive |= bit
-        clause_masks.append((positive, negative))
-    for assignment in range(1 << n):
-        violated = False
-        for positive, negative in clause_masks:
-            if assignment & positive == 0 and assignment & negative == negative:
-                violated = True
-                break
-        if not violated:
-            return True, tuple((assignment >> i) & 1 for i in range(n))
-    return False, None
+            zeros = clear[lit.variable - 1]
+            violating &= ~zeros if lit.negated else zeros
+        violated |= violating
+    satisfying = everything & ~violated
+    if not satisfying:
+        return False, None
+    assignment = (satisfying & -satisfying).bit_length() - 1
+    return True, tuple((assignment >> i) & 1 for i in range(n))
 
 
 def violated_clause_count(formula: CnfFormula, bits: tuple) -> int:

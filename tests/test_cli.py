@@ -376,6 +376,28 @@ def test_run_csv_summary(tmp_path):
     assert lines[1] == "3,lowest-index,7,4,7/1,7.0"
 
 
+def _random_linear_c_by_fraction_sums(rng, n):
+    """The earlier sampler, kept as a reference: the same draws, with the
+    2^n subset sums formed and compared as ``Fraction``s."""
+    while True:
+        c = tuple(Fraction(rng.randint(-60, 60), rng.randint(1, 9)) for _ in range(n))
+        sums = [Fraction(0)]
+        for ci in c:
+            sums += [s + ci for s in sums]
+        if len(set(sums)) == len(sums):
+            return c
+
+
+def test_random_linear_objective_draws_what_the_fraction_sampler_drew():
+    # so ``verify equivalence`` and acceptance 08 certify the same objectives
+    for n in range(2, 11):
+        for seed in range(50):
+            rng, reference_rng = random.Random(seed), random.Random(seed)
+            c = cli._random_linear_objective(rng, n).c
+            assert c == _random_linear_c_by_fraction_sums(reference_rng, n)
+            assert rng.getstate() == reference_rng.getstate()
+
+
 def test_verify_checks_pass(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     for check, n in [("uniqueness", "6"), ("gradient", "5"), ("path", "6"),
@@ -489,6 +511,16 @@ def test_verify_help_names_each_claim(capsys):
     for check in cli.CHECKS:
         assert check in text
     assert "Hamiltonian path" in text
+
+
+def test_module_docstring_states_the_caps():
+    doc = " ".join(cli.__doc__.split())
+    caps = cli.DEFAULT_CAPS
+    for phrase in (f"engine runs and vertex scans n <= {caps['run']}",
+                   f"vertex pairs n <= {caps['pair-test']}",
+                   f"the expanded polynomial n <= {caps['expansion']}",
+                   f"SAT enumeration <= {caps['sat']} variables"):
+        assert phrase in doc
 
 
 def test_caps_and_override(monkeypatch, capsys):

@@ -16,7 +16,8 @@ from pivotforge import (
     parse_dimacs,
     violation_polynomial,
 )
-from pivotforge.satreduce import _vertex_values, violated_clause_count
+from pivotforge.satreduce import _vertex_fields, _vertex_values, violated_clause_count
+from pivotforge.scalars import as_rational
 
 
 def lit(v):
@@ -157,6 +158,48 @@ def _vertex_values_oracle(poly, n):
             for vid in range(1 << n)]
 
 
+def _vertex_values_by_list_zeta(poly, n):
+    """The earlier routine, kept as a reference: each coefficient scattered
+    onto its variable mask of a list, then one in-place pass per bit,
+    ``a[S | bit] += a[S]``, in exact ``int``/``Fraction`` arithmetic."""
+    values = [0] * (1 << n)
+    for exps, coeff in poly.terms.items():
+        values[sum(1 << i for i, e in enumerate(exps) if e)] += coeff
+    for i in range(n):
+        bit = 1 << i
+        for vid in range(1 << n):
+            if vid & bit:
+                values[vid] += values[vid ^ bit]
+    return values
+
+
+def _brute_force_max_by_list_zeta(poly, n):
+    values = _vertex_values_by_list_zeta(poly, n)
+    best = max(values)
+    best_vid = values.index(best)
+    return as_rational(best), tuple((best_vid >> i) & 1 for i in range(n))
+
+
+def _brute_force_sat_by_loop(formula):
+    """The earlier routine, kept as a reference: try the assignments in id
+    order and return the first that violates no clause."""
+    n = formula.n_vars
+    clause_masks = []
+    for clause in formula.clauses:
+        positive = negative = 0
+        for lit in clause:
+            if lit.negated:
+                negative |= 1 << (lit.variable - 1)
+            else:
+                positive |= 1 << (lit.variable - 1)
+        clause_masks.append((positive, negative))
+    for assignment in range(1 << n):
+        if not any(assignment & positive == 0 and assignment & negative == negative
+                   for positive, negative in clause_masks):
+            return True, tuple((assignment >> i) & 1 for i in range(n))
+    return False, None
+
+
 _coefficients = st.one_of(
     st.integers(min_value=-10 ** 20, max_value=10 ** 20),
     st.fractions(min_value=-50, max_value=50, max_denominator=12),
@@ -164,28 +207,54 @@ _coefficients = st.one_of(
 
 
 @given(st.integers(min_value=0, max_value=15), st.data())
-@settings(max_examples=120, deadline=None)
+@settings(max_examples=150, deadline=None)
 def test_zeta_vertex_values_equal_per_term_evaluation(n, data):
+    # few terms over many variables leave ties, so the lowest argmax matters
     exponents = st.tuples(*[st.integers(min_value=0, max_value=2)] * n)
-    terms = data.draw(st.dictionaries(exponents, _coefficients, max_size=8))
-    poly = MultiPoly(n, terms)
+    coefficients = data.draw(st.sampled_from([
+        _coefficients,
+        st.integers(min_value=-10 ** 20, max_value=10 ** 20),
+        st.integers(min_value=-3, max_value=3),
+        st.fractions(min_value=-50, max_value=50, max_denominator=12),
+    ]))
+    poly = MultiPoly(n, data.draw(st.dictionaries(exponents, coefficients, max_size=8)))
     values = _vertex_values(poly, n)
-    assert values == _vertex_values_oracle(poly, n)
+    reference = _vertex_values_by_list_zeta(poly, n)
+    assert values == _vertex_values_oracle(poly, n) == reference
+    assert [type(v) for v in values] == [type(as_rational(v)) for v in reference]
     vid = data.draw(st.integers(min_value=0, max_value=(1 << n) - 1))
     assert values[vid] == multi_eval(poly, tuple((vid >> i) & 1 for i in range(n)))
+    best, argmax = brute_force_max(poly, n)
+    reference_best, reference_argmax = _brute_force_max_by_list_zeta(poly, n)
+    assert (best, argmax) == (reference_best, reference_argmax)
+    assert type(best) is type(reference_best)
 
 
-def test_zeta_vertex_values_through_the_chunked_passes():
-    # from n = 14 on, the passes of the lowest and the highest bits are split
-    # into slices of at most 2^12 entries
-    rng = random.Random(47)
-    for n in (14, 15):
-        terms = {(0,) * n: Fraction(-5, 3)}
-        for _ in range(10):
-            terms[tuple(rng.choice((0, 0, 0, 1, 2)) for _ in range(n))] = \
-                Fraction(rng.randint(-9, 9), rng.randint(1, 5))
-        poly = MultiPoly(n, terms)
-        assert _vertex_values(poly, n) == _vertex_values_oracle(poly, n)
+@pytest.mark.parametrize("n", [14, 15])
+def test_zeta_vertex_values_in_fields_across_a_width_boundary(n):
+    # the sum of |coefficients| on either side of each field-width boundary:
+    # 2 * offset takes k + 1 or k + 2 bits and 4 guard bits sit above them,
+    # so the fields are 1 | 2, 2 | 4 and 4 | 8 bytes wide, and 8 | 9 bytes,
+    # past every machine width; with one sign throughout, the all-ones
+    # vertex takes the extreme value +offset or -offset
+    rng = random.Random(61 + n)
+    for k, below, above in ((3, 1, 2), (11, 2, 4), (27, 4, 8), (59, 8, 9)):
+        for offset, width in ((2 ** k - 1, below), (2 ** k, above)):
+            sign = rng.choice((1, -1))
+            terms = {}
+            while len(terms) < 5:
+                exps = tuple(rng.choice((0, 0, 0, 1, 2)) for _ in range(n))
+                if any(exps):
+                    terms[exps] = sign * rng.randint(1, max(1, offset >> 3))
+            terms[(0,) * n] = sign * (offset - sum(abs(c) for c in terms.values()))
+            poly = MultiPoly(n, terms)
+            fields, packed_offset, scale = _vertex_fields(poly, n)
+            assert (packed_offset, scale) == (offset, 1)
+            assert getattr(fields, "itemsize", 9) == width
+            values = _vertex_values(poly, n)
+            assert values == _vertex_values_oracle(poly, n)
+            assert values[-1] == sign * offset
+            assert brute_force_max(poly, n) == _brute_force_max_by_list_zeta(poly, n)
     assert _vertex_values(MultiPoly.zero(0), 0) == [0]
     assert _vertex_values(MultiPoly.constant(0, Fraction(3, 7)), 0) == [Fraction(3, 7)]
 
@@ -206,7 +275,31 @@ def test_brute_force_sat_examples():
     assert violated_clause_count(CnfFormula(3, (clause(1, -2, 3),)), witness) == 0
     satisfiable, witness = brute_force_sat(CnfFormula(1, (clause(1), clause(-1))))
     assert not satisfiable and witness is None
-    assert brute_force_sat(CnfFormula(2, ())) == (True, (0, 0))
+    for n in range(4):
+        assert brute_force_sat(CnfFormula(n, ())) == (True, (0,) * n)
+
+    def excluding(vid):  # the one clause that assignment ``vid`` alone violates
+        return tuple(Literal(k + 1, bool(vid >> k & 1)) for k in range(3))
+
+    # the witness is the lowest satisfying id, here the last one
+    assert brute_force_sat(CnfFormula(3, tuple(map(excluding, range(7))))) == (True, (1, 1, 1))
+    assert brute_force_sat(CnfFormula(3, tuple(map(excluding, range(8))))) == (False, None)
+
+
+@st.composite
+def _formulas(draw):
+    n = draw(st.integers(min_value=0, max_value=14))
+    literal_lists = st.lists(
+        st.tuples(st.integers(min_value=1, max_value=max(n, 1)), st.booleans()),
+        min_size=1, max_size=3, unique_by=lambda lit: lit[0])
+    clauses = draw(st.lists(literal_lists, max_size=40 if n else 0))
+    return CnfFormula(n, tuple(tuple(Literal(v, neg) for v, neg in c) for c in clauses))
+
+
+@given(_formulas())
+@settings(max_examples=200, deadline=None)
+def test_truth_table_sat_matches_the_assignment_loop(formula):
+    assert brute_force_sat(formula) == _brute_force_sat_by_loop(formula)
 
 
 def test_enumeration_guards():
