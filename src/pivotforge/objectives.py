@@ -292,13 +292,6 @@ class ObjectiveOracle(Protocol):
                          slope: Optional[Rational] = None) -> UniPoly: ...
 
 
-def _line_coords(x: Point, d: AxisDirection) -> tuple:
-    """Coordinates of ``x + mu*d`` as scalars, with coordinate ``d.coord``
-    the degree-1 polynomial ``x_k + component * mu``."""
-    k = d.coord - 1
-    return x[:k] + (UniPoly((x[k], d.component)),) + x[k + 1:]
-
-
 class LowerBoundPolynomial:
     """The degree-n objective family defined by the module recursions.
 
@@ -352,6 +345,8 @@ class LowerBoundPolynomial:
         if slope is None:
             slope = c * _partial_forward(x, k)
         curvature = c * c * self._powers[k + 1] * _s_k(x, k)  # c^2 d^2F/dx_k^2
+        if type(slope) is not int or type(curvature) is not int:  # off the vertices
+            slope, curvature = as_rational(slope), as_rational(curvature)
         return UniPoly._make((slope, curvature))
 
     def expand(self) -> MultiPoly:
@@ -454,16 +449,62 @@ def pad(inner, n: int) -> PaddedObjective:
     return PaddedObjective(inner, n)
 
 
+def _parts(v) -> tuple:
+    """``(p, q)`` with ``v = p/q`` and ``q > 0`` for an exact scalar ``v``;
+    floats and everything else that is not ``int`` or ``Fraction`` raise
+    ``TypeError``."""
+    if type(v) is int:
+        return v, 1
+    if isinstance(v, Fraction):
+        return v.numerator, v.denominator
+    raise TypeError(f"refusing {v!r}; use an int or a Fraction")
+
+
+def _quotient(num: int, den: int) -> Rational:
+    """``num / den`` (``den > 0``) as a canonical exact scalar."""
+    if den == 1:
+        return num
+    return as_rational(Fraction(num, den))
+
+
+def _power_tables(x: Sequence, degrees: Sequence) -> list:
+    """Per coordinate ``x_i = p/q`` of degree ``D``, the integers
+    ``p^e q^(D-e)`` for ``e = 0..D``: the powers ``x_i^e`` over the common
+    denominator ``q^D``, which is entry 0."""
+    tables = []
+    for xi, degree in zip(x, degrees):
+        p, q = _parts(xi)
+        table = [1]
+        for _ in range(degree):
+            table.append(table[-1] * p)
+        if q != 1:
+            q_power = 1
+            for e in range(degree, -1, -1):
+                table[e] *= q_power
+                q_power *= q
+        tables.append(table)
+    return tables
+
+
 class MultiPolyObjective:
     """Oracle view of an explicit multivariate polynomial.
 
-    ``gradient`` evaluates symbolic partial derivatives computed once at
-    construction; edge restrictions substitute the parametrized edge and
-    differentiate.  Used as an independent implementation for cross-checks
-    and for running the engine on arbitrary polynomial objectives.
-    ``value_and_gradient``, the engine's call, differentiates each term in
-    place instead, in one pass over the terms with one power table per
-    variable; ``value`` and ``gradient`` are its reference.
+    The oracle's own replies are integer computations over one common
+    denominator.  With ``L`` the lcm of the coefficients' denominators,
+    each term is kept as the integer ``L·c`` and its exponent vector, and
+    ``D_i`` is the largest exponent of variable ``i``.  At a point with
+    ``x_i = p_i/q_i`` a monomial ``prod x_i^e_i`` is
+    ``prod p_i^e_i q_i^(D_i - e_i)`` over ``prod q_i^D_i``, and so is its
+    derivative in any variable (the lowered exponent stays within
+    ``D_i``).  ``value_and_gradient`` therefore sums integers over the
+    one denominator ``L·prod q_i^D_i`` and builds one ``Fraction`` per
+    returned component.  ``edge_restriction`` groups the terms by their
+    exponent of the edge's coordinate and expands them along the edge by
+    an integer Taylor shift.  ``value`` (generic ``MultiPoly.eval``) and
+    ``gradient`` (symbolic partials of ``poly``, taken per call) are the
+    independent reference.  Used for running the engine on arbitrary
+    polynomial objectives and as an independent implementation for
+    cross-checks.
     """
 
     def __init__(self, poly: MultiPoly):
@@ -471,15 +512,11 @@ class MultiPolyObjective:
         self.n = poly.nvars
         if self.n < 1:
             raise ValueError("objective needs at least one variable")
-        self._partials = tuple(poly.partial(k) for k in range(1, self.n + 1))
-        # each term as its coefficient, its (variable index, exponent) pairs
-        # with a nonzero exponent, and coefficient * exponent for each pair
-        self._terms = []
-        for exps, coeff in sorted(poly.terms.items()):
-            factors = tuple((i, e) for i, e in enumerate(exps) if e)
-            self._terms.append((coeff, factors, tuple(coeff * e for _, e in factors)))
-        self._degrees = [max((exps[i] for exps in poly.terms), default=0)
-                         for i in range(self.n)]
+        self._scale = math.lcm(*(c.denominator for c in poly.terms.values()))
+        self._terms = tuple((c.numerator * (self._scale // c.denominator), exps)
+                            for exps, c in poly.terms.items())
+        self._degrees = tuple(max((exps[i] for exps in poly.terms), default=0)
+                              for i in range(self.n))
 
     def _check(self, x: Sequence) -> None:
         if len(x) != self.n:
@@ -491,39 +528,68 @@ class MultiPolyObjective:
 
     def gradient(self, x: Point) -> tuple:
         self._check(x)
-        return tuple(as_rational(p.eval(x)) for p in self._partials)
+        return tuple(as_rational(self.poly.partial(k).eval(x))
+                     for k in range(1, self.n + 1))
 
     def value_and_gradient(self, x: Point) -> tuple:
         self._check(x)
-        powers = []
-        for xi, degree in zip(x, self._degrees):
-            table = [1]
-            for _ in range(degree):
-                table.append(table[-1] * xi)
-            powers.append(table)
+        tables = _power_tables(x, self._degrees)
         value = 0
         grad = [0] * self.n
-        for coeff, factors, scaled in self._terms:
-            term = coeff
-            for i, e in factors:
-                term = term * powers[i][e]
-            value = value + term
-            for (k, _), partial in zip(factors, scaled):  # d/dx_k lowers x_k's exponent
-                for i, e in factors:
-                    if i == k:
-                        e -= 1
-                    if e:
-                        partial = partial * powers[i][e]
-                grad[k] = grad[k] + partial
-        return as_rational(value), tuple(map(as_rational, grad))
+        for coeff, exps in self._terms:
+            factors = list(map(list.__getitem__, tables, exps))
+            value += coeff * math.prod(factors)
+            for k, e in enumerate(exps):
+                if e:  # d/dx_k lowers x_k's exponent
+                    kept = factors[k]
+                    factors[k] = tables[k][e - 1]
+                    grad[k] += coeff * e * math.prod(factors)
+                    factors[k] = kept
+        den = self._scale * math.prod(table[0] for table in tables)
+        return _quotient(value, den), tuple(_quotient(g, den) for g in grad)
 
     def edge_restriction(self, x: Point, d: AxisDirection,
                          slope: Optional[Rational] = None) -> UniPoly:
-        """Substitute the edge and differentiate; ``slope`` is accepted
-        for the protocol and not used, so this stays the independent
-        route."""
+        """``g(mu) = grad f(x + mu*d)^T d``, the derivative of
+        ``h(mu) = f(x + mu*d)``; ``slope`` is accepted for the protocol and
+        not used, so this stays a route independent of the other oracles.
+
+        With ``k = d.coord``, the terms grouped by their exponent ``e`` of
+        ``x_k`` sum to integers ``B_e`` over ``L·prod_{i!=k} q_i^D_i``.
+        With ``x_k = p/q`` and ``d.component = cn/cd``, the coordinate along
+        the edge is ``(α + β·mu)/γ`` with ``α = p·cd``, ``β = q·cn``,
+        ``γ = q·cd``, so ``h`` is ``P(α + β·mu)`` over ``γ^D_k`` times that
+        denominator, where ``P(z) = sum_e B_e γ^(D_k-e) z^e``.  ``P`` is
+        shifted by ``α`` with Horner's Taylor shift, in integers (von zur
+        Gathen & Gerhard 1997); the coefficient of ``mu^j`` is then the
+        shifted ``P_j·β^j``.  The shifted ``P_0`` is the constant of ``h``,
+        which the derivative drops, and no other coefficient reads ``B_0``,
+        so the terms without ``x_k`` are skipped.
+        """
         self._check(x)
-        restricted = self.poly.eval(_line_coords(tuple(x), d))
-        if not isinstance(restricted, UniPoly):
-            restricted = UniPoly((restricted,))
-        return restricted.derivative()
+        k = d.coord - 1
+        degree = self._degrees[k]
+        p, q = _parts(x[k])
+        cn, cd = _parts(d.component)
+        tables = _power_tables(x, self._degrees[:k] + (0,) + self._degrees[k + 1:])
+        tables[k] = [1] * (degree + 1)  # x_k's powers come from the shift
+        grouped = [0] * (degree + 1)  # B_0 is constant along the edge: left out
+        for coeff, exps in self._terms:
+            e = exps[k]
+            if e:
+                grouped[e] += coeff * math.prod(map(list.__getitem__, tables, exps))
+        alpha, beta, gamma = p * cd, q * cn, q * cd
+        gamma_powers = [1]
+        for _ in range(degree):
+            gamma_powers.append(gamma_powers[-1] * gamma)
+        shifted = [b * gamma_powers[degree - e] for e, b in enumerate(grouped)]
+        for i in range(degree):  # P(z) -> P(z + α)
+            for j in range(degree - 1, i - 1, -1):
+                shifted[j] += alpha * shifted[j + 1]
+        den = self._scale * math.prod(table[0] for table in tables) * gamma_powers[degree]
+        coeffs = []
+        beta_power = 1
+        for j in range(1, degree + 1):  # h'(mu): j P_j β^j mu^(j-1)
+            beta_power *= beta
+            coeffs.append(_quotient(j * shifted[j] * beta_power, den))
+        return UniPoly._make(coeffs)

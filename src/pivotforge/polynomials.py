@@ -582,7 +582,9 @@ class MultiPoly:
         """Evaluate at a point whose entries live in any compatible ring.
 
         Per-variable power tables keep the number of ring multiplications
-        linear in the largest exponent rather than in the term count.
+        linear in the largest exponent rather than in the term count.  The
+        terms are summed in storage order: the arithmetic is exact and the
+        ring commutative, so the order cannot change the result.
         """
         if len(point) != self.nvars:
             raise DimensionMismatchError(
@@ -600,7 +602,7 @@ class MultiPoly:
                 table.append(table[-1] * point[i])
             powers.append(table)
         total = 0
-        for exps, coeff in sorted(self.terms.items()):
+        for exps, coeff in self.terms.items():
             term = coeff
             for i, e in enumerate(exps):
                 if e:

@@ -594,13 +594,18 @@ def _writer_cases(oracle_for):
     tilted = LinearObjective((1, -1))
     cases["onto_vertex"] = (active_set_run(cube(2), tilted, (Fraction(1, 2), Fraction(1, 2)),
                                            make_rule("lowest-index")), tilted)
+    # from (1/2, 1/2) to the interior zeros 2/3 and 1/4: no row is ever active
+    bowl = MultiPolyObjective(MultiPoly(2, {
+        (2, 0): -1, (1, 0): Fraction(4, 3), (0, 2): -1, (0, 1): Fraction(1, 2)}))
+    cases["interior"] = (active_set_run(cube(2), bowl, (Fraction(1, 2), Fraction(1, 2)),
+                                        make_rule("lowest-index")), bowl)
     return cases
 
 
 WALK_CASES = ["empty", "max_iter", "hard", "random", "fractional", "not_representable",
               "padded"]
 WRITER_CASES = WALK_CASES + ["gapped", "simplex", "simplex_at_optimum", "off_direction",
-                             "unchanged", "onto_vertex"]
+                             "unchanged", "onto_vertex", "interior"]
 
 
 @pytest.mark.parametrize("case", WRITER_CASES)
@@ -638,6 +643,9 @@ def test_writer_cases_cover_what_they_name(oracle_for):
     onto = cases["onto_vertex"][0]
     assert onto.vertex_ids() == [None, None, 1]
     assert [r.direction.coord for r in onto.records] == [1, 2]
+    interior = cases["interior"][0]
+    assert [r.active_before for r in interior.records] == [(), ()]
+    assert interior.final_point == (Fraction(2, 3), Fraction(1, 4))
 
 
 @pytest.mark.parametrize("case", WALK_CASES)

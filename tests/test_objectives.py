@@ -23,8 +23,32 @@ from pivotforge import (
 )
 from pivotforge.boxes import bits_from_id
 from pivotforge.objectives import _evaluate_value
+from pivotforge.polynomials import UniPoly
 
 small_rationals = st.fractions(min_value=-3, max_value=4, max_denominator=5).map(Fraction)
+
+
+def _line_coords(x: tuple, d: AxisDirection) -> tuple:
+    """Coordinates of ``x + mu*d`` as scalars, with coordinate ``d.coord``
+    the degree-1 polynomial ``x_k + component * mu``: evaluating an
+    objective's recursion or expanded polynomial at them gives its
+    restriction to the line over the univariate polynomial ring."""
+    k = d.coord - 1
+    return x[:k] + (UniPoly((x[k], d.component)),) + x[k + 1:]
+
+
+def _substituted_restriction(evaluate, x: tuple, d: AxisDirection) -> UniPoly:
+    """The derivative of ``mu -> evaluate(x + mu*d)``, with ``evaluate``
+    run over the univariate polynomial ring."""
+    restricted = evaluate(_line_coords(x, d))
+    if not isinstance(restricted, UniPoly):
+        restricted = UniPoly((restricted,))
+    return restricted.derivative()
+
+
+def _canonical(values) -> bool:
+    """Every value is an int or a Fraction that is not integral."""
+    return all(type(c) is int or c.denominator != 1 for c in values)
 
 
 # ------------------------------------------------- recursion values --
@@ -190,7 +214,7 @@ def test_value_and_gradient_equals_value_and_gradient_calls(n, vertex, data):
         value, grad = oracle.value_and_gradient(point)
         assert (value, grad) == (oracle.value(point), oracle.gradient(point))
         # canonical scalars: an integral value is an int, not a Fraction
-        assert all(type(c) is int or c.denominator != 1 for c in (value,) + grad)
+        assert _canonical((value,) + grad)
     linear = oracles[1]
     unit = [tuple(int(j == i) for j in range(n)) for i in range(n)]
     as_polynomial = MultiPolyObjective(MultiPoly(n, dict(zip(unit, linear.c))))
@@ -234,47 +258,54 @@ def test_off_vertex_edge_restriction_depends_on_parameter(oracle_for):
 def test_edge_restriction_matches_generic_polynomial_ring_route(n, data):
     """The unboxed coefficient-triple evaluator must agree with running the
     recursion over explicit univariate-polynomial scalars."""
-    from pivotforge.objectives import _line_coords
-    from pivotforge.polynomials import UniPoly
-
     point = tuple(data.draw(small_rationals) for _ in range(n))
     k = data.draw(st.integers(1, n))
     s = data.draw(st.sampled_from([1, -1, 2, Fraction(1, 3), Fraction(-3, 2)]))
     d = AxisDirection(k, s)
-    restricted = _evaluate_value(_line_coords(point, d))
-    if not isinstance(restricted, UniPoly):
-        restricted = UniPoly((restricted,))
+    expected = _substituted_restriction(_evaluate_value, point, d)
     oracle = LowerBoundPolynomial(n)
-    assert oracle.edge_restriction(point, d) == restricted.derivative()
+    assert oracle.edge_restriction(point, d) == expected
     # the engine's route: the directional derivative from the adjoint gradient
     slope = s * oracle.gradient(point)[k - 1]
-    assert oracle.edge_restriction(point, d, slope) == restricted.derivative()
+    assert oracle.edge_restriction(point, d, slope) == expected
 
 
 @given(st.integers(min_value=1, max_value=5), st.data())
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=100, deadline=None)
 def test_edge_restriction_matches_gradient_along_edge(n, data):
     """For each of the four oracles, the restriction along ``d`` is the
     directional derivative along the edge; handed ``slope = grad f(x)^T d``,
     as the engine hands it, the reply is the same polynomial.  Points lie
-    off the vertices."""
-    point = tuple(data.draw(small_rationals) for _ in range(n))
+    off the vertices, and every coefficient is canonical: an int, or a
+    Fraction that is not integral."""
+    point = tuple(data.draw(mixed_scalars) for _ in range(n))
     if all(c in (0, 1) for c in point):
         point = (Fraction(1, 2),) + point[1:]
     k = data.draw(st.integers(1, n))
-    sign = data.draw(st.sampled_from([1, -1]))
-    d = AxisDirection(k, sign)
+    c = data.draw(st.sampled_from([1, -1, 2, Fraction(2, 3), Fraction(-3, 2)]))
+    d = AxisDirection(k, c)
     for oracle in _oracles_at(n, data):
         g = oracle.edge_restriction(point, d)
+        assert _canonical(g.coeffs)
         for mu in (Fraction(0), Fraction(1, 3), Fraction(-2), Fraction(5, 2)):
             shifted = tuple(
-                point[i] + sign * mu if i == k - 1 else point[i] for i in range(n)
+                point[i] + c * mu if i == k - 1 else point[i] for i in range(n)
             )
-            assert g.eval(mu) == sign * oracle.gradient(shifted)[k - 1]
+            assert g.eval(mu) == c * oracle.gradient(shifted)[k - 1]
             if isinstance(oracle, LowerBoundPolynomial):
-                assert g.eval(mu) == sign * oracle.partial(shifted, k)
-        slope = sign * oracle.gradient(point)[k - 1]
-        assert oracle.edge_restriction(point, d, slope) == g
+                assert g.eval(mu) == c * oracle.partial(shifted, k)
+        slope = c * oracle.gradient(point)[k - 1]
+        with_slope = oracle.edge_restriction(point, d, slope)
+        assert with_slope == g and _canonical(with_slope.coeffs)
+
+
+def test_edge_restriction_off_the_vertices_is_canonical():
+    g = LowerBoundPolynomial(3).edge_restriction(
+        (Fraction(1, 2), Fraction(1, 2), 0), AxisDirection(3, 1))
+    assert g.coeffs == (-4, 16) and _canonical(g.coeffs)
+    explicit = MultiPolyObjective(MultiPoly(1, {(2,): Fraction(1, 3)}))
+    g = explicit.edge_restriction((Fraction(3, 2),), AxisDirection(1, 1))
+    assert g.coeffs == (1, Fraction(2, 3)) and _canonical(g.coeffs)
 
 
 # ------------------------------------------------------- expansion --
@@ -356,3 +387,83 @@ def test_multipoly_objective_agrees_with_recursive_oracle(oracle_for):
         sign = rng.choice([1, -1])
         d = AxisDirection(k, sign)
         assert explicit.edge_restriction(point, d) == oracle.edge_restriction(point, d)
+
+
+# The integer common-denominator oracle against its references: ``value``
+# (generic evaluation), ``gradient`` (symbolic partials) and the restriction
+# by substitution over the univariate polynomial ring.
+
+coefficients = st.one_of(
+    st.integers(min_value=-10**6, max_value=10**6),
+    st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**12),
+)
+point_scalars = st.one_of(
+    st.integers(min_value=-6, max_value=6),
+    st.fractions(min_value=-6, max_value=6, max_denominator=60),
+)
+
+
+@st.composite
+def polynomials(draw, n: int):
+    terms = {}
+    for _ in range(draw(st.integers(0, 8))):
+        exps = tuple(draw(st.integers(0, 4)) for _ in range(n))
+        terms[exps] = draw(coefficients)
+    return MultiPoly(n, terms)
+
+
+@given(st.integers(min_value=1, max_value=6), st.data())
+@settings(max_examples=120, deadline=None)
+def test_multipoly_value_and_gradient_equals_references(n, data):
+    poly = data.draw(polynomials(n))
+    point = tuple(data.draw(point_scalars) for _ in range(n))
+    objective = MultiPolyObjective(poly)
+    value, grad = objective.value_and_gradient(point)
+    assert value == objective.value(point)
+    assert grad == objective.gradient(point)
+    assert _canonical((value,) + grad)
+
+
+@given(st.integers(min_value=1, max_value=6), st.data())
+@settings(max_examples=120, deadline=None)
+def test_multipoly_edge_restriction_equals_substitution(n, data):
+    """Along a unit direction or a full edge ``±(u_k - l_k)·e_k``, with and
+    without ``slope``, the Taylor-shift restriction is the derivative of
+    the polynomial evaluated on the line."""
+    poly = data.draw(polynomials(n))
+    point = tuple(data.draw(point_scalars) for _ in range(n))
+    k = data.draw(st.integers(1, n))
+    lower = data.draw(point_scalars)
+    upper = lower + data.draw(st.fractions(min_value=Fraction(1, 50), max_value=5,
+                                           max_denominator=50))
+    sign = data.draw(st.sampled_from([1, -1]))
+    component = data.draw(st.sampled_from([sign, sign * (upper - lower)]))
+    d = AxisDirection(k, component)
+    objective = MultiPolyObjective(poly)
+    expected = _substituted_restriction(poly.eval, point, d)
+    g = objective.edge_restriction(point, d)
+    assert g == expected
+    assert _canonical(g.coeffs)
+    slope = component * objective.gradient(point)[k - 1]
+    assert objective.edge_restriction(point, d, slope) == expected
+
+
+def test_multipoly_zero_and_constant_polynomials():
+    for n in (1, 3):
+        for poly in (MultiPoly.zero(n), MultiPoly.constant(n, Fraction(-7, 3))):
+            objective = MultiPolyObjective(poly)
+            for point in ((0,) * n, (Fraction(1, 2),) + (-3,) * (n - 1)):
+                value, grad = objective.value_and_gradient(point)
+                assert value == (0 if poly.is_zero() else Fraction(-7, 3))
+                assert grad == (0,) * n and _canonical((value,) + grad)
+                for d in (AxisDirection(1, 1), AxisDirection(n, Fraction(-5, 2))):
+                    assert objective.edge_restriction(point, d).is_zero()
+
+
+def test_multipoly_oracle_refuses_float_coordinates():
+    objective = MultiPolyObjective(MultiPoly(2, {(2, 1): Fraction(1, 3), (0, 1): 2}))
+    for point in ((0.5, 0), (0, 1.0)):
+        with pytest.raises(TypeError):
+            objective.value_and_gradient(point)
+        with pytest.raises(TypeError):
+            objective.edge_restriction(point, AxisDirection(1, 1))
