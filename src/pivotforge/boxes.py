@@ -16,7 +16,7 @@ Points are plain tuples of exact scalars.  All operations are pure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
 from .errors import DimensionMismatchError, InfeasiblePointError, NotAVertexError
@@ -52,10 +52,15 @@ def as_point(coords: Sequence) -> Point:
 
 @dataclass(frozen=True)
 class BoxProgram:
-    """The feasible region ``[lower, upper]`` with the row indexing above."""
+    """The feasible region ``[lower, upper]`` with the row indexing above.
+
+    ``unit_directions[k-1]`` is the pair ``(+e_k, -e_k)`` of unit axis
+    directions, built with the box so that the engine offers the same
+    objects on every pass."""
 
     lower: Point
     upper: Point
+    unit_directions: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "lower", as_point(self.lower))
@@ -67,6 +72,9 @@ class BoxProgram:
         for i, (lo, hi) in enumerate(zip(self.lower, self.upper), start=1):
             if not lo < hi:
                 raise ValueError(f"degenerate bounds in coordinate {i}: [{lo}, {hi}]")
+        object.__setattr__(self, "unit_directions", tuple(
+            (AxisDirection(k, 1), AxisDirection(k, -1)) for k in range(1, self.n + 1)
+        ))
 
     @staticmethod
     def unit_cube(n: int) -> "BoxProgram":

@@ -528,31 +528,31 @@ def improving_candidates(program: BoxProgram, x: Point, active: frozenset,
     """Feasible improving axis directions at ``x``, restricted to those
     orthogonal to the maximum number of rows in ``active``.
 
-    Feasibility is with respect to every row tight at ``x`` (not just the
-    maintained active set); on a box that is a per-coordinate bound check.
-    Empty exactly when ``x`` is a critical point.  Candidates come back
-    sorted by coordinate.  ``grad`` is the objective's gradient at ``x``.
+    Feasibility is with respect to every row tight at ``x``, including the
+    tight rows that are not active (those :func:`active_set_steps` keeps
+    as its entering options); on a box that is a per-coordinate bound
+    check, made in the same loop that reads the gradient.  Only active
+    rows count toward the overlap, and with fewer than two candidates
+    there is nothing to filter.  Empty exactly when ``x`` is a critical
+    point.  Candidates come back sorted by coordinate, and their
+    directions are the box's ``unit_directions``.  ``grad`` is the
+    objective's gradient at ``x``.
     """
     n = program.n
     base = len(active)
     candidates = []
-    for k, (lo, xk, hi, gk) in enumerate(zip(program.lower, x, program.upper, grad), start=1):
+    for k, lo, xk, hi, gk, (up, down) in zip(range(1, n + 1), program.lower, x,
+                                             program.upper, grad, program.unit_directions):
         if not lo <= xk <= hi:
             raise InfeasiblePointError(f"point {x} violates a bound")
-        if gk == 0:
-            continue
         if gk > 0:
-            if xk == hi:  # +e_k would leave the box
-                continue
-            direction, slope = AxisDirection(k, 1), gk
-        else:
-            if xk == lo:  # -e_k would leave the box
-                continue
-            direction, slope = AxisDirection(k, -1), -gk
-        overlap = base - (k in active) - (k + n in active)
-        candidates.append(Candidate(direction, slope, overlap))
-    if not candidates:
-        return []
+            if xk != hi:  # else +e_k would leave the box
+                candidates.append(Candidate(up, gk, base - (k in active) - (k + n in active)))
+        elif gk < 0:
+            if xk != lo:  # else -e_k would leave the box
+                candidates.append(Candidate(down, -gk, base - (k in active) - (k + n in active)))
+    if len(candidates) < 2:
+        return candidates
     best = max(c.overlap for c in candidates)
     return [c for c in candidates if c.overlap == best]
 
@@ -562,22 +562,6 @@ def _check_dimensions(program: BoxProgram, objective) -> None:
         raise DimensionMismatchError(
             f"objective dimension {objective.n} != program dimension {program.n}"
         )
-
-
-def _entering_rows(program: BoxProgram, x: Point, active: set) -> list:
-    """Rows tight at ``x`` but not yet active (``eq_set(x) - active``),
-    sorted, without materializing the full tight set."""
-    n = program.n
-    lower, upper = program.lower, program.upper
-    uppers = []
-    lowers = []
-    for i in range(1, n + 1):
-        xi = x[i - 1]
-        if xi == upper[i - 1] and i not in active:
-            uppers.append(i)
-        if xi == lower[i - 1] and i + n not in active:
-            lowers.append(i + n)
-    return uppers + lowers
 
 
 def active_set_steps(program: BoxProgram, objective, start: Point, rule: PivotRule,
@@ -594,10 +578,19 @@ def active_set_steps(program: BoxProgram, objective, start: Point, rule: PivotRu
 
         mu = min(step to the boundary, first zero of the edge restriction)
 
-    and, when the directional derivative at the new point is still
-    positive (the move stopped on the boundary), add one rule-chosen newly
-    tight row.  Ends with an error stop reason on iteration overrun or an
-    irrational stopping point.
+    and, when the move stopped on the boundary (the line search found no
+    point of the step where the directional derivative is nonpositive),
+    add one rule-chosen row that is tight at the new point but not active.
+    Ends with an error stop reason on iteration overrun or an irrational
+    stopping point.
+
+    The rows tight at the iterate but not active are kept as a set
+    alongside the active set; it starts empty, since the active set starts
+    as the tight set.  A pass changes tightness only in the coordinate it
+    moves, so it updates that set only for that coordinate's rows ``k`` and
+    ``k + n``, besides moving the dropped row in and the added row out.
+    The entering options are that set, sorted: upper rows, then lower
+    rows, with rows the walk left tight on earlier passes among them.
 
     Each pass starts with one ``objective.value_and_gradient`` call at the
     iterate.  Its value completes the previous pass's record, which is
@@ -613,6 +606,8 @@ def active_set_steps(program: BoxProgram, objective, start: Point, rule: PivotRu
         max_iter = 2 ** (program.n + 1)
     n = program.n
     active = set(program.eq_set(start))
+    tight_inactive = set()  # eq_set(x) - active
+    lower, upper = program.lower, program.upper
     x = start
     passes = 0
     held = None  # the previous pass's record, until the value at its x_after is known
@@ -645,6 +640,7 @@ def active_set_steps(program: BoxProgram, objective, start: Point, rule: PivotRu
         if violating:
             removed = rule.choose_removal(violating)
             active.discard(removed)
+            tight_inactive.add(removed)
         step = None
         added = None
         error_stop = None
@@ -659,14 +655,21 @@ def active_set_steps(program: BoxProgram, objective, start: Point, rule: PivotRu
                 mu = mu_boundary if mu_objective is None else mu_objective
                 x = program.move(x, d, mu)
                 step = mu
-                if g.eval(mu) > 0:
-                    options = _entering_rows(program, x, active)
-                    if not options:
+                # only coordinate k moved, and neither of its rows is active
+                tight_inactive.discard(k)
+                tight_inactive.discard(k + n)
+                if x[k - 1] == upper[k - 1]:
+                    tight_inactive.add(k)
+                elif x[k - 1] == lower[k - 1]:
+                    tight_inactive.add(k + n)
+                if mu_objective is None:  # g > 0 on the whole step: a boundary stop
+                    if not tight_inactive:
                         raise RuntimeError(
                             "boundary stop produced no new tight row; "
                             "box invariant violated"
                         )
-                    added = rule.choose_addition(options)
+                    added = rule.choose_addition(sorted(tight_inactive))
+                    tight_inactive.discard(added)
                     active.add(added)
         passes += 1
         held = IterationRecord(

@@ -30,7 +30,13 @@ The value recursion is generic over the scalar ring: rationals give
 values and multivariate polynomials give the expanded monomial form, while
 dual numbers and univariate polynomials give the independent derivative
 and edge-restriction routes that the tests compare the oracle against.
-The oracle differentiates the recursion by hand instead.  ``F`` is
+The oracle differentiates the recursion by hand instead, in one O(n)
+sweep per gradient.  At a vertex given as ``int`` 0/1 coordinates, which
+is every iterate of a walk from a vertex, the sweep runs forward over the
+vertex closed form (:func:`partial_closed_form` for all k at once, with
+``a_{k+1} = a_k XOR x_k``); at every other point, ``Fraction`` vertices
+included, it is the adjoint pass over the recursion, the only route off
+the vertices.  ``F`` is
 multilinear except for the ``(x_k - x_k^2)`` factor of ``b_k``, so it is
 at most quadratic in each coordinate, and ``d^2 F / d x_k^2 = 2^{k+1} s_k``
 is constant along an axis edge, where ``s_k = 1 - x_{k-1} + sum_{j<=k-2}
@@ -182,6 +188,51 @@ def _adjoint_sweep(coords: Sequence, with_value: bool, powers: Sequence) -> tupl
     return value, grad
 
 
+_INT_TYPE = frozenset((int,))
+_BITS = frozenset((0, 1))
+
+
+def _is_int_vertex(x: Sequence) -> bool:
+    """Is every coordinate of ``x`` an ``int`` 0 or 1?  Other scalars that
+    equal 0 or 1 (``Fraction(1)``, ``True``) are not."""
+    return _INT_TYPE.issuperset(map(type, x)) and _BITS.issuperset(x)
+
+
+def _vertex_sweep(bits: Sequence, powers: Sequence) -> tuple:
+    """``(value, grad)`` at a vertex whose coordinates are ``int`` 0 or 1,
+    in one forward sweep; ``powers[i]`` is ``2^i`` for ``i <= n``.
+
+    Every ``b_i`` vanishes on the vertices, and ``a_i`` is the parity of
+    ``x_i .. x_n``, so ``a_1 = parity(x)``, ``a_{k+1} = a_k ^ x_k`` and the
+    value is ``sum_k 2^{k-1} a_k``.  The partial in coordinate k is
+    :func:`partial_closed_form`, ``(1 - 2 a_{k+1}) T_k - 2^k (1 - 2 x_k)
+    s_k``, with the prefix recurrences ``T_1 = 1``, ``T_{k+1} = (1 - 2 x_k)
+    T_k + 2^k``, ``s_1 = 0``, ``s_2 = 1 - x_1`` and ``s_{k+1} = s_k +
+    2 x_{k-1} - x_k`` for ``k >= 2``; every factor ``1 - 2 (.)`` is a sign,
+    so it picks a branch instead of multiplying.
+    """
+    a = sum(bits) & 1  # a_1
+    value = 0
+    grad = []
+    t = 1           # T_k
+    s = 0           # s_k
+    twice_prev = 1  # 2 x_{k-1}, except 1 at k = 1 so that s_2 = 1 - x_1
+    for p, q, xk in zip(powers, powers[1:], bits):  # p = 2^{k-1}, q = 2^k
+        if a:
+            value += p
+        a ^= xk  # a_{k+1}
+        g = -t if a else t
+        if xk:
+            grad.append(g + q * s)
+            t = q - t
+        else:
+            grad.append(g - q * s)
+            t += q
+        s += twice_prev - xk
+        twice_prev = xk + xk
+    return value, grad
+
+
 def _exact(values: list) -> tuple:
     """``values`` in the canonical exact form of :func:`as_rational`, which
     is called only for the components that are not already ``int``."""
@@ -295,15 +346,17 @@ class ObjectiveOracle(Protocol):
 class LowerBoundPolynomial:
     """The degree-n objective family defined by the module recursions.
 
-    Gradients come from one O(n) adjoint pass over the recursion, which
-    also sums the value for ``value_and_gradient``; ``value`` runs the
-    defining recursion itself, and ``partial`` differentiates one
-    coordinate in forward mode.  An edge restriction is the affine
-    polynomial of the module docstring: the directional derivative at
-    ``x`` (the caller's ``slope``, or else the forward-mode partial) and
-    the constant second derivative along the edge.  Nothing is cached:
-    every reply is computed afresh; the only table is ``2^i`` for
-    ``i <= n + 1``, a constant of the oracle.
+    Gradients come from one O(n) sweep, which also sums the value for
+    ``value_and_gradient``: the forward vertex sweep when every coordinate
+    is an ``int`` 0 or 1, else the adjoint pass over the recursion.  The
+    choice is made from the point alone, and both give the same exact
+    replies at a vertex.  ``value`` runs the defining recursion itself,
+    and ``partial`` differentiates one coordinate in forward mode.  An
+    edge restriction is the affine polynomial of the module docstring:
+    the directional derivative at ``x`` (the caller's ``slope``, or else
+    the forward-mode partial) and the constant second derivative along the
+    edge.  Nothing is cached: every reply is computed afresh; the only
+    table is ``2^i`` for ``i <= n + 1``, a constant of the oracle.
     """
 
     def __init__(self, n: int):
@@ -329,10 +382,15 @@ class LowerBoundPolynomial:
 
     def gradient(self, x: Point) -> tuple:
         self._check(x)
+        if _is_int_vertex(x):
+            return tuple(_vertex_sweep(x, self._powers)[1])
         return _exact(_adjoint_sweep(x, False, self._powers)[1])
 
     def value_and_gradient(self, x: Point) -> tuple:
         self._check(x)
+        if _is_int_vertex(x):
+            value, grad = _vertex_sweep(x, self._powers)
+            return value, tuple(grad)
         value, grad = _adjoint_sweep(x, True, self._powers)
         return as_rational(value), _exact(grad)
 

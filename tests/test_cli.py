@@ -61,14 +61,20 @@ def test_run_is_byte_deterministic(tmp_path):
 
 
 #: sha256 of small ``run`` outputs, recorded before the writer reused
-#: coordinate text and the line search reused the pass's slope: output
-#: bytes are the contract, so these must never change.
+#: coordinate text and the line search reused the pass's slope (the
+#: steepest and ``--approx`` pins before the vertex gradient sweep and the
+#: incremental entering rows): output bytes are the contract, so these
+#: must never change.
 RUN_SHA256 = {
     "--n 8": "93069d4ce2a4bac0085f8ff8cbf1e51e875847b1a5ba101f9734620cc2ac3950",
     "--n 8 --rule random --seed 3":
         "0fbd34c71d640261fc96c072b1db27920560f672cce0cc853948be5edebed2b6",
     "--n 8 --format csv": "ba5583c09a4917f1050f8a69594eaa6da707aa333f594f791ae07d8ff5bef36c",
     "--n 6 --pad-to 9": "b24f3c62fe38d5d8af41e1ee1e5d1a6b0c8281f1621cf9b5cf368623bdabb7d5",
+    "--n 8 --rule steepest":
+        "401af616348c0cab7ad370f0623ac52df65ce8c1f9a2c990edcad2129a5b8db7",
+    "--n 8 --rule highest-index --approx":
+        "ba0ad364a8baeb78ec1b9784739ac564b822a68265b9ad75b137e747f6750c28",
 }
 
 

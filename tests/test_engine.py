@@ -69,6 +69,17 @@ def test_candidates_tie_for_symmetric_linear_objective():
     assert [c.direction for c in cands] == [AxisDirection(1, 1), AxisDirection(2, 1)]
 
 
+def test_candidates_are_the_box_unit_directions():
+    program = BoxProgram((0, -1, 2), (2, 1, 5))
+    assert program.unit_directions == tuple(
+        (AxisDirection(k, 1), AxisDirection(k, -1)) for k in (1, 2, 3))
+    objective = LinearObjective((1, -1, 0))
+    cands = improving_candidates(program, (1, 0, 3), frozenset(), objective.gradient((1, 0, 3)))
+    assert [c.direction for c in cands] == [AxisDirection(1, 1), AxisDirection(2, -1)]
+    assert cands[0].direction is program.unit_directions[0][0]
+    assert cands[1].direction is program.unit_directions[1][1]
+
+
 def test_candidates_prefer_maximum_overlap():
     # at (1/2, 1) with active {2}: moving in coordinate 1 keeps row 2 tight
     # (overlap 1), moving down in coordinate 2 drops it (overlap 0)
@@ -455,6 +466,12 @@ def test_engine_matches_definition_level_reference(oracle_for):
         objective = MultiPolyObjective(MultiPoly(n, terms))
         start = tuple(rng.choice([0, 1, Fraction(1, 2)]) for _ in range(n))
         cases.append((cube(n), objective, start))
+    # a tight row left behind: f = 2x1 - x1^2 + x2 from the origin.  Moving
+    # x1 first reaches its upper bound at the objective's root, so no row is
+    # added and row 1 stays tight but inactive; the next pass moves x2 to
+    # its bound and must offer rows 1 and 2, not only the moved coordinate's
+    stale = MultiPolyObjective(MultiPoly(2, {(1, 0): 2, (2, 0): -1, (0, 1): 1}))
+    cases.append((cube(2), stale, (0, 0)))
     for program, objective, start in cases:
         for rule_name in RULE_NAMES:
             trajectory = active_set_run(program, objective, start,
@@ -473,6 +490,10 @@ def test_engine_matches_definition_level_reference(oracle_for):
                 assert record.x_after == x_after
                 assert record.added_row == added
                 assert record.num_candidates == n_cands
+    for rule_name, added in (("lowest-index", (None, 1)), ("highest-index", (2, None))):
+        trajectory = active_set_run(cube(2), stale, (0, 0), make_rule(rule_name))
+        assert tuple(r.added_row for r in trajectory.records) == added
+        assert trajectory.final_point == (1, 1)
 
 
 # ------------------------------------------------------ serialization --

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pivotforge import (
+    AmbiguousImprovementError,
     AxisDirection,
     DimensionMismatchError,
     DualNumber,
@@ -17,12 +18,14 @@ from pivotforge import (
     beta,
     expand,
     f_value,
+    improving_dimension,
     multi_eval,
     pad,
     partial_closed_form,
 )
 from pivotforge.boxes import bits_from_id
-from pivotforge.objectives import _evaluate_value
+from pivotforge import objectives
+from pivotforge.objectives import _adjoint_sweep, _evaluate_value
 from pivotforge.polynomials import UniPoly
 
 small_rationals = st.fractions(min_value=-3, max_value=4, max_denominator=5).map(Fraction)
@@ -184,6 +187,101 @@ def test_adjoint_gradient_equals_expanded_polynomial_gradient():
             assert oracle.gradient(point) == explicit.gradient(point)
 
 
+def _refuse(*args):
+    raise AssertionError("this sweep must not run here")
+
+
+def test_vertex_sweep_equals_adjoint_sweep_and_closed_form(monkeypatch):
+    """At every vertex for n <= 10 the forward vertex sweep, which alone
+    serves int 0/1 points, gives the adjoint sweep's value and gradient,
+    and every partial is ``partial_closed_form``."""
+    references = {}
+    for n in range(1, 11):
+        oracle = LowerBoundPolynomial(n)
+        for vid in range(1 << n):
+            bits = bits_from_id(vid, n)
+            value, grad = _adjoint_sweep(bits, True, oracle._powers)
+            closed = tuple(partial_closed_form(n, k, bits) for k in range(1, n + 1))
+            assert closed == tuple(grad)
+            references[bits] = (value, closed)
+    monkeypatch.setattr(objectives, "_adjoint_sweep", _refuse)
+    for bits, (value, grad) in references.items():
+        oracle = LowerBoundPolynomial(len(bits))
+        assert oracle.value_and_gradient(bits) == (value, grad)
+        assert oracle.gradient(bits) == grad
+        assert all(type(c) is int for c in (value,) + grad)
+
+
+def test_vertices_of_other_scalar_types_take_the_adjoint_sweep(monkeypatch):
+    """A point that is 0/1 by value but not made of ``int`` (here
+    ``Fraction(0)`` and ``Fraction(1, 1)``, alone or mixed with ints) is
+    not a vertex to the sweep choice: it takes the adjoint sweep, and the
+    replies equal those at the int vertex, in canonical form."""
+    rng = random.Random(29)
+    cases = []
+    for n in range(1, 9):
+        oracle = LowerBoundPolynomial(n)
+        for vid in range(1 << n):
+            bits = bits_from_id(vid, n)
+            fractional = tuple(Fraction(b, 1) for b in bits)
+            mixed = tuple(Fraction(b) if rng.random() < 0.5 else b for b in bits)
+            if all(type(c) is int for c in mixed):
+                mixed = (Fraction(bits[0]),) + bits[1:]
+            cases.append((oracle, bits, oracle.value_and_gradient(bits), (fractional, mixed)))
+    monkeypatch.setattr(objectives, "_vertex_sweep", _refuse)
+    for oracle, bits, expected, points in cases:
+        for point in points:
+            value, grad = oracle.value_and_gradient(point)
+            assert (value, grad) == expected
+            assert oracle.gradient(point) == grad
+            assert all(type(c) is int for c in (value,) + grad)
+
+
+def test_padded_vertex_sweep_agrees():
+    """``PaddedObjective`` hands the head of a vertex to the sweep and
+    gives what the adjoint sweep gives on the head, plus zeros."""
+    for head in range(1, 6):
+        inner = LowerBoundPolynomial(head)
+        for n in (head, head + 3):
+            padded = pad(inner, n)
+            for vid in range(1 << n):
+                bits = bits_from_id(vid, n)
+                value, grad = _adjoint_sweep(bits[:head], True, inner._powers)
+                expected = (value, tuple(grad) + (0,) * (n - head))
+                assert padded.value_and_gradient(bits) == expected
+                assert padded.gradient(bits) == expected[1]
+                fractional = tuple(Fraction(b) for b in bits)
+                assert padded.value_and_gradient(fractional) == expected
+
+
+def test_improving_dimension_reads_its_predicates_not_the_oracle():
+    """``improving_dimension`` cross-checks the oracle's gradient signs
+    against predicates from its own prefix/parity sweep.  Given an oracle
+    whose gradient is zero everywhere, the predicate side must still name
+    the improving coordinate that the closed form gives."""
+
+    class ZeroGradient(LowerBoundPolynomial):
+        def gradient(self, x):
+            return (0,) * self.n
+
+    n = 6
+    wrong = ZeroGradient(n)
+    for vid in range(1 << n):
+        bits = bits_from_id(vid, n)
+        improving = [
+            k for k, bit in enumerate(bits, start=1)
+            if (partial_closed_form(n, k, bits) > 0, bit) in ((True, 0), (False, 1))
+            and partial_closed_form(n, k, bits) != 0
+        ]
+        if not improving:
+            assert improving_dimension(bits, wrong) is None
+            continue
+        with pytest.raises(AmbiguousImprovementError) as caught:
+            improving_dimension(bits, wrong)
+        assert caught.value.gradient_side == []
+        assert caught.value.predicate_side == improving
+
+
 def _oracles_at(n: int, data) -> list:
     """One oracle of each kind on n dimensions, with drawn coefficients."""
     terms = {}
@@ -234,8 +332,6 @@ def test_linear_edge_restriction_is_constant():
 
 
 def test_improving_edge_restriction_is_constant_positive(oracle_for):
-    from pivotforge import improving_dimension
-
     for n in range(1, 7):
         oracle = oracle_for(n)
         for vid in range(1 << n):
