@@ -553,6 +553,9 @@ def cmd_reduce(args) -> int:
     except OSError as exc:
         print(f"error: cannot read {args.input}: {exc}", file=sys.stderr)
         return 2
+    except UnicodeDecodeError as exc:
+        print(f"error: {args.input}: {exc}", file=sys.stderr)
+        return 2
     try:
         formula = parse_dimacs(text)
     except DimacsParseError as exc:

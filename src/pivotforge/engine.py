@@ -43,7 +43,6 @@ from __future__ import annotations
 import json
 import random
 from abc import ABC, abstractmethod
-from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional, Sequence
 
@@ -383,29 +382,6 @@ class Walk:
 SPOOL_CHUNK = 1 << 16
 
 
-def _active_row_texts(rows: tuple, prev: Optional[tuple], texts: Optional[list],
-                      removed: Optional[int], added: Optional[int]) -> list:
-    """``[str(row) for row in rows]`` for a record's sorted active rows.
-
-    ``prev`` and ``texts`` are the previous record's active rows and their
-    texts, and ``removed`` and ``added`` the rows its pass took out of and
-    put into the active set.  When they account for ``rows``, as they do
-    for every record of :func:`active_set_steps`, the previous texts are
-    edited and only ``added`` is formatted."""
-    if prev is not None:
-        kept, texts = list(prev), texts.copy()
-        if removed in kept:
-            i = kept.index(removed)
-            del kept[i], texts[i]
-        if added is not None and added not in kept:
-            i = bisect_left(kept, added)
-            kept.insert(i, added)
-            texts.insert(i, str(added))
-        if tuple(kept) == rows:
-            return texts
-    return [str(row) for row in rows]
-
-
 def write_walk_json(handle, spool, walk: Walk, objective,
                     rule_name: Optional[str] = None, approx: bool = False) -> None:
     """Walk ``walk`` to its end and write its trajectory JSON to the open
@@ -428,22 +404,21 @@ def write_walk_json(handle, spool, walk: Walk, objective,
     coordinate, as it does after every pass of the engine, only that
     coordinate is formatted again and the vertex id changes by one bit.
     The active rows likewise: a record whose ``active_before`` equals the
-    previous one's reuses its text, and otherwise the previous record's
-    removed and added rows edit the list of row texts
-    (:func:`_active_row_texts`).
+    previous one's reuses its text, and otherwise the text is assembled
+    from a table of row texts, built once per call for the rows
+    ``1 .. 2n``.
     """
     vertex_id = walk.program.vertex_id_or_none
     lower, upper = walk.program.lower, walk.program.upper
     x_prev = None  # the iterate whose text is kept; none before the first record
-    rows_prev = row_texts = removed = added = None  # the previous record's active rows
+    row_text = [str(row) for row in range(2 * walk.program.n + 1)]
+    rows_prev = None  # the previous record's active rows
     separator = "\n"
     for r in walk:
         rows = r.active_before
         if rows != rows_prev:
-            row_texts = _active_row_texts(rows, rows_prev, row_texts, removed, added)
-            rows_json = _json_array(row_texts, 6)
+            rows_json = _json_array([row_text[row] for row in rows], 6)
             rows_prev = rows
-        removed, added = r.removed_row, r.added_row
         x_before = r.x_before
         if x_before != x_prev:
             coords_prev = [_coord_json(c) for c in x_before]
@@ -472,7 +447,7 @@ def write_walk_json(handle, spool, walk: Walk, objective,
         spool.write(
             separator + "    {\n"
             f'      "active_rows": {rows_json},\n'
-            f'      "added_row": {_json_int(added)},\n'
+            f'      "added_row": {_json_int(r.added_row)},\n'
             '      "direction": '
             + ("null" if d is None else
                f'{{\n        "coord": {d.coord},\n        "sign": {d.sign}\n      }}')
@@ -484,7 +459,7 @@ def write_walk_json(handle, spool, walk: Walk, objective,
                if approx else "")
             + f'      "point": {point_prev},\n'
             f'      "point_after": {point_after},\n'
-            f'      "removed_row": {_json_int(removed)},\n'
+            f'      "removed_row": {_json_int(r.removed_row)},\n'
             '      "step": '
             + ("null" if r.step is None else f'"{format_rational(r.step)}"')
             + ",\n"

@@ -31,13 +31,14 @@ values and multivariate polynomials give the expanded monomial form, while
 dual numbers and univariate polynomials give the independent derivative
 and edge-restriction routes that the tests compare the oracle against.
 The oracle differentiates the recursion by hand instead, in one O(n)
-sweep per gradient.  At a vertex given as ``int`` 0/1 coordinates, which
-is every iterate of a walk from a vertex, the sweep runs forward over the
-vertex closed form (:func:`partial_closed_form` for all k at once, with
-``a_{k+1} = a_k XOR x_k``); at every other point, ``Fraction`` vertices
-included, it is the adjoint pass over the recursion, the only route off
-the vertices.  ``F`` is
-multilinear except for the ``(x_k - x_k^2)`` factor of ``b_k``, so it is
+sweep that yields the value and the gradient together
+(``value_and_gradient``; ``gradient`` is its second half).  At a vertex
+given as ``int`` 0/1 coordinates, which is every iterate of a walk from a
+vertex, the sweep runs forward over the vertex closed form
+(:func:`partial_closed_form` for all k at once, with ``a_{k+1} = a_k XOR
+x_k``); at every other point, ``Fraction`` vertices included, it is the
+adjoint pass over the recursion, the only route off the vertices.  ``F``
+is multilinear except for the ``(x_k - x_k^2)`` factor of ``b_k``, so it is
 at most quadratic in each coordinate, and ``d^2 F / d x_k^2 = 2^{k+1} s_k``
 is constant along an axis edge, where ``s_k = 1 - x_{k-1} + sum_{j<=k-2}
 x_j`` is the last factor of ``b_k``.  The restriction along ``d = c*e_k``
@@ -129,12 +130,9 @@ def _partial_forward(coords: Sequence, k: int):
     return acc - db
 
 
-def _adjoint_sweep(coords: Sequence, with_value: bool, powers: Sequence) -> tuple:
-    """All n partial derivatives of the recursion in one O(n) pass, and
-    with ``with_value`` the value too: returns ``(value, grad)``, with
-    ``value`` None when not asked for, so that a caller that needs only
-    the gradient does not pay for it.  ``powers[i]`` is ``2^i`` for
-    ``i <= n``.
+def _adjoint_sweep(coords: Sequence, powers: Sequence) -> tuple:
+    """``(value, grad)``: the value and all n partial derivatives of the
+    recursion in one O(n) pass.  ``powers[i]`` is ``2^i`` for ``i <= n``.
 
     The gradient is the adjoint (reverse-mode) form of the recursion, i.e.
     :func:`partial_closed_form` generalised off the vertices.  The partial
@@ -155,11 +153,11 @@ def _adjoint_sweep(coords: Sequence, with_value: bool, powers: Sequence) -> tupl
     n = len(coords)
     scale = [0] * n  # scale[k-1] = 1 - 2 a_{k+1}
     tail = [0] * n   # tail[k-1] = sum_{i>=k+2} 2^i w_i - 2^{k+1} w_{k+1}
-    weighted = [0] * n if with_value else None  # weighted[k-1] = 2^k w_k
+    weighted = [0] * n  # weighted[k-1] = 2^k w_k
     a = 0
     later = 0        # sum_{i>=k+2} 2^i w_i
     nearest = 0      # 2^{k+1} w_{k+1}
-    value = 0 if with_value else None
+    value = 0
     for i in range(n - 1, -1, -1):  # coordinate k = i + 1
         scale[i] = 1 - 2 * a
         tail[i] = later - nearest
@@ -167,9 +165,8 @@ def _adjoint_sweep(coords: Sequence, with_value: bool, powers: Sequence) -> tupl
         later += nearest
         nearest = powers[i + 1] * (xi - xi * xi)
         a = xi + (1 - 2 * xi) * a
-        if with_value:
-            weighted[i] = nearest
-            value += powers[i] * a
+        weighted[i] = nearest
+        value += powers[i] * a
     grad = []
     t = 1       # T_k
     prefix = 0  # sum_{j<=k-2} x_j
@@ -178,7 +175,7 @@ def _adjoint_sweep(coords: Sequence, with_value: bool, powers: Sequence) -> tupl
         xk = coords[i]
         c = 1 - 2 * xk
         s = 1 - prev + prefix
-        if with_value and weighted[i]:  # b_k = 2^k w_k s_k vanishes on the vertices
+        if weighted[i]:  # b_k = 2^k w_k s_k vanishes on the vertices
             value -= weighted[i] * s
         grad.append(scale[i] * t - powers[i + 1] * c * s - tail[i])
         if i:
@@ -323,7 +320,9 @@ class ObjectiveOracle(Protocol):
     """What the engine needs from an objective: exact values, exact
     gradients, and exact edge restrictions.  All operations are pure.
     ``value_and_gradient(x)`` equals ``(value(x), gradient(x))``; the
-    engine makes one such call per pass.
+    engine makes one such call per pass.  An oracle may answer
+    ``gradient`` as the second half of ``value_and_gradient``, or keep it
+    as an independent route (:class:`MultiPolyObjective` does).
 
     ``edge_restriction(x, d, slope)`` takes the directional derivative
     ``slope`` when the caller already has it; ``slope``, when given, must
@@ -346,17 +345,18 @@ class ObjectiveOracle(Protocol):
 class LowerBoundPolynomial:
     """The degree-n objective family defined by the module recursions.
 
-    Gradients come from one O(n) sweep, which also sums the value for
-    ``value_and_gradient``: the forward vertex sweep when every coordinate
-    is an ``int`` 0 or 1, else the adjoint pass over the recursion.  The
-    choice is made from the point alone, and both give the same exact
-    replies at a vertex.  ``value`` runs the defining recursion itself,
-    and ``partial`` differentiates one coordinate in forward mode.  An
-    edge restriction is the affine polynomial of the module docstring:
-    the directional derivative at ``x`` (the caller's ``slope``, or else
-    the forward-mode partial) and the constant second derivative along the
-    edge.  Nothing is cached: every reply is computed afresh; the only
-    table is ``2^i`` for ``i <= n + 1``, a constant of the oracle.
+    ``value_and_gradient`` is one O(n) sweep that sums the value and the
+    gradient together, and ``gradient`` is its second half: the forward
+    vertex sweep when every coordinate is an ``int`` 0 or 1, else the
+    adjoint pass over the recursion.  The choice is made from the point
+    alone, and both give the same exact replies at a vertex.  ``value``
+    runs the defining recursion itself, and ``partial`` differentiates one
+    coordinate in forward mode.  An edge restriction is the affine
+    polynomial of the module docstring: the directional derivative at
+    ``x`` (the caller's ``slope``, or else the forward-mode partial) and
+    the constant second derivative along the edge.  Nothing is cached:
+    every reply is computed afresh; the only table is ``2^i`` for
+    ``i <= n + 1``, a constant of the oracle.
     """
 
     def __init__(self, n: int):
@@ -381,17 +381,14 @@ class LowerBoundPolynomial:
         return as_rational(_partial_forward(x, k))
 
     def gradient(self, x: Point) -> tuple:
-        self._check(x)
-        if _is_int_vertex(x):
-            return tuple(_vertex_sweep(x, self._powers)[1])
-        return _exact(_adjoint_sweep(x, False, self._powers)[1])
+        return self.value_and_gradient(x)[1]
 
     def value_and_gradient(self, x: Point) -> tuple:
         self._check(x)
         if _is_int_vertex(x):
             value, grad = _vertex_sweep(x, self._powers)
             return value, tuple(grad)
-        value, grad = _adjoint_sweep(x, True, self._powers)
+        value, grad = _adjoint_sweep(x, self._powers)
         return as_rational(value), _exact(grad)
 
     def edge_restriction(self, x: Point, d: AxisDirection,
@@ -483,9 +480,7 @@ class PaddedObjective:
         return self.inner.value(tuple(x[: self.inner.n]))
 
     def gradient(self, x: Point) -> tuple:
-        self._check(x)
-        head = self.inner.gradient(tuple(x[: self.inner.n]))
-        return head + (0,) * (self.n - self.inner.n)
+        return self.value_and_gradient(x)[1]
 
     def value_and_gradient(self, x: Point) -> tuple:
         self._check(x)

@@ -7,10 +7,10 @@ root by bisection and then tests the one rational that can be that root,
 the best approximation with denominator at most the leading coefficient;
 no integer is ever factored, so the cost is polynomial in the bit size.
 From the primitive square-free part onward the search runs on ``int``:
-the Sturm chain and the gcd are built from integer pseudo-remainders
-(``|lead(b)|^(δ+1) · a mod b``, a positive multiple of the remainder,
-made primitive again), and the bisection visits only the dyadic points
-``t_max · a / 2^k``, where each chain polynomial's sign is the sign of an
+the Sturm chain and the gcd come from one loop of integer
+pseudo-remainders (``|lead(b)|^(δ+1) · a mod b``, a positive multiple of
+the remainder, made primitive again), and the bisection visits only the
+dyadic points ``t_max · a / 2^k``, where each chain polynomial's sign is the sign of an
 integer homogenized Horner sum.
 Irrational stopping points are reported as
 :class:`~pivotforge.errors.NotRepresentableError` rather than approximated,
@@ -266,20 +266,33 @@ def _exact_quotient(a, b) -> list:
     return quot
 
 
+def _remainder_sequence(a, b) -> list:
+    """``[a, b, r_1, r_2, ...]`` for integer coefficient sequences ``a`` and
+    nonzero ``b``: each ``r_i`` is the pseudo-remainder
+    ``|lead(b)|^(δ+1) · a mod b`` of the two entries before it (a positive
+    multiple of the true remainder), negated and made primitive, and the
+    sequence ends before the first zero remainder.  This is the primitive
+    pseudo-remainder sequence of Collins 1967; no ``Fraction`` is formed."""
+    seq = [a, b]
+    while True:
+        r = _pseudo_remainder(seq[-2], seq[-1])
+        if not r:
+            return seq
+        seq.append(_primitive_ints([-c for c in r]))
+
+
 def poly_gcd(a: UniPoly, b: UniPoly) -> UniPoly:
     """Greatest common divisor, returned primitive with positive lead.
 
-    Euclid's algorithm on the primitive integer forms, with each remainder
-    taken as the pseudo-remainder ``|lead(b)|^(δ+1) · a mod b`` (a positive
-    multiple of the true one) and made primitive again, so no ``Fraction``
-    is formed (the primitive pseudo-remainder sequence of Collins 1967).
+    Euclid's algorithm on the primitive integer forms: the last entry of
+    :func:`_remainder_sequence` (``a`` itself when ``b`` is zero), whose
+    signs do not matter here because the lead is made positive.
     """
     a, b = a.primitive().coeffs, b.primitive().coeffs
-    while b:
-        a, b = b, _primitive_ints(_pseudo_remainder(a, b))
-    if a and a[-1] < 0:
-        a = tuple(-c for c in a)
-    return UniPoly._make(a)
+    g = _remainder_sequence(a, b)[-1] if b else a
+    if g and g[-1] < 0:
+        g = tuple(-c for c in g)
+    return UniPoly._make(g)
 
 
 def sturm_chain(p: UniPoly) -> list:
@@ -287,25 +300,19 @@ def sturm_chain(p: UniPoly) -> list:
     rescaled to primitive integer form (a positive scaling, so sign
     variations are unchanged).
 
-    The remainders are integer pseudo-remainders
-    ``|lead(b)|^(δ+1) · a mod b``, positive multiples of the true ones, so
-    after the rescaling the chain is the one rational division gives.
+    This is :func:`_remainder_sequence` from the primitive forms of ``p``
+    and ``p'``; its pseudo-remainders are positive multiples of the true
+    ones, so after the rescaling the chain is the one rational division
+    gives.
     """
     if p.is_zero():
         raise ValueError("Sturm chain of the zero polynomial is undefined")
     head = p.primitive()
-    chain = [head]
     d = head.derivative()
     if d.is_zero():
-        return chain
-    a, b = head.coeffs, _primitive_ints(d.coeffs)
-    chain.append(UniPoly._make(b))
-    while True:
-        r = _pseudo_remainder(a, b)
-        if not r:
-            return chain
-        a, b = b, _primitive_ints([-c for c in r])
-        chain.append(UniPoly._make(b))
+        return [head]
+    return [UniPoly._make(cs) for cs in
+            _remainder_sequence(head.coeffs, _primitive_ints(d.coeffs))]
 
 
 def sign_variations(values: Sequence) -> int:
@@ -555,19 +562,6 @@ class MultiPoly:
         return result
 
     __rmul__ = __mul__
-
-    def __pow__(self, exponent: int) -> "MultiPoly":
-        if not isinstance(exponent, int) or exponent < 0:
-            raise ValueError("only nonnegative integer powers are defined")
-        result = MultiPoly.constant(self.nvars, 1)
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
 
     def __eq__(self, other):
         o = self._lift(other)

@@ -63,8 +63,9 @@ def test_run_is_byte_deterministic(tmp_path):
 #: sha256 of small ``run`` outputs, recorded before the writer reused
 #: coordinate text and the line search reused the pass's slope (the
 #: steepest and ``--approx`` pins before the vertex gradient sweep and the
-#: incremental entering rows): output bytes are the contract, so these
-#: must never change.
+#: incremental entering rows, the ``--max-iter`` and ``--pad-to 12`` pins
+#: before the writer took row texts from a table): output bytes are the
+#: contract, so these must never change.
 RUN_SHA256 = {
     "--n 8": "93069d4ce2a4bac0085f8ff8cbf1e51e875847b1a5ba101f9734620cc2ac3950",
     "--n 8 --rule random --seed 3":
@@ -75,13 +76,18 @@ RUN_SHA256 = {
         "401af616348c0cab7ad370f0623ac52df65ce8c1f9a2c990edcad2129a5b8db7",
     "--n 8 --rule highest-index --approx":
         "ba0ad364a8baeb78ec1b9784739ac564b822a68265b9ad75b137e747f6750c28",
+    "--n 8 --max-iter 100":  # an error stop, exit 1
+        "509413c53ef85732ab3414c25157b56e09031fc46d599446c428ac63ee12f858",
+    "--n 7 --pad-to 12 --rule highest-index":  # two-digit rows up to 24
+        "bbf62c06dc199b81d874debd3fdc9d7d05e22d1369fb1bc810117caa74698a84",
 }
 
 
 @pytest.mark.parametrize("argv", sorted(RUN_SHA256))
 def test_run_output_bytes_are_pinned(tmp_path, capsys, argv):
     out = tmp_path / "out"
-    assert run_cli(["run", *argv.split(), "--out", str(out)]) == 0
+    expected_code = 1 if "--max-iter" in argv else 0
+    assert run_cli(["run", *argv.split(), "--out", str(out)]) == expected_code
     capsys.readouterr()
     assert hashlib.sha256(out.read_bytes()).hexdigest() == RUN_SHA256[argv]
 
@@ -626,6 +632,18 @@ def test_reduce_check_over_the_sat_cap_writes_nothing(tmp_path, capsys):
     assert err.value.code == 2
     assert capsys.readouterr() == ("", "error: n=25 exceeds the SAT enumeration cap\n")
     assert not (tmp_path / "wide.poly.json").exists()
+
+
+def test_reduce_non_utf8_input_exits_2_and_writes_nothing(tmp_path, capsys):
+    cnf = tmp_path / "bin.cnf"
+    cnf.write_bytes(b"\xff\xfe p cnf 1 1\n1 0\n")
+    code = run_cli(["reduce", str(cnf), "--check"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {cnf}: ")
+    assert captured.err.count("\n") == 1
+    assert not (tmp_path / "bin.poly.json").exists()
 
 
 def test_reduce_parse_error_exits_2(tmp_path, capsys):

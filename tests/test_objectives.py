@@ -200,7 +200,7 @@ def test_vertex_sweep_equals_adjoint_sweep_and_closed_form(monkeypatch):
         oracle = LowerBoundPolynomial(n)
         for vid in range(1 << n):
             bits = bits_from_id(vid, n)
-            value, grad = _adjoint_sweep(bits, True, oracle._powers)
+            value, grad = _adjoint_sweep(bits, oracle._powers)
             closed = tuple(partial_closed_form(n, k, bits) for k in range(1, n + 1))
             assert closed == tuple(grad)
             references[bits] = (value, closed)
@@ -246,7 +246,7 @@ def test_padded_vertex_sweep_agrees():
             padded = pad(inner, n)
             for vid in range(1 << n):
                 bits = bits_from_id(vid, n)
-                value, grad = _adjoint_sweep(bits[:head], True, inner._powers)
+                value, grad = _adjoint_sweep(bits[:head], inner._powers)
                 expected = (value, tuple(grad) + (0,) * (n - head))
                 assert padded.value_and_gradient(bits) == expected
                 assert padded.gradient(bits) == expected[1]

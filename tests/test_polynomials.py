@@ -228,7 +228,8 @@ def test_integer_remainder_sequences_match_divmod(f, g, h, power, scale, a, b):
                         - sign_variations([q.eval(hi) for q in chain]))
             assert count_roots_between(p, lo, hi) == expected
     for x, y in ((shared, other), (other, shared), (f, g), (g * scale, -g),
-                 (UniPoly(()), f), (f, UniPoly(()))):
+                 (UniPoly(()), f), (f, UniPoly(())), (UniPoly(()), UniPoly(())),
+                 (UniPoly((3,)), UniPoly(())), (UniPoly((2,)), UniPoly((4,)))):
         assert poly_gcd(x, y).coeffs == _gcd_by_divmod(x, y).coeffs
 
 
