@@ -146,19 +146,6 @@ class BoxProgram:
                 return None
         return vid
 
-    def vertex_from_id(self, vid: int) -> Point:
-        return self.vertex_from_bits(bits_from_id(vid, self.n))
-
-    def edge_directions(self, x: Point) -> list:
-        """The ``n`` full edge vectors at a vertex, as axis directions with
-        component ``(u_k - l_k)`` signed away from the tight bound.  Each is
-        feasible and orthogonal to exactly ``n - 1`` of the tight rows."""
-        bits = self.bits_of_vertex(x)
-        return [
-            AxisDirection(k, (hi - lo) * (1 - 2 * b))
-            for k, (b, lo, hi) in enumerate(zip(bits, self.lower, self.upper), start=1)
-        ]
-
     def step_to_boundary(self, x: Point, d: AxisDirection) -> Rational:
         """Largest feasible step ``mu`` with ``x + mu * d`` still in the box.
 

@@ -8,8 +8,9 @@ on failure; ``export`` writes polynomial/orientation/path artifacts;
 
 All numeric output is exact ``"p/q"`` strings; ``--approx`` adds clearly
 marked lossy decimal fields.  Identical commands (and seeds) produce
-byte-identical output files.  Exit codes: 0 pass, 1 property violation or
-engine error (with a witness), 2 usage or parse errors.
+byte-identical output files.  Exit codes: 0 pass, 1 property violation
+(with a witness) or a walk that stopped early (with an ``error:`` line), 2
+usage or parse errors.
 
 Dimension caps guard the exponential work, each set where a measured
 command still finishes in bounded time and memory (``CAP_HELP`` lists
@@ -36,7 +37,7 @@ import stat
 import sys
 from array import array
 from fractions import Fraction
-from itertools import islice, pairwise, zip_longest
+from itertools import islice, pairwise, product, zip_longest
 from math import lcm
 from typing import Callable, NamedTuple
 
@@ -223,7 +224,11 @@ def cmd_run(args) -> int:
     pad_note = f" pad_to={ambient}" if ambient > n else ""
     print(f"n={n}{pad_note} rule={args.rule} iterations={walk.iterations} "
           f"final={final_id} value={value} outcome={walk.outcome} file={out}")
-    return 0 if walk.outcome == OUTCOME_CRITICAL_POINT else 1
+    if walk.outcome == OUTCOME_CRITICAL_POINT:
+        return 0
+    print(f"error: walk stopped after {walk.iterations} passes: {walk.stop_reason}",
+          file=sys.stderr)
+    return 1
 
 
 # ------------------------------------------------------------- verify --
@@ -236,8 +241,10 @@ def cmd_run(args) -> int:
 def check_uniqueness(n: int):
     oracle = LowerBoundPolynomial(n)
     optimum = tuple(1 if i == n - 1 else 0 for i in range(n))
-    for vid in range(1 << n):
-        bits = bits_from_id(vid, n)
+    # product varies its last entry fastest, so each tuple reversed is the
+    # bits of the next id: vertices in id order
+    for vid, reversed_bits in enumerate(product((0, 1), repeat=n)):
+        bits = reversed_bits[::-1]
         k = improving_dimension(bits, oracle)  # raises on any disagreement
         if (k is None) != (bits == optimum):
             return False, {"vertex_id": vid, "bits": list(bits), "dimension": k}

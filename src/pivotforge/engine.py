@@ -7,6 +7,13 @@ directional derivative) allows, and record a new active row when the move
 stops on the boundary.  One iteration is one pass of that loop; a pass may
 both drop and add a row.
 
+The engine asks the rule to pick only when it has two or more options.  A
+single candidate direction, blocking row or entering row is taken without
+a call, so a walk that offers one option at every pass is the walk of
+every rule.  On a box the blocking row is always single: ``+e_k`` meets
+only the lower-bound row ``k + n`` with a negative inner product, and
+``-e_k`` only the upper-bound row ``k``.
+
 Directions are signed unit axis directions.  On a box the feasible cone at
 any point is a product of per-coordinate half-lines or lines, so a feasible
 improving direction exists iff a feasible improving *axis* direction
@@ -77,8 +84,12 @@ class Candidate(NamedTuple):
 class PivotRule(ABC):
     """Tie-breaking policy for the direction and the dropped/added rows.
 
-    Implementations must select from the offered nonempty options and be
-    deterministic given their own internal state.
+    Implementations must select from the offered options and be
+    deterministic given their own internal state.  The engine calls a
+    method only when it has two or more options to offer; a single option
+    is taken without asking.  On a box the dropped row is always single,
+    so ``choose_removal`` is part of the protocol but the engine never
+    calls it.
     """
 
     name = "abstract"
@@ -546,10 +557,10 @@ def active_set_steps(program: BoxProgram, objective, start: Point, rule: PivotRu
     the stop reason.
 
     The active set starts as the full tight set of ``start``.  Each pass:
-    select a maximum-overlap improving candidate by the rule; if some
-    active row is not orthogonal to it, drop one rule-chosen row with
-    negative inner product; once the remaining active rows are all
-    orthogonal (possibly within the same pass), take the exact step
+    select a maximum-overlap improving candidate by the rule; if the one
+    row with negative inner product is active, drop it; once the remaining
+    active rows are all orthogonal (possibly within the same pass), take
+    the exact step
 
         mu = min(step to the boundary, first zero of the edge restriction)
 
@@ -600,22 +611,20 @@ def active_set_steps(program: BoxProgram, objective, start: Point, rule: PivotRu
             break
         if held is not None:
             yield held
-        chosen = rule.choose_direction(candidates)
+        chosen = candidates[0] if len(candidates) == 1 else rule.choose_direction(candidates)
         d = chosen.direction
         k = d.coord
         x_before = x
         active_before = tuple(sorted(active))
-        removed = None
-        # only the two rows on coordinate k have nonzero inner product with
-        # an axis direction, so the scans over the active set reduce to them
-        violating = [
-            row for row in (k, k + n)
-            if row in active and d.row_dot(row, n) < 0
-        ]
-        if violating:
-            removed = rule.choose_removal(violating)
+        # the one row with a negative inner product with +-e_k: the lower
+        # bound k + n for +e_k, the upper bound k for -e_k; being the only
+        # option, it is dropped without asking the rule
+        removed = k + n if d.component > 0 else k
+        if removed in active:
             active.discard(removed)
             tight_inactive.add(removed)
+        else:
+            removed = None
         step = None
         added = None
         error_stop = None
@@ -643,21 +652,13 @@ def active_set_steps(program: BoxProgram, objective, start: Point, rule: PivotRu
                             "boundary stop produced no new tight row; "
                             "box invariant violated"
                         )
-                    added = rule.choose_addition(sorted(tight_inactive))
+                    options = sorted(tight_inactive)
+                    added = options[0] if len(options) == 1 else rule.choose_addition(options)
                     tight_inactive.discard(added)
                     active.add(added)
         passes += 1
-        held = IterationRecord(
-            index=passes,
-            x_before=x_before,
-            active_before=active_before,
-            direction=d,
-            removed_row=removed,
-            step=step,
-            x_after=x,
-            added_row=added,
-            num_candidates=len(candidates),
-        )
+        held = IterationRecord(passes, x_before, active_before, d, removed, step, x,
+                               added, len(candidates))
         if error_stop is not None:
             held.value_after = value  # the iterate did not move
             stop = error_stop
@@ -688,7 +689,8 @@ def simplex_run(program: BoxProgram, objective: LinearObjective, start: Point,
     direction; all of them are orthogonal to exactly n-1 basis rows), drops
     the unique basis row with negative inner product, moves to the opposite
     boundary, and adds the unique newly tight row.  Non-degeneracy of the
-    box makes both choices unique, which is asserted.
+    box makes both rows unique, which is asserted, so the rule is asked
+    only for the direction, and only among two or more candidates.
     """
     if not isinstance(objective, LinearObjective):
         raise TypeError("simplex_run requires a LinearObjective")
@@ -715,34 +717,22 @@ def simplex_run(program: BoxProgram, objective: LinearObjective, start: Point,
             stop = STOP_MAX_ITER
             break
         assert all(c.overlap == n - 1 for c in candidates)
-        chosen = rule.choose_direction(candidates)
+        chosen = candidates[0] if len(candidates) == 1 else rule.choose_direction(candidates)
         d = chosen.direction
         x_before = x
         basis_before = tuple(sorted(basis))
-        violating = [i for i in basis if d.row_dot(i, n) < 0]
-        assert len(violating) == 1, "non-degenerate vertex must have one blocking row"
-        removed = violating[0]
+        removed = d.coord + n if d.component > 0 else d.coord  # the one blocking row
+        assert removed in basis, "non-degenerate vertex must have one blocking row"
         basis.discard(removed)
         mu = program.step_to_boundary(x, d)
         x = program.move(x, d, mu)
         assert program.is_vertex(x)
         options = sorted(program.eq_set(x) - basis)
         assert len(options) == 1, "non-degenerate vertex must have one entering row"
-        added = rule.choose_addition(options)
+        added = options[0]  # forced: the rule is not asked
         basis.add(added)
-        records.append(
-            IterationRecord(
-                index=len(records) + 1,
-                x_before=x_before,
-                active_before=basis_before,
-                direction=d,
-                removed_row=removed,
-                step=mu,
-                x_after=x,
-                added_row=added,
-                num_candidates=len(candidates),
-            )
-        )
+        records.append(IterationRecord(len(records) + 1, x_before, basis_before, d, removed,
+                                       mu, x, added, len(candidates)))
 
     if records:
         records[-1].stop_reason = stop

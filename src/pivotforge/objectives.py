@@ -227,7 +227,7 @@ def _vertex_sweep(bits: Sequence, powers: Sequence) -> tuple:
             t += q
         s += twice_prev - xk
         twice_prev = xk + xk
-    return value, grad
+    return value, tuple(grad)
 
 
 def _exact(values: list) -> tuple:
@@ -384,10 +384,10 @@ class LowerBoundPolynomial:
         return self.value_and_gradient(x)[1]
 
     def value_and_gradient(self, x: Point) -> tuple:
-        self._check(x)
+        if len(x) != self.n:
+            raise DimensionMismatchError(f"point length {len(x)} != n {self.n}")
         if _is_int_vertex(x):
-            value, grad = _vertex_sweep(x, self._powers)
-            return value, tuple(grad)
+            return _vertex_sweep(x, self._powers)
         value, grad = _adjoint_sweep(x, self._powers)
         return as_rational(value), _exact(grad)
 

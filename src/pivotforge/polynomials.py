@@ -321,22 +321,6 @@ def sign_variations(values: Sequence) -> int:
     return sum(1 for i in range(len(signs) - 1) if signs[i] != signs[i + 1])
 
 
-def count_roots_between(p: UniPoly, a, b) -> int:
-    """Number of distinct real roots of ``p`` in the open interval (a, b).
-
-    Requires ``p(a) != 0`` and ``p(b) != 0``; ``p`` need not be squarefree
-    (the Sturm chain counts distinct roots regardless).
-    """
-    if p.eval(a) == 0 or p.eval(b) == 0:
-        raise ValueError("endpoints must not be roots")
-    if a >= b:
-        return 0
-    chain = sturm_chain(p)
-    va = sign_variations([q.eval(a) for q in chain])
-    vb = sign_variations([q.eval(b) for q in chain])
-    return va - vb
-
-
 def _scaled_to_unit(cs, num: int, den: int) -> tuple:
     """Coefficients of ``den^d · q(num/den · u)`` for ``q`` of degree ``d``."""
     d = len(cs) - 1

@@ -30,11 +30,9 @@ from typing import Callable, Optional, Sequence
 
 from .boxes import bits_from_id, bits_to_id
 from .errors import AmbiguousImprovementError, TieError
-from .objectives import LowerBoundPolynomial
+from .objectives import _BITS, LowerBoundPolynomial
 from .scalars import Rational
 
-FORWARD = "forward"    # edge points from the bit-0 endpoint to the bit-1 endpoint
-BACKWARD = "backward"
 FREE = None  # face pattern entry for an unconstrained coordinate
 
 
@@ -79,7 +77,7 @@ def improving_dimension(bits: Sequence[int], oracle: Optional[LowerBoundPolynomi
     """
     bits = tuple(bits)
     n = len(bits)
-    if any(b not in (0, 1) for b in bits):
+    if not _BITS.issuperset(bits):
         raise ValueError(f"{bits!r} is not a 0/1 vertex")
     if oracle is None:
         oracle = LowerBoundPolynomial(n)
@@ -93,10 +91,8 @@ def improving_dimension(bits: Sequence[int], oracle: Optional[LowerBoundPolynomi
             by_predicates.append(k)
         prefix = bit * zeros
         zeros *= 1 - bit
-    by_gradient = [
-        k for k, (dk, bit) in enumerate(zip(oracle.gradient(bits), bits), start=1)
-        if (dk > 0 and bit == 0) or (dk < 0 and bit == 1)
-    ]
+    by_gradient = [k for k, dk, bit in zip(range(1, n + 1), oracle.gradient(bits), bits)
+                   if (dk < 0 if bit else dk > 0)]
     if by_gradient != by_predicates or len(by_gradient) > 1:
         raise AmbiguousImprovementError(
             f"improving-dimension conditions disagree at {bits}: "
@@ -134,19 +130,21 @@ def improving_walk(n: int, oracle: Optional[LowerBoundPolynomial] = None):
     if oracle is None:
         oracle = LowerBoundPolynomial(n)
     bits = (0,) * n
-    yield bits_to_id(bits)
+    vid = 0
+    yield vid
     visited = 1
     while True:
         k = improving_dimension(bits, oracle)
         if k is None:
             return
         bits = bits[: k - 1] + (1 - bits[k - 1],) + bits[k:]
+        vid ^= 1 << (k - 1)
         visited += 1
         if visited > (1 << n):
             raise AmbiguousImprovementError(
                 "walk exceeded 2^n vertices; a vertex repeated", vertex=bits
             )
-        yield bits_to_id(bits)
+        yield vid
 
 
 def hamiltonian_path(n: int, oracle: Optional[LowerBoundPolynomial] = None) -> GrayPath:
@@ -237,10 +235,6 @@ class Orientation:
     """A direction for every edge of the n-cube, stored as its outmap: one
     mask per vertex whose bit ``k-1`` is set when the coordinate-``k`` edge
     leaves that vertex.
-
-    FORWARD means the edge points from its bit-0 endpoint to its bit-1
-    endpoint along the edge's coordinate; both endpoints of an edge report
-    the same direction.
     """
 
     def __init__(self, n: int, outgoing: Sequence[int]):
@@ -262,15 +256,6 @@ class Orientation:
                     )
         self.n = n
         self._masks = masks
-
-    def edge_direction(self, vid: int, coord: int) -> str:
-        """Direction of the edge at ``vid`` along ``coord`` (either endpoint)."""
-        bit = 1 << (coord - 1)
-        return FORWARD if self._masks[vid & ~bit] & bit else BACKWARD
-
-    def points_away_from(self, vid: int, coord: int) -> bool:
-        """Is the edge at ``vid`` along ``coord`` outgoing from ``vid``?"""
-        return bool(self._masks[vid] >> (coord - 1) & 1)
 
     def outgoing_masks(self) -> list:
         """Per-vertex bitmask of outgoing coordinates (bit k-1 for coord k)."""
@@ -382,7 +367,7 @@ def combed_dimension(orientation: Orientation, face: Face) -> set:
     for coord in face.free_coords:
         bit = 1 << (coord - 1)
         rest = free & ~bit
-        first = masks[base] & bit  # nonzero iff the edge is FORWARD
+        first = masks[base] & bit  # nonzero iff the edge leaves its bit-0 endpoint
         sub = rest
         while sub and masks[base | sub] & bit == first:
             sub = (sub - 1) & rest

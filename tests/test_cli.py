@@ -86,9 +86,10 @@ RUN_SHA256 = {
 @pytest.mark.parametrize("argv", sorted(RUN_SHA256))
 def test_run_output_bytes_are_pinned(tmp_path, capsys, argv):
     out = tmp_path / "out"
-    expected_code = 1 if "--max-iter" in argv else 0
-    assert run_cli(["run", *argv.split(), "--out", str(out)]) == expected_code
-    capsys.readouterr()
+    stopped = "--max-iter" in argv
+    assert run_cli(["run", *argv.split(), "--out", str(out)]) == (1 if stopped else 0)
+    expected_err = "error: walk stopped after 100 passes: max_iter_exceeded\n" if stopped else ""
+    assert capsys.readouterr().err == expected_err
     assert hashlib.sha256(out.read_bytes()).hexdigest() == RUN_SHA256[argv]
 
 

@@ -29,6 +29,7 @@ from pivotforge.engine import (
     STOP_MAX_ITER,
     STOP_NOT_REPRESENTABLE,
     Candidate,
+    LowestIndexRule,
     Walk,
     write_walk_json,
 )
@@ -37,6 +38,13 @@ from pivotforge.scalars import format_rational
 
 def cube(n):
     return BoxProgram.unit_cube(n)
+
+
+# a tight row left behind: f = 2x1 - x1^2 + x2 from the origin.  Moving x1
+# first reaches its upper bound at the objective's root, so no row is added
+# and row 1 stays tight but inactive; the next pass moves x2 to its bound
+# and must offer rows 1 and 2, not only the moved coordinate's
+STALE = MultiPolyObjective(MultiPoly(2, {(1, 0): 2, (2, 0): -1, (0, 1): 1}))
 
 
 # ------------------------------------------------------- candidates --
@@ -121,6 +129,46 @@ def test_seeded_random_rule_reproducible():
     rule = make_rule("random", 99)
     stream = [rule.choose_direction(cands).direction.coord for _ in range(20)]
     assert len(set(stream)) > 1  # actually uses its entropy
+
+
+class CountingLowestIndexRule(LowestIndexRule):
+    """The lowest-index rule, logging every call the engine makes to it."""
+
+    def __init__(self):
+        self.calls = []
+
+    def choose_direction(self, candidates):
+        self.calls.append(("direction", len(candidates)))
+        return super().choose_direction(candidates)
+
+    def choose_removal(self, rows):
+        self.calls.append(("removal", tuple(rows)))
+        return super().choose_removal(rows)
+
+    def choose_addition(self, rows):
+        self.calls.append(("addition", tuple(rows)))
+        return super().choose_addition(rows)
+
+
+def test_forced_moves_do_not_call_the_rule(oracle_for):
+    """Every pass of the n = 8 walk of F_n offers one direction, one
+    blocking row and one entering row, and the engine takes each without
+    asking the rule; so does the simplex loop on a single improving edge."""
+    rule = CountingLowestIndexRule()
+    assert active_set_run(cube(8), oracle_for(8), (0,) * 8, rule).iterations == 255
+    assert simplex_run(cube(2), LinearObjective((1, -1)), (0, 0), rule).iterations == 1
+    assert rule.calls == []
+
+
+def test_the_rule_is_asked_whenever_it_has_a_choice():
+    """``STALE`` offers two directions at the origin and two entering rows
+    after its second pass: the rule picks both times."""
+    rule = CountingLowestIndexRule()
+    assert active_set_run(cube(2), STALE, (0, 0), rule).final_point == (1, 1)
+    assert rule.calls == [("direction", 2), ("addition", (1, 2))]
+    rule = CountingLowestIndexRule()
+    simplex_run(cube(2), LinearObjective((1, 1)), (0, 0), rule)
+    assert rule.calls == [("direction", 2)]
 
 
 def test_builtin_rules_registry():
@@ -466,12 +514,7 @@ def test_engine_matches_definition_level_reference(oracle_for):
         objective = MultiPolyObjective(MultiPoly(n, terms))
         start = tuple(rng.choice([0, 1, Fraction(1, 2)]) for _ in range(n))
         cases.append((cube(n), objective, start))
-    # a tight row left behind: f = 2x1 - x1^2 + x2 from the origin.  Moving
-    # x1 first reaches its upper bound at the objective's root, so no row is
-    # added and row 1 stays tight but inactive; the next pass moves x2 to
-    # its bound and must offer rows 1 and 2, not only the moved coordinate's
-    stale = MultiPolyObjective(MultiPoly(2, {(1, 0): 2, (2, 0): -1, (0, 1): 1}))
-    cases.append((cube(2), stale, (0, 0)))
+    cases.append((cube(2), STALE, (0, 0)))
     for program, objective, start in cases:
         for rule_name in RULE_NAMES:
             trajectory = active_set_run(program, objective, start,
@@ -491,7 +534,7 @@ def test_engine_matches_definition_level_reference(oracle_for):
                 assert record.added_row == added
                 assert record.num_candidates == n_cands
     for rule_name, added in (("lowest-index", (None, 1)), ("highest-index", (2, None))):
-        trajectory = active_set_run(cube(2), stale, (0, 0), make_rule(rule_name))
+        trajectory = active_set_run(cube(2), STALE, (0, 0), make_rule(rule_name))
         assert tuple(r.added_row for r in trajectory.records) == added
         assert trajectory.final_point == (1, 1)
 

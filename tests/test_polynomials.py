@@ -16,11 +16,23 @@ from pivotforge import (
     uni_eval,
 )
 from pivotforge.polynomials import (
-    count_roots_between,
     poly_gcd,
     sign_variations,
     sturm_chain,
 )
+
+
+def count_roots_between(p: UniPoly, a, b) -> int:
+    """Number of distinct real roots of ``p`` in the open interval (a, b),
+    by Sturm's theorem; ``p(a)`` and ``p(b)`` must be nonzero."""
+    if p.eval(a) == 0 or p.eval(b) == 0:
+        raise ValueError("endpoints must not be roots")
+    if a >= b:
+        return 0
+    chain = sturm_chain(p)
+    return (sign_variations([q.eval(a) for q in chain])
+            - sign_variations([q.eval(b) for q in chain]))
+
 
 rationals = st.fractions(min_value=-20, max_value=20, max_denominator=12).map(Fraction)
 small_rationals = st.fractions(min_value=-6, max_value=6, max_denominator=6).map(Fraction)
