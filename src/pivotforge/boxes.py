@@ -39,12 +39,6 @@ class AxisDirection:
     def sign(self) -> int:
         return 1 if self.component > 0 else -1
 
-    def row_dot(self, row: int, n: int) -> Rational:
-        """Inner product of constraint row ``row`` with this direction."""
-        if row <= n:
-            return self.component if row == self.coord else 0
-        return -self.component if row - n == self.coord else 0
-
 
 def as_point(coords: Sequence) -> Point:
     return tuple(as_rational(c) for c in coords)

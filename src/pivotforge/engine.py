@@ -12,7 +12,10 @@ single candidate direction, blocking row or entering row is taken without
 a call, so a walk that offers one option at every pass is the walk of
 every rule.  On a box the blocking row is always single: ``+e_k`` meets
 only the lower-bound row ``k + n`` with a negative inner product, and
-``-e_k`` only the upper-bound row ``k``.
+``-e_k`` only the upper-bound row ``k``.  The other row of coordinate k is
+not tight where ``+-e_k`` is feasible, so once the blocking row is dropped
+no active row meets the direction, and every pass moves unless its line
+search ends the walk with an error.
 
 Directions are signed unit axis directions.  On a box the feasible cone at
 any point is a product of per-coordinate half-lines or lines, so a feasible
@@ -82,23 +85,19 @@ class Candidate(NamedTuple):
 
 
 class PivotRule(ABC):
-    """Tie-breaking policy for the direction and the dropped/added rows.
+    """Tie-breaking policy for the direction and the added row.
 
     Implementations must select from the offered options and be
     deterministic given their own internal state.  The engine calls a
     method only when it has two or more options to offer; a single option
     is taken without asking.  On a box the dropped row is always single,
-    so ``choose_removal`` is part of the protocol but the engine never
-    calls it.
+    so no method chooses it.
     """
 
     name = "abstract"
 
     @abstractmethod
     def choose_direction(self, candidates: Sequence[Candidate]) -> Candidate: ...
-
-    @abstractmethod
-    def choose_removal(self, rows: Sequence[int]) -> int: ...
 
     @abstractmethod
     def choose_addition(self, rows: Sequence[int]) -> int: ...
@@ -110,9 +109,6 @@ class LowestIndexRule(PivotRule):
     def choose_direction(self, candidates):
         return min(candidates, key=lambda c: c.direction.coord)
 
-    def choose_removal(self, rows):
-        return min(rows)
-
     def choose_addition(self, rows):
         return min(rows)
 
@@ -122,9 +118,6 @@ class HighestIndexRule(PivotRule):
 
     def choose_direction(self, candidates):
         return max(candidates, key=lambda c: c.direction.coord)
-
-    def choose_removal(self, rows):
-        return max(rows)
 
     def choose_addition(self, rows):
         return max(rows)
@@ -137,9 +130,6 @@ class SteepestRule(PivotRule):
 
     def choose_direction(self, candidates):
         return max(candidates, key=lambda c: (c.slope, -c.direction.coord))
-
-    def choose_removal(self, rows):
-        return min(rows)
 
     def choose_addition(self, rows):
         return min(rows)
@@ -167,9 +157,6 @@ class SeededRandomRule(PivotRule):
 
     def choose_direction(self, candidates):
         return self._pick(candidates)
-
-    def choose_removal(self, rows):
-        return self._pick(rows)
 
     def choose_addition(self, rows):
         return self._pick(rows)
@@ -203,8 +190,9 @@ def _outcome(stop_reason: Optional[str]) -> Optional[str]:
 @dataclass(slots=True)
 class IterationRecord:
     """One while-loop pass: what was chosen, dropped, added, and where the
-    iterate moved.  ``x_after == x_before`` when the pass only dropped a
-    row; ``value_after`` is the objective value at ``x_after``;
+    iterate moved.  ``x_after == x_before``, with ``step`` None, only on
+    an error stop, where the line search met an irrational stopping point;
+    ``value_after`` is the objective value at ``x_after``;
     ``stop_reason`` is set on the final record only."""
 
     index: int
@@ -558,9 +546,9 @@ def active_set_steps(program: BoxProgram, objective, start: Point, rule: PivotRu
 
     The active set starts as the full tight set of ``start``.  Each pass:
     select a maximum-overlap improving candidate by the rule; if the one
-    row with negative inner product is active, drop it; once the remaining
-    active rows are all orthogonal (possibly within the same pass), take
-    the exact step
+    row with negative inner product is active, drop it; the remaining
+    active rows are then all orthogonal to the direction, so take the
+    exact step
 
         mu = min(step to the boundary, first zero of the edge restriction)
 
@@ -568,13 +556,15 @@ def active_set_steps(program: BoxProgram, objective, start: Point, rule: PivotRu
     point of the step where the directional derivative is nonpositive),
     add one rule-chosen row that is tight at the new point but not active.
     Ends with an error stop reason on iteration overrun or an irrational
-    stopping point.
+    stopping point; the pass that meets the latter is the only one whose
+    ``x_after`` equals its ``x_before``.
 
     The rows tight at the iterate but not active are kept as a set
     alongside the active set; it starts empty, since the active set starts
     as the tight set.  A pass changes tightness only in the coordinate it
-    moves, so it updates that set only for that coordinate's rows ``k`` and
-    ``k + n``, besides moving the dropped row in and the added row out.
+    moves, and the row it drops is one of that coordinate's, so it updates
+    that set only for the rows ``k`` and ``k + n``, besides moving the
+    added row out.
     The entering options are that set, sorted: upper rows, then lower
     rows, with rows the walk left tight on earlier passes among them.
 
@@ -618,51 +608,45 @@ def active_set_steps(program: BoxProgram, objective, start: Point, rule: PivotRu
         active_before = tuple(sorted(active))
         # the one row with a negative inner product with +-e_k: the lower
         # bound k + n for +e_k, the upper bound k for -e_k; being the only
-        # option, it is dropped without asking the rule
+        # option, it is dropped without asking the rule.  The other row of
+        # coordinate k is not tight, so the move below is blocked by none.
         removed = k + n if d.component > 0 else k
         if removed in active:
             active.discard(removed)
-            tight_inactive.add(removed)
         else:
             removed = None
-        step = None
+        mu_boundary = program.step_to_boundary(x, d)
+        g = objective.edge_restriction(x, d, chosen.slope)  # slope = grad^T d
+        try:
+            mu_objective = first_nonpositive(g, mu_boundary)
+        except NotRepresentableError:
+            stop = STOP_NOT_REPRESENTABLE
+            held = IterationRecord(passes + 1, x, active_before, d, removed, None, x, None,
+                                   len(candidates), value_after=value)  # x did not move
+            break
+        step = mu_boundary if mu_objective is None else mu_objective
+        x = program.move(x, d, step)
+        # only coordinate k moved, and neither of its rows is active
+        tight_inactive.discard(k)
+        tight_inactive.discard(k + n)
+        if x[k - 1] == upper[k - 1]:
+            tight_inactive.add(k)
+        elif x[k - 1] == lower[k - 1]:
+            tight_inactive.add(k + n)
         added = None
-        error_stop = None
-        if k not in active and k + n not in active:
-            mu_boundary = program.step_to_boundary(x, d)
-            g = objective.edge_restriction(x, d, chosen.slope)  # slope = grad^T d
-            try:
-                mu_objective = first_nonpositive(g, mu_boundary)
-            except NotRepresentableError:
-                error_stop = STOP_NOT_REPRESENTABLE
-            if error_stop is None:
-                mu = mu_boundary if mu_objective is None else mu_objective
-                x = program.move(x, d, mu)
-                step = mu
-                # only coordinate k moved, and neither of its rows is active
-                tight_inactive.discard(k)
-                tight_inactive.discard(k + n)
-                if x[k - 1] == upper[k - 1]:
-                    tight_inactive.add(k)
-                elif x[k - 1] == lower[k - 1]:
-                    tight_inactive.add(k + n)
-                if mu_objective is None:  # g > 0 on the whole step: a boundary stop
-                    if not tight_inactive:
-                        raise RuntimeError(
-                            "boundary stop produced no new tight row; "
-                            "box invariant violated"
-                        )
-                    options = sorted(tight_inactive)
-                    added = options[0] if len(options) == 1 else rule.choose_addition(options)
-                    tight_inactive.discard(added)
-                    active.add(added)
+        if mu_objective is None:  # g > 0 on the whole step: a boundary stop
+            if not tight_inactive:
+                raise RuntimeError(
+                    "boundary stop produced no new tight row; "
+                    "box invariant violated"
+                )
+            options = sorted(tight_inactive)
+            added = options[0] if len(options) == 1 else rule.choose_addition(options)
+            tight_inactive.discard(added)
+            active.add(added)
         passes += 1
         held = IterationRecord(passes, x_before, active_before, d, removed, step, x,
                                added, len(candidates))
-        if error_stop is not None:
-            held.value_after = value  # the iterate did not move
-            stop = error_stop
-            break
 
     if held is not None:
         held.stop_reason = stop

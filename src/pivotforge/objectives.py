@@ -30,14 +30,14 @@ The value recursion is generic over the scalar ring: rationals give
 values and multivariate polynomials give the expanded monomial form, while
 dual numbers and univariate polynomials give the independent derivative
 and edge-restriction routes that the tests compare the oracle against.
-The oracle differentiates the recursion by hand instead, in one O(n)
-sweep that yields the value and the gradient together
-(``value_and_gradient``; ``gradient`` is its second half).  At a vertex
+The oracle differentiates the recursion by hand instead.  At a vertex
 given as ``int`` 0/1 coordinates, which is every iterate of a walk from a
-vertex, the sweep runs forward over the vertex closed form
+vertex, one O(n) forward sweep over the vertex closed form
 (:func:`partial_closed_form` for all k at once, with ``a_{k+1} = a_k XOR
-x_k``); at every other point, ``Fraction`` vertices included, it is the
-adjoint pass over the recursion, the only route off the vertices.  ``F``
+x_k``) yields the value and the gradient together (``value_and_gradient``;
+``gradient`` is its second half).  At every other point, ``Fraction``
+vertices included, the reply is the recursion's value and the n
+forward-mode partials, O(n^2); no command reaches that route.  ``F``
 is multilinear except for the ``(x_k - x_k^2)`` factor of ``b_k``, so it is
 at most quadratic in each coordinate, and ``d^2 F / d x_k^2 = 2^{k+1} s_k``
 is constant along an axis edge, where ``s_k = 1 - x_{k-1} + sum_{j<=k-2}
@@ -130,61 +130,6 @@ def _partial_forward(coords: Sequence, k: int):
     return acc - db
 
 
-def _adjoint_sweep(coords: Sequence, powers: Sequence) -> tuple:
-    """``(value, grad)``: the value and all n partial derivatives of the
-    recursion in one O(n) pass.  ``powers[i]`` is ``2^i`` for ``i <= n``.
-
-    The gradient is the adjoint (reverse-mode) form of the recursion, i.e.
-    :func:`partial_closed_form` generalised off the vertices.  The partial
-    in coordinate k is
-
-        (1 - 2 a_{k+1}) T_k
-        - [2^k (1 - 2 x_k) s_k - 2^{k+1} w_{k+1} + sum_{i>=k+2} 2^i w_i]
-
-    with ``w_i = x_i - x_i^2``, ``s_k = 1 - x_{k-1} + sum_{j<=k-2} x_j``
-    (``x_0 := 1``, so ``s_1 = 0``), ``T_1 = 1`` and
-    ``T_k = (1 - 2 x_{k-1}) T_{k-1} + 2^{k-1}``.  The first term collects
-    ``d a_i / d x_k = (1 - 2 a_{k+1}) prod_{j=i..k-1} (1 - 2 x_j)`` over
-    ``i <= k``; the bracket collects the ``b_i`` that read ``x_k``.  A
-    suffix sweep yields ``a_k``, ``2^k w_k`` and the ``w`` sums, a prefix
-    sweep ``T_k`` and ``s_k``; the value ``sum_k 2^{k-1} a_k - 2^k w_k s_k``
-    is summed from the same quantities along the way.
-    """
-    n = len(coords)
-    scale = [0] * n  # scale[k-1] = 1 - 2 a_{k+1}
-    tail = [0] * n   # tail[k-1] = sum_{i>=k+2} 2^i w_i - 2^{k+1} w_{k+1}
-    weighted = [0] * n  # weighted[k-1] = 2^k w_k
-    a = 0
-    later = 0        # sum_{i>=k+2} 2^i w_i
-    nearest = 0      # 2^{k+1} w_{k+1}
-    value = 0
-    for i in range(n - 1, -1, -1):  # coordinate k = i + 1
-        scale[i] = 1 - 2 * a
-        tail[i] = later - nearest
-        xi = coords[i]
-        later += nearest
-        nearest = powers[i + 1] * (xi - xi * xi)
-        a = xi + (1 - 2 * xi) * a
-        weighted[i] = nearest
-        value += powers[i] * a
-    grad = []
-    t = 1       # T_k
-    prefix = 0  # sum_{j<=k-2} x_j
-    prev = 1    # x_{k-1}, with x_0 := 1
-    for i in range(n):
-        xk = coords[i]
-        c = 1 - 2 * xk
-        s = 1 - prev + prefix
-        if weighted[i]:  # b_k = 2^k w_k s_k vanishes on the vertices
-            value -= weighted[i] * s
-        grad.append(scale[i] * t - powers[i + 1] * c * s - tail[i])
-        if i:
-            prefix += prev
-        prev = xk
-        t = c * t + powers[i + 1]
-    return value, grad
-
-
 _INT_TYPE = frozenset((int,))
 _BITS = frozenset((0, 1))
 
@@ -228,12 +173,6 @@ def _vertex_sweep(bits: Sequence, powers: Sequence) -> tuple:
         s += twice_prev - xk
         twice_prev = xk + xk
     return value, tuple(grad)
-
-
-def _exact(values: list) -> tuple:
-    """``values`` in the canonical exact form of :func:`as_rational`, which
-    is called only for the components that are not already ``int``."""
-    return tuple([v if type(v) is int else as_rational(v) for v in values])
 
 
 def alpha(n: int, i: int, x: Sequence) -> Rational:
@@ -345,18 +284,18 @@ class ObjectiveOracle(Protocol):
 class LowerBoundPolynomial:
     """The degree-n objective family defined by the module recursions.
 
-    ``value_and_gradient`` is one O(n) sweep that sums the value and the
-    gradient together, and ``gradient`` is its second half: the forward
-    vertex sweep when every coordinate is an ``int`` 0 or 1, else the
-    adjoint pass over the recursion.  The choice is made from the point
-    alone, and both give the same exact replies at a vertex.  ``value``
-    runs the defining recursion itself, and ``partial`` differentiates one
-    coordinate in forward mode.  An edge restriction is the affine
-    polynomial of the module docstring: the directional derivative at
-    ``x`` (the caller's ``slope``, or else the forward-mode partial) and
-    the constant second derivative along the edge.  Nothing is cached:
-    every reply is computed afresh; the only table is ``2^i`` for
-    ``i <= n + 1``, a constant of the oracle.
+    ``value_and_gradient`` gives the value and the gradient together, and
+    ``gradient`` is its second half.  When every coordinate is an ``int``
+    0 or 1 it is the forward vertex sweep, one O(n) pass; at every other
+    point it is ``value`` and the n ``partial`` replies, O(n^2).  The
+    choice is made from the point alone, and both give the same exact
+    replies at a vertex.  ``value`` runs the defining recursion itself,
+    and ``partial`` differentiates one coordinate in forward mode.  An
+    edge restriction is the affine polynomial of the module docstring:
+    the directional derivative at ``x`` (the caller's ``slope``, or else
+    the forward-mode partial) and the constant second derivative along
+    the edge.  Nothing is cached: every reply is computed afresh; the
+    only table is ``2^i`` for ``i <= n + 1``, a constant of the oracle.
     """
 
     def __init__(self, n: int):
@@ -388,8 +327,8 @@ class LowerBoundPolynomial:
             raise DimensionMismatchError(f"point length {len(x)} != n {self.n}")
         if _is_int_vertex(x):
             return _vertex_sweep(x, self._powers)
-        value, grad = _adjoint_sweep(x, self._powers)
-        return as_rational(value), _exact(grad)
+        return (as_rational(_evaluate_value(x)),
+                tuple(as_rational(_partial_forward(x, k)) for k in range(1, self.n + 1)))
 
     def edge_restriction(self, x: Point, d: AxisDirection,
                          slope: Optional[Rational] = None) -> UniPoly:

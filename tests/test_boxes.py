@@ -126,15 +126,3 @@ def test_vertex_id_round_trip():
     assert bits_from_id(5, 3) == (1, 0, 1)
     with pytest.raises(ValueError):
         bits_from_id(8, 3)
-
-
-def test_row_dot_convention():
-    d = AxisDirection(2, 1)
-    n = 3
-    assert d.row_dot(2, n) == 1    # upper-bound row of coordinate 2
-    assert d.row_dot(5, n) == -1   # lower-bound row of coordinate 2
-    assert d.row_dot(1, n) == 0
-    assert d.row_dot(4, n) == 0
-    down = AxisDirection(2, -1)
-    assert down.row_dot(2, n) == -1
-    assert down.row_dot(5, n) == 1

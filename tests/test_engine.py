@@ -109,7 +109,6 @@ def test_index_rules():
     cands = _fake_candidates([(1, 5), (3, 7)])
     assert make_rule("lowest-index").choose_direction(cands).direction.coord == 1
     assert make_rule("highest-index").choose_direction(cands).direction.coord == 3
-    assert make_rule("lowest-index").choose_removal([2, 5]) == 2
     assert make_rule("highest-index").choose_addition([2, 5]) == 5
 
 
@@ -140,10 +139,6 @@ class CountingLowestIndexRule(LowestIndexRule):
     def choose_direction(self, candidates):
         self.calls.append(("direction", len(candidates)))
         return super().choose_direction(candidates)
-
-    def choose_removal(self, rows):
-        self.calls.append(("removal", tuple(rows)))
-        return super().choose_removal(rows)
 
     def choose_addition(self, rows):
         self.calls.append(("addition", tuple(rows)))
@@ -437,6 +432,26 @@ def test_no_axis_improvement_means_no_improvement_at_all():
 # ---------------------------------------------- reference implementation --
 
 
+def _row_dot(d, row, n):
+    """Inner product of constraint row ``row`` (``1..n`` the upper bounds,
+    ``n+1..2n`` the negated lower bounds) with the axis direction ``d``."""
+    if row <= n:
+        return d.component if row == d.coord else 0
+    return -d.component if row - n == d.coord else 0
+
+
+def test_row_dot_convention():
+    d = AxisDirection(2, 1)
+    n = 3
+    assert _row_dot(d, 2, n) == 1    # upper-bound row of coordinate 2
+    assert _row_dot(d, 5, n) == -1   # lower-bound row of coordinate 2
+    assert _row_dot(d, 1, n) == 0
+    assert _row_dot(d, 4, n) == 0
+    down = AxisDirection(2, -1)
+    assert _row_dot(down, 2, n) == -1
+    assert _row_dot(down, 5, n) == 1
+
+
 def _reference_active_set_run(program, objective, start, rule, max_iter=None):
     """Definition-level reimplementation: every set is computed by scanning
     all 2n rows with explicit inner products.  Used to pin the production
@@ -456,12 +471,12 @@ def _reference_active_set_run(program, objective, start, rule, max_iter=None):
         for k in range(1, n + 1):
             for sign in (1, -1):
                 d = AxisDirection(k, sign)
-                if any(d.row_dot(row, n) > 0 for row in eq):
+                if any(_row_dot(d, row, n) > 0 for row in eq):
                     continue
                 slope = sign * grad[k - 1]
                 if slope <= 0:
                     continue
-                overlap = sum(1 for row in active if d.row_dot(row, n) == 0)
+                overlap = sum(1 for row in active if _row_dot(d, row, n) == 0)
                 raw.append(Candidate(d, slope, overlap))
         if not raw:
             return trace, "critical_point"
@@ -472,31 +487,34 @@ def _reference_active_set_run(program, objective, start, rule, max_iter=None):
         chosen = rule.choose_direction(candidates)
         d = chosen.direction
         removed = None
-        violating = sorted(r for r in active if d.row_dot(r, n) < 0)
+        violating = sorted(r for r in active if _row_dot(d, r, n) < 0)
         if violating:
-            removed = rule.choose_removal(violating)
+            # on a box an axis direction has one blocking row
+            assert len(violating) == 1
+            removed = violating[0]
             active.discard(removed)
-        step = added = None
-        if all(d.row_dot(r, n) == 0 for r in active):
-            mu_boundary = program.step_to_boundary(x, d)
-            g = objective.edge_restriction(x, d)
-            try:
-                mu_objective = first_nonpositive(g, mu_boundary)
-            except Exception:
-                trace.append((x, d, removed, None, x, None, len(candidates)))
-                return trace, "not_representable"
-            mu = mu_boundary if mu_objective is None else mu_objective
-            x_new = tuple(
-                c + (mu * d.component if i == d.coord - 1 else 0)
-                for i, c in enumerate(x)
-            )
-            step = mu
-            if g.eval(mu) > 0:
-                options = sorted(program.eq_set(x_new) - active)
-                added = rule.choose_addition(options)
-                active.add(added)
-            x = x_new
-        trace.append((None, d, removed, step, x, added, len(candidates)))
+        # and once it is dropped no active row blocks the move: no pass
+        # only drops a row
+        assert all(_row_dot(d, r, n) == 0 for r in active)
+        mu_boundary = program.step_to_boundary(x, d)
+        g = objective.edge_restriction(x, d)
+        try:
+            mu_objective = first_nonpositive(g, mu_boundary)
+        except Exception:
+            trace.append((x, d, removed, None, x, None, len(candidates)))
+            return trace, "not_representable"
+        mu = mu_boundary if mu_objective is None else mu_objective
+        x_new = tuple(
+            c + (mu * d.component if i == d.coord - 1 else 0)
+            for i, c in enumerate(x)
+        )
+        added = None
+        if g.eval(mu) > 0:
+            options = sorted(program.eq_set(x_new) - active)
+            added = rule.choose_addition(options)
+            active.add(added)
+        x = x_new
+        trace.append((None, d, removed, mu, x, added, len(candidates)))
 
 
 def test_engine_matches_definition_level_reference(oracle_for):
@@ -515,6 +533,17 @@ def test_engine_matches_definition_level_reference(oracle_for):
         start = tuple(rng.choice([0, 1, Fraction(1, 2)]) for _ in range(n))
         cases.append((cube(n), objective, start))
     cases.append((cube(2), STALE, (0, 0)))
+    for _ in range(10):  # boxes with non-unit Fraction bounds
+        n = rng.randint(1, 4)
+        lower = tuple(Fraction(rng.randint(-6, 3), rng.randint(1, 4)) for _ in range(n))
+        upper = tuple(lo + Fraction(rng.randint(1, 6), rng.randint(1, 4)) for lo in lower)
+        terms = {
+            tuple(rng.randint(0, 2) for _ in range(n)):
+                Fraction(rng.randint(-5, 5), rng.randint(1, 3))
+            for _ in range(rng.randint(1, 5))
+        }
+        start = tuple(rng.choice([lo, hi, (lo + hi) / 2]) for lo, hi in zip(lower, upper))
+        cases.append((BoxProgram(lower, upper), MultiPolyObjective(MultiPoly(n, terms)), start))
     for program, objective, start in cases:
         for rule_name in RULE_NAMES:
             trajectory = active_set_run(program, objective, start,

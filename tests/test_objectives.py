@@ -25,7 +25,7 @@ from pivotforge import (
 )
 from pivotforge.boxes import bits_from_id
 from pivotforge import objectives
-from pivotforge.objectives import _adjoint_sweep, _evaluate_value
+from pivotforge.objectives import _evaluate_value
 from pivotforge.polynomials import UniPoly
 
 small_rationals = st.fractions(min_value=-3, max_value=4, max_denominator=5).map(Fraction)
@@ -163,16 +163,23 @@ mixed_scalars = st.one_of(st.integers(min_value=-4, max_value=5), small_rational
 
 @given(st.integers(min_value=1, max_value=12), st.data())
 @settings(max_examples=150, deadline=None)
-def test_adjoint_gradient_equals_forward_partials(n, data):
-    """The one-pass adjoint gradient must equal the n forward-mode
-    partials at any rational point, whatever mix of int and Fraction
-    coordinates it has."""
+def test_gradient_equals_dual_number_forward_mode(n, data):
+    """The value and gradient must equal the recursion run over dual
+    numbers, seeded once per coordinate, at any rational point, whatever
+    mix of int and Fraction coordinates it has."""
     point = tuple(data.draw(mixed_scalars) for _ in range(n))
-    oracle = LowerBoundPolynomial(n)
-    assert oracle.gradient(point) == tuple(oracle.partial(point, k) for k in range(1, n + 1))
+    value, grad = LowerBoundPolynomial(n).value_and_gradient(point)
+    assert _canonical((value,) + grad)
+    for k in range(1, n + 1):
+        dual = _evaluate_value(tuple(
+            DualNumber(point[i], 1 if i == k - 1 else 0) for i in range(n)))
+        assert (value, grad[k - 1]) == (dual.value, dual.derivative)
 
 
 def test_adjoint_gradient_equals_expanded_polynomial_gradient():
+    """The gradient, from the vertex sweep at int vertices and from the
+    forward-mode partials elsewhere, equals the symbolic gradient of the
+    expanded polynomial."""
     rng = random.Random(17)
     for n in range(1, 7):
         oracle = LowerBoundPolynomial(n)
@@ -188,23 +195,40 @@ def test_adjoint_gradient_equals_expanded_polynomial_gradient():
 
 
 def _refuse(*args):
-    raise AssertionError("this sweep must not run here")
+    raise AssertionError("this route must not run here")
 
 
-def test_vertex_sweep_equals_adjoint_sweep_and_closed_form(monkeypatch):
+def _refuse_forward_partials_at_int_vertices(monkeypatch):
+    """Make ``_partial_forward`` fail on a point of ``int`` 0/1
+    coordinates, which the vertex sweep alone must serve."""
+    forward = objectives._partial_forward
+
+    def guarded(coords, k):
+        if all(type(c) is int and c in (0, 1) for c in coords):
+            _refuse()
+        return forward(coords, k)
+
+    monkeypatch.setattr(objectives, "_partial_forward", guarded)
+
+
+def _vertex_reference(bits: tuple) -> tuple:
+    """``(value, gradient)`` at a vertex from the recursion and the closed
+    form, neither of which is the vertex sweep."""
+    n = len(bits)
+    return _evaluate_value(bits), tuple(partial_closed_form(n, k, bits)
+                                        for k in range(1, n + 1))
+
+
+def test_vertex_sweep_equals_recursion_and_closed_form(monkeypatch):
     """At every vertex for n <= 10 the forward vertex sweep, which alone
-    serves int 0/1 points, gives the adjoint sweep's value and gradient,
-    and every partial is ``partial_closed_form``."""
+    serves int 0/1 points, gives the recursion's value, and every partial
+    is ``partial_closed_form``."""
     references = {}
     for n in range(1, 11):
-        oracle = LowerBoundPolynomial(n)
         for vid in range(1 << n):
             bits = bits_from_id(vid, n)
-            value, grad = _adjoint_sweep(bits, oracle._powers)
-            closed = tuple(partial_closed_form(n, k, bits) for k in range(1, n + 1))
-            assert closed == tuple(grad)
-            references[bits] = (value, closed)
-    monkeypatch.setattr(objectives, "_adjoint_sweep", _refuse)
+            references[bits] = _vertex_reference(bits)
+    _refuse_forward_partials_at_int_vertices(monkeypatch)
     for bits, (value, grad) in references.items():
         oracle = LowerBoundPolynomial(len(bits))
         assert oracle.value_and_gradient(bits) == (value, grad)
@@ -212,11 +236,12 @@ def test_vertex_sweep_equals_adjoint_sweep_and_closed_form(monkeypatch):
         assert all(type(c) is int for c in (value,) + grad)
 
 
-def test_vertices_of_other_scalar_types_take_the_adjoint_sweep(monkeypatch):
+def test_vertices_of_other_scalar_types_take_the_forward_partials(monkeypatch):
     """A point that is 0/1 by value but not made of ``int`` (here
     ``Fraction(0)`` and ``Fraction(1, 1)``, alone or mixed with ints) is
-    not a vertex to the sweep choice: it takes the adjoint sweep, and the
-    replies equal those at the int vertex, in canonical form."""
+    not a vertex to the sweep choice: it takes the recursion and the
+    forward-mode partials, and the replies equal those at the int vertex,
+    in canonical form."""
     rng = random.Random(29)
     cases = []
     for n in range(1, 9):
@@ -237,17 +262,19 @@ def test_vertices_of_other_scalar_types_take_the_adjoint_sweep(monkeypatch):
             assert all(type(c) is int for c in (value,) + grad)
 
 
-def test_padded_vertex_sweep_agrees():
+def test_padded_vertex_sweep_agrees(monkeypatch):
     """``PaddedObjective`` hands the head of a vertex to the sweep and
-    gives what the adjoint sweep gives on the head, plus zeros."""
+    gives what the recursion and the closed form give on the head, plus
+    zeros."""
+    _refuse_forward_partials_at_int_vertices(monkeypatch)
     for head in range(1, 6):
         inner = LowerBoundPolynomial(head)
         for n in (head, head + 3):
             padded = pad(inner, n)
             for vid in range(1 << n):
                 bits = bits_from_id(vid, n)
-                value, grad = _adjoint_sweep(bits[:head], inner._powers)
-                expected = (value, tuple(grad) + (0,) * (n - head))
+                value, grad = _vertex_reference(bits[:head])
+                expected = (value, grad + (0,) * (n - head))
                 assert padded.value_and_gradient(bits) == expected
                 assert padded.gradient(bits) == expected[1]
                 fractional = tuple(Fraction(b) for b in bits)
@@ -361,7 +388,7 @@ def test_edge_restriction_matches_generic_polynomial_ring_route(n, data):
     expected = _substituted_restriction(_evaluate_value, point, d)
     oracle = LowerBoundPolynomial(n)
     assert oracle.edge_restriction(point, d) == expected
-    # the engine's route: the directional derivative from the adjoint gradient
+    # the engine's route: the directional derivative from the gradient
     slope = s * oracle.gradient(point)[k - 1]
     assert oracle.edge_restriction(point, d, slope) == expected
 
