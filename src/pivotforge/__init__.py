@@ -53,12 +53,12 @@ from .satreduce import (
     brute_force_max,
     brute_force_sat,
     parse_dimacs,
+    violation_counts,
     violation_polynomial,
 )
 from .scalars import DualNumber, Rational, as_rational, format_rational, parse_rational
 from .structure import (
     Face,
-    GrayPath,
     Orientation,
     combed_dimension,
     combed_in_top_dimensions,

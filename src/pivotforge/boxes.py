@@ -11,7 +11,10 @@ iff coordinate ``i`` sits at its upper bound) and by the little-endian
 integer id of that bit vector; the id convention is part of the public
 JSON contract.
 
-Points are plain tuples of exact scalars.  All operations are pure.
+Directions are the unit axis directions ``+-e_k``: a step of length
+``mu`` moves one coordinate by ``mu``, so the step to an edge's far end
+is the edge's length.  Points are plain tuples of exact scalars.  All
+operations are pure.
 """
 
 from __future__ import annotations
@@ -21,27 +24,31 @@ from typing import Iterator, Sequence
 
 from .errors import DimensionMismatchError, InfeasiblePointError, NotAVertexError
 from .scalars import Rational, as_rational
-from .polynomials import _exact_div
 
 Point = tuple
-
-#: A signed axis direction: ``component * e_coord`` with 1-based ``coord``
-#: and nonzero rational ``component``.  The engine uses unit components
-#: (+1/-1); full edge vectors carry ``component = +-(u_k - l_k)``.
 
 
 @dataclass(frozen=True)
 class AxisDirection:
-    coord: int
-    component: Rational
+    """The unit axis direction ``sign * e_coord``, with 1-based ``coord``
+    and ``sign`` +1 or -1."""
 
-    @property
-    def sign(self) -> int:
-        return 1 if self.component > 0 else -1
+    coord: int
+    sign: int
+
+    def __post_init__(self):
+        if self.sign not in (1, -1):
+            raise ValueError(f"direction sign must be +1 or -1, got {self.sign!r}")
 
 
 def as_point(coords: Sequence) -> Point:
     return tuple(as_rational(c) for c in coords)
+
+
+def require_length(x: Sequence, n: int) -> None:
+    """Raise :class:`DimensionMismatchError` unless ``x`` has ``n`` coordinates."""
+    if len(x) != n:
+        raise DimensionMismatchError(f"point length {len(x)} != n {n}")
 
 
 @dataclass(frozen=True)
@@ -79,8 +86,7 @@ class BoxProgram:
         return len(self.lower)
 
     def is_feasible(self, x: Point) -> bool:
-        if len(x) != self.n:
-            raise DimensionMismatchError(f"point length {len(x)} != n {self.n}")
+        require_length(x, self.n)
         return all(lo <= c <= hi for lo, c, hi in zip(self.lower, x, self.upper))
 
     def require_feasible(self, x: Point) -> None:
@@ -91,8 +97,7 @@ class BoxProgram:
         """Rows tight at ``x``: row ``i`` iff ``x_i = u_i``, row ``i+n``
         iff ``x_i = l_i``."""
         n = self.n
-        if len(x) != n:
-            raise DimensionMismatchError(f"point length {len(x)} != n {n}")
+        require_length(x, n)
         tight = []
         for i, (lo, c, hi) in enumerate(zip(self.lower, x, self.upper), start=1):
             if c == hi:
@@ -130,8 +135,7 @@ class BoxProgram:
     def vertex_id_or_none(self, x: Point):
         """``vertex_id(x)`` when ``x`` is a vertex, else ``None``, in one
         pass over the coordinates."""
-        if len(x) != self.n:
-            raise DimensionMismatchError(f"point length {len(x)} != n {self.n}")
+        require_length(x, self.n)
         vid = 0
         for i, (lo, c, hi) in enumerate(zip(self.lower, x, self.upper)):
             if c == hi:
@@ -151,21 +155,18 @@ class BoxProgram:
         k = d.coord
         if not 1 <= k <= self.n:
             raise DimensionMismatchError(f"coordinate {k} out of range 1..{self.n}")
-        if d.component == 0:
-            raise ValueError("direction component must be nonzero")
         xk = x[k - 1]
         if not self.lower[k - 1] <= xk <= self.upper[k - 1]:
             raise InfeasiblePointError(f"point {x} violates a bound")
-        target = self.upper[k - 1] if d.component > 0 else self.lower[k - 1]
+        target = self.upper[k - 1] if d.sign > 0 else self.lower[k - 1]
         if xk == target:
             raise ValueError(f"direction {d} is not feasible at {x}")
-        return _exact_div(target - xk, d.component)
+        return as_rational((target - xk) * d.sign)
 
     def move(self, x: Point, d: AxisDirection, mu: Rational) -> Point:
         """The point ``x + mu * d`` (exact, single coordinate update)."""
         k = d.coord - 1
-        step = mu * d.component
-        return x[:k] + (x[k] + step,) + x[k + 1:]
+        return x[:k] + (x[k] + mu * d.sign,) + x[k + 1:]
 
     def vertices(self) -> Iterator[Point]:
         """All ``2^n`` vertices in id order."""

@@ -37,8 +37,9 @@ import stat
 import sys
 from array import array
 from fractions import Fraction
-from itertools import islice, pairwise, product, zip_longest
+from itertools import compress, count, islice, pairwise, product, zip_longest
 from math import lcm
+from operator import ne
 from typing import Callable, NamedTuple
 
 from .boxes import AxisDirection, BoxProgram, bits_from_id
@@ -66,11 +67,12 @@ from .satreduce import (
     ENUMERATION_LIMIT,
     CnfFormula,
     Literal,
-    _vertex_values,
+    _vertex_fields,
     brute_force_max,
     brute_force_sat,
     parse_dimacs,
     violated_clause_count,
+    violation_counts,
     violation_polynomial,
 )
 from .scalars import format_rational
@@ -80,7 +82,6 @@ from .structure import (
     faces,
     hamiltonian_path,
     improving_dimension,
-    improving_walk,
     induce_orientation,
     is_decomposable,
     is_uso,
@@ -268,10 +269,9 @@ def check_gradient(n: int):
 
 
 def check_path(n: int):
-    oracle = LowerBoundPolynomial(n)
     size = 1 << n
     # the walk's ids in 8 bytes each; lists are built only for a witness
-    ids = array("Q", improving_walk(n, oracle))
+    ids = array("Q", hamiltonian_path(n))
     visited = bytearray(size)
     for v in ids:
         visited[v] = 1
@@ -293,7 +293,8 @@ def check_path(n: int):
 
     def engine_ids():  # the walk's vertex ids, one pass at a time
         yield program.vertex_id_or_none(start)
-        for record in active_set_steps(program, oracle, start, make_rule("lowest-index")):
+        for record in active_set_steps(program, LowerBoundPolynomial(n), start,
+                                       make_rule("lowest-index")):
             yield program.vertex_id_or_none(record.x_after)
 
     missing = object()
@@ -415,8 +416,9 @@ def _random_formula(rng: random.Random, max_vars: int) -> CnfFormula:
 def certify_formula(formula: CnfFormula, probe: int):
     """Certify the clause-penalty reduction of one formula: degree <= 3,
     maximum 0 iff satisfiable (with a satisfying witness), and value
-    ``-(violated clauses)`` on every vertex.  At vertex id ``probe`` the
-    bitmask vertex evaluator is also tied to full polynomial evaluation."""
+    ``-(violated clauses)`` on every vertex, the lowest violating vertex
+    its witness.  At vertex id ``probe`` the bitmask vertex evaluator is
+    also tied to full polynomial evaluation."""
     n = formula.n_vars
     poly = violation_polynomial(formula)
     if poly.total_degree > 3:
@@ -429,13 +431,16 @@ def certify_formula(formula: CnfFormula, probe: int):
     if satisfiable and violated_clause_count(formula, assignment) != 0:
         return False, {"reason": "satisfying assignment violates a clause",
                        "vertex": list(assignment)}
-    values = _vertex_values(poly, n)
-    for vid in range(1 << n):
-        bits = bits_from_id(vid, n)
-        if values[vid] != -violated_clause_count(formula, bits):
-            return False, {"reason": "per-vertex law violated", "vertex": list(bits)}
+    fields, offset, scale = _vertex_fields(poly, n)
+    # the law is fields[v] == offset - scale * count[v]; C loops find the lowest v off it
+    expected = [offset - scale * c for c in range(len(formula.clauses) + 1)]
+    lawless = map(ne, fields, map(expected.__getitem__, violation_counts(formula)))
+    wrong = next(compress(count(), lawless), None)
+    if wrong is not None:
+        return False, {"reason": "per-vertex law violated",
+                       "vertex": list(bits_from_id(wrong, n))}
     bits = bits_from_id(probe, n)
-    if values[probe] != multi_eval(poly, bits):
+    if Fraction(fields[probe] - offset, scale) != multi_eval(poly, bits):
         return False, {"reason": "vertex evaluator disagrees with full evaluation",
                        "vertex": list(bits)}
     return True, None
@@ -543,10 +548,14 @@ def cmd_export(args) -> int:
         print(f"n={n} edges={n * (1 << (n - 1))} file={out}")
     else:
         _check_cap(n, "run", "path")
-        path = hamiltonian_path(n)
         out = args.out or f"path_n{n}.json"
-        _write_json(out, path.to_json_dict())
-        print(f"n={n} length={len(path.vertex_ids)} file={out}")
+        ids, length = hamiltonian_path(n), 1
+        with _writing(out) as handle:  # laid out as _write_json lays out {"n": n, "path": [...]}
+            handle.write(f'{{\n  "n": {n},\n  "path": [\n    {next(ids)}')
+            for length, vid in enumerate(ids, start=2):  # one id at a time, as the walk yields it
+                handle.write(f",\n    {vid}")
+            handle.write("\n  ]\n}\n")
+        print(f"n={n} length={length} file={out}")
     return 0
 
 

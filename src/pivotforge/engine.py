@@ -610,7 +610,7 @@ def active_set_steps(program: BoxProgram, objective, start: Point, rule: PivotRu
         # bound k + n for +e_k, the upper bound k for -e_k; being the only
         # option, it is dropped without asking the rule.  The other row of
         # coordinate k is not tight, so the move below is blocked by none.
-        removed = k + n if d.component > 0 else k
+        removed = k + n if d.sign > 0 else k
         if removed in active:
             active.discard(removed)
         else:
@@ -705,7 +705,7 @@ def simplex_run(program: BoxProgram, objective: LinearObjective, start: Point,
         d = chosen.direction
         x_before = x
         basis_before = tuple(sorted(basis))
-        removed = d.coord + n if d.component > 0 else d.coord  # the one blocking row
+        removed = d.coord + n if d.sign > 0 else d.coord  # the one blocking row
         assert removed in basis, "non-degenerate vertex must have one blocking row"
         basis.discard(removed)
         mu = program.step_to_boundary(x, d)

@@ -41,12 +41,12 @@ forward-mode partials, O(n^2); no command reaches that route.  ``F``
 is multilinear except for the ``(x_k - x_k^2)`` factor of ``b_k``, so it is
 at most quadratic in each coordinate, and ``d^2 F / d x_k^2 = 2^{k+1} s_k``
 is constant along an axis edge, where ``s_k = 1 - x_{k-1} + sum_{j<=k-2}
-x_j`` is the last factor of ``b_k``.  The restriction along ``d = c*e_k``
+x_j`` is the last factor of ``b_k``.  The restriction along ``d = +-e_k``
 is therefore the affine
 
-    g(mu) = c * dF/dx_k(x) + mu * c^2 * 2^{k+1} * s_k,
+    g(mu) = +-dF/dx_k(x) + mu * 2^{k+1} * s_k,
 
-whose constant term ``c * dF/dx_k(x) = grad F(x)^T d`` the engine already
+whose constant term ``+-dF/dx_k(x) = grad F(x)^T d`` the engine already
 holds from the pass's gradient and hands over as ``slope``.
 """
 
@@ -56,7 +56,7 @@ import math
 from fractions import Fraction
 from typing import Optional, Protocol, Sequence, runtime_checkable
 
-from .boxes import AxisDirection, Point, as_point
+from .boxes import AxisDirection, Point, as_point, require_length
 from .errors import DimensionMismatchError, NotAVertexError
 from .polynomials import MultiPoly, UniPoly
 from .scalars import Rational, as_rational
@@ -183,8 +183,7 @@ def alpha(n: int, i: int, x: Sequence) -> Rational:
     """
     if not 1 <= i <= n + 1:
         raise ValueError(f"index i={i} out of range 1..{n + 1}")
-    if len(x) != n:
-        raise DimensionMismatchError(f"point length {len(x)} != n {n}")
+    require_length(x, n)
     acc = 0
     for j in range(n - 1, i - 2, -1):
         xj = x[j]
@@ -200,8 +199,7 @@ def beta(n: int, i: int, x: Sequence) -> Rational:
     """
     if not 1 <= i <= n:
         raise ValueError(f"index i={i} out of range 1..{n}")
-    if len(x) != n:
-        raise DimensionMismatchError(f"point length {len(x)} != n {n}")
+    require_length(x, n)
     xi = x[i - 1]
     prev = x[i - 2] if i >= 2 else 1
     s = 1 - prev
@@ -212,8 +210,7 @@ def beta(n: int, i: int, x: Sequence) -> Rational:
 
 def f_value(n: int, x: Sequence) -> Rational:
     """The defining sum ``sum_i 2^{i-1} a_i(x) - b_i(x)``, exactly."""
-    if len(x) != n:
-        raise DimensionMismatchError(f"point length {len(x)} != n {n}")
+    require_length(x, n)
     return as_rational(_evaluate_value(tuple(x)))
 
 
@@ -236,8 +233,7 @@ def partial_closed_form(n: int, k: int, x: Sequence) -> Rational:
     if not 1 <= k <= n:
         raise ValueError(f"coordinate k={k} out of range 1..{n}")
     bits = _require_unit_vertex(x)
-    if len(bits) != n:
-        raise DimensionMismatchError(f"point length {len(bits)} != n {n}")
+    require_length(bits, n)
     a_next = 0
     for j in range(n - 1, k - 1, -1):
         a_next = bits[j] + (1 - 2 * bits[j]) * a_next
@@ -304,17 +300,13 @@ class LowerBoundPolynomial:
         self.n = n
         self._powers = tuple(1 << i for i in range(n + 2))
 
-    def _check(self, x: Sequence) -> None:
-        if len(x) != self.n:
-            raise DimensionMismatchError(f"point length {len(x)} != n {self.n}")
-
     def value(self, x: Point) -> Rational:
-        self._check(x)
+        require_length(x, self.n)
         return as_rational(_evaluate_value(x))
 
     def partial(self, x: Point, k: int) -> Rational:
         """The k-th partial derivative at any point (not just vertices)."""
-        self._check(x)
+        require_length(x, self.n)
         if not 1 <= k <= self.n:
             raise ValueError(f"coordinate k={k} out of range 1..{self.n}")
         return as_rational(_partial_forward(x, k))
@@ -323,8 +315,7 @@ class LowerBoundPolynomial:
         return self.value_and_gradient(x)[1]
 
     def value_and_gradient(self, x: Point) -> tuple:
-        if len(x) != self.n:
-            raise DimensionMismatchError(f"point length {len(x)} != n {self.n}")
+        require_length(x, self.n)
         if _is_int_vertex(x):
             return _vertex_sweep(x, self._powers)
         return (as_rational(_evaluate_value(x)),
@@ -334,11 +325,11 @@ class LowerBoundPolynomial:
                          slope: Optional[Rational] = None) -> UniPoly:
         """``g(mu) = grad F(x + mu*d)^T d``; ``slope``, when given, is
         ``grad F(x)^T d`` and spares the forward-mode partial."""
-        self._check(x)
-        k, c = d.coord, d.component
+        require_length(x, self.n)
+        k = d.coord
         if slope is None:
-            slope = c * _partial_forward(x, k)
-        curvature = c * c * self._powers[k + 1] * _s_k(x, k)  # c^2 d^2F/dx_k^2
+            slope = d.sign * _partial_forward(x, k)
+        curvature = self._powers[k + 1] * _s_k(x, k)  # d^2F/dx_k^2
         if type(slope) is not int or type(curvature) is not int:  # off the vertices
             slope, curvature = as_rational(slope), as_rational(curvature)
         return UniPoly._make((slope, curvature))
@@ -375,17 +366,13 @@ class LinearObjective:
         self._denominator = math.lcm(*(Fraction(ci).denominator for ci in self.c))
         self._numerators = tuple(int(ci * self._denominator) for ci in self.c)
 
-    def _check(self, x: Sequence) -> None:
-        if len(x) != self.n:
-            raise DimensionMismatchError(f"point length {len(x)} != n {self.n}")
-
     def value(self, x: Point) -> Rational:
-        self._check(x)
+        require_length(x, self.n)
         total = sum(ni * xi for ni, xi in zip(self._numerators, x) if xi)
         return as_rational(Fraction(total, self._denominator))
 
     def gradient(self, x: Point) -> tuple:
-        self._check(x)
+        require_length(x, self.n)
         return self.c
 
     def value_and_gradient(self, x: Point) -> tuple:
@@ -394,8 +381,8 @@ class LinearObjective:
     def edge_restriction(self, x: Point, d: AxisDirection,
                          slope: Optional[Rational] = None) -> UniPoly:
         """The constant ``c^T d``, which is ``slope`` when given."""
-        self._check(x)
-        return UniPoly((self.c[d.coord - 1] * d.component if slope is None else slope,))
+        require_length(x, self.n)
+        return UniPoly((self.c[d.coord - 1] * d.sign if slope is None else slope,))
 
 
 class PaddedObjective:
@@ -410,19 +397,15 @@ class PaddedObjective:
         self.inner = inner
         self.n = n
 
-    def _check(self, x: Sequence) -> None:
-        if len(x) != self.n:
-            raise DimensionMismatchError(f"point length {len(x)} != n {self.n}")
-
     def value(self, x: Point) -> Rational:
-        self._check(x)
+        require_length(x, self.n)
         return self.inner.value(tuple(x[: self.inner.n]))
 
     def gradient(self, x: Point) -> tuple:
         return self.value_and_gradient(x)[1]
 
     def value_and_gradient(self, x: Point) -> tuple:
-        self._check(x)
+        require_length(x, self.n)
         value, head = self.inner.value_and_gradient(tuple(x[: self.inner.n]))
         return value, head + (0,) * (self.n - self.inner.n)
 
@@ -430,7 +413,7 @@ class PaddedObjective:
                          slope: Optional[Rational] = None) -> UniPoly:
         """The inner restriction, handed ``slope``, on the head
         coordinates; zero on the tail."""
-        self._check(x)
+        require_length(x, self.n)
         if d.coord <= self.inner.n:
             return self.inner.edge_restriction(tuple(x[: self.inner.n]), d, slope)
         return UniPoly.zero()
@@ -510,21 +493,17 @@ class MultiPolyObjective:
         self._degrees = tuple(max((exps[i] for exps in poly.terms), default=0)
                               for i in range(self.n))
 
-    def _check(self, x: Sequence) -> None:
-        if len(x) != self.n:
-            raise DimensionMismatchError(f"point length {len(x)} != n {self.n}")
-
     def value(self, x: Point) -> Rational:
-        self._check(x)
+        require_length(x, self.n)
         return as_rational(self.poly.eval(x))
 
     def gradient(self, x: Point) -> tuple:
-        self._check(x)
+        require_length(x, self.n)
         return tuple(as_rational(self.poly.partial(k).eval(x))
                      for k in range(1, self.n + 1))
 
     def value_and_gradient(self, x: Point) -> tuple:
-        self._check(x)
+        require_length(x, self.n)
         tables = _power_tables(x, self._degrees)
         value = 0
         grad = [0] * self.n
@@ -548,21 +527,20 @@ class MultiPolyObjective:
 
         With ``k = d.coord``, the terms grouped by their exponent ``e`` of
         ``x_k`` sum to integers ``B_e`` over ``L·prod_{i!=k} q_i^D_i``.
-        With ``x_k = p/q`` and ``d.component = cn/cd``, the coordinate along
-        the edge is ``(α + β·mu)/γ`` with ``α = p·cd``, ``β = q·cn``,
-        ``γ = q·cd``, so ``h`` is ``P(α + β·mu)`` over ``γ^D_k`` times that
-        denominator, where ``P(z) = sum_e B_e γ^(D_k-e) z^e``.  ``P`` is
+        With ``x_k = p/q``, the coordinate along the edge is
+        ``(α + β·mu)/γ`` with ``α = p``, ``β = ±q`` (the direction's sign)
+        and ``γ = q``, so ``h`` is ``P(α + β·mu)`` over ``γ^D_k`` times
+        that denominator, where ``P(z) = sum_e B_e γ^(D_k-e) z^e``.  ``P`` is
         shifted by ``α`` with Horner's Taylor shift, in integers (von zur
         Gathen & Gerhard 1997); the coefficient of ``mu^j`` is then the
         shifted ``P_j·β^j``.  The shifted ``P_0`` is the constant of ``h``,
         which the derivative drops, and no other coefficient reads ``B_0``,
         so the terms without ``x_k`` are skipped.
         """
-        self._check(x)
+        require_length(x, self.n)
         k = d.coord - 1
         degree = self._degrees[k]
         p, q = _parts(x[k])
-        cn, cd = _parts(d.component)
         tables = _power_tables(x, self._degrees[:k] + (0,) + self._degrees[k + 1:])
         tables[k] = [1] * (degree + 1)  # x_k's powers come from the shift
         grouped = [0] * (degree + 1)  # B_0 is constant along the edge: left out
@@ -570,7 +548,7 @@ class MultiPolyObjective:
             e = exps[k]
             if e:
                 grouped[e] += coeff * math.prod(map(list.__getitem__, tables, exps))
-        alpha, beta, gamma = p * cd, q * cn, q * cd
+        alpha, beta, gamma = p, q * d.sign, q
         gamma_powers = [1]
         for _ in range(degree):
             gamma_powers.append(gamma_powers[-1] * gamma)

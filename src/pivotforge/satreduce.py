@@ -22,10 +22,11 @@ Brute-force maximization and satisfiability checks are guarded exhaustive
 scans, used as independent oracles for the reduction.  Both treat a Python
 integer as a table of all 2^n vertices and work on the whole table at once
 (broadword computing, Knuth, TAOCP 7.1.3): the satisfiability check holds
-one bit per assignment and combines clauses by AND and OR, and the maximum
-comes from a subset-sum (zeta) transform over fixed-width integer fields
-packed into one integer, one AND, shift and add per variable.  Every step
-is exact integer arithmetic.
+one bit per assignment and combines clauses by AND and OR, the
+violated-clause counts add the same clause tables in wider fields, and the
+maximum comes from a subset-sum (zeta) transform over fixed-width integer
+fields packed into one integer, one AND, shift and add per variable.
+Every step is exact integer arithmetic.
 """
 
 from __future__ import annotations
@@ -239,27 +240,23 @@ def _vertex_fields(poly: MultiPoly, n: int):
     del table
     for i, low in _clear_bit_slots(value_mask, width, n):
         packed += (packed & low) << (width << i)
-    keep = _tile(value_mask, width, size * width)
-    data = (packed & keep).to_bytes(size * nbytes, "little")
-    del packed
+    packed &= _tile(value_mask, width, size * width)
+    return _unpack(packed, nbytes, n), offset, scale
+
+
+def _unpack(packed: int, nbytes: int, n: int):
+    """The 2^n fields of ``nbytes`` bytes packed in ``packed``, field ``v``
+    at byte ``v * nbytes``: an ``array`` when a typecode has that size,
+    else a list."""
+    data = packed.to_bytes(nbytes << n, "little")
     typecode = _FIELD_TYPECODES.get(nbytes)
     if typecode is None:
-        fields = [int.from_bytes(data[k:k + nbytes], "little")
-                  for k in range(0, len(data), nbytes)]
-    else:
-        fields = array(typecode, data)
-        if sys.byteorder == "big":
-            fields.byteswap()
-    return fields, offset, scale
-
-
-def _vertex_values(poly: MultiPoly, n: int) -> list:
-    """Exact values of ``poly`` on all 2^n vertices, indexed by vertex id
-    (``int`` when integral, else ``Fraction``)."""
-    fields, offset, scale = _vertex_fields(poly, n)
-    if scale == 1:
-        return [field - offset for field in fields]
-    return [as_rational(Fraction(field - offset, scale)) for field in fields]
+        return [int.from_bytes(data[k:k + nbytes], "little")
+                for k in range(0, len(data), nbytes)]
+    fields = array(typecode, data)
+    if sys.byteorder == "big":
+        fields.byteswap()
+    return fields
 
 
 def brute_force_max(poly: MultiPoly, n: int) -> Tuple[Rational, tuple]:
@@ -278,40 +275,56 @@ def brute_force_max(poly: MultiPoly, n: int) -> Tuple[Rational, tuple]:
     return as_rational(Fraction(top - offset, scale)), bits
 
 
+def _clause_tables(formula: CnfFormula, width: int):
+    """Per clause, its violating set: the integer whose slot ``a`` of
+    ``width`` bits is 1 when assignment ``a`` violates the clause, else 0.
+    It is the AND over the literals of ``clear`` (1 where the variable is
+    0) or, for a negated one, its complement in ``ones``: whole-table
+    operations that read the clauses, never the polynomial.  Guarded by
+    the enumeration cap, which the first ``next`` checks."""
+    n = formula.n_vars
+    if n > ENUMERATION_LIMIT:
+        raise TooLargeError(f"n={n} exceeds the enumeration cap {ENUMERATION_LIMIT}")
+    clear = dict(_clear_bit_slots(1, width, n))
+    ones = _tile(1, width, width << n)
+    for clause in formula.clauses:
+        violating = ones
+        for lit in clause:
+            zeros = clear[lit.variable - 1]
+            violating &= ones ^ zeros if lit.negated else zeros
+        yield violating
+
+
 def brute_force_sat(formula: CnfFormula) -> Tuple[bool, Optional[tuple]]:
     """Exhaustive truth-table satisfiability check; returns a witness
     assignment (bit tuple) when satisfiable.  The empty formula is
     vacuously satisfiable.
 
     Bit ``a`` of a 2^n-bit integer stands for the assignment with vertex
-    id ``a``.  ``clear[k - 1]`` has bit ``a`` set when variable ``k`` is 0
-    in ``a``: the complement of ``k``'s truth table.  A clause's violating
-    set is the AND, over its literals, of ``clear`` for a positive literal
-    and its complement for a negated one, and the formula's violating set
-    is the OR of the clauses' sets.  The formula is satisfiable iff the
-    complement of that OR is nonzero, and its lowest set bit is the
-    witness: the lowest satisfying id, the one a scan in id order would
-    find first.  Each step is one whole-table AND or OR, about ``2^n / w``
-    word operations for word size ``w``.  Only clause semantics are read,
-    never the polynomial.
+    id ``a``.  The formula's violating set is the OR of the clauses'
+    one-bit tables (:func:`_clause_tables`).  The formula is satisfiable
+    iff the complement of that OR is nonzero, and its lowest set bit is
+    the witness: the lowest satisfying id, the one a scan in id order
+    would find first.
     """
-    n = formula.n_vars
-    if n > ENUMERATION_LIMIT:
-        raise TooLargeError(f"n={n} exceeds the enumeration cap {ENUMERATION_LIMIT}")
-    clear = dict(_clear_bit_slots(1, 1, n))
-    everything = (1 << (1 << n)) - 1
     violated = 0
-    for clause in formula.clauses:
-        violating = everything
-        for lit in clause:
-            zeros = clear[lit.variable - 1]
-            violating &= ~zeros if lit.negated else zeros
+    for violating in _clause_tables(formula, 1):
         violated |= violating
-    satisfying = everything & ~violated
+    satisfying = ((1 << (1 << formula.n_vars)) - 1) & ~violated
     if not satisfying:
         return False, None
     assignment = (satisfying & -satisfying).bit_length() - 1
-    return True, tuple((assignment >> i) & 1 for i in range(n))
+    return True, tuple((assignment >> i) & 1 for i in range(formula.n_vars))
+
+
+def violation_counts(formula: CnfFormula):
+    """The number of clauses each assignment violates, as an ``array``
+    indexed by vertex id.  The clauses' tables (:func:`_clause_tables`)
+    are summed in fields of whole bytes, wide enough for the clause count,
+    so no field carries into the next; no polynomial is read."""
+    bits = len(formula.clauses).bit_length()
+    nbytes = min(k for k in _FIELD_TYPECODES if 8 * k >= bits)
+    return _unpack(sum(_clause_tables(formula, 8 * nbytes)), nbytes, formula.n_vars)
 
 
 def violated_clause_count(formula: CnfFormula, bits: tuple) -> int:

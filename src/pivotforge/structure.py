@@ -4,9 +4,10 @@ This module certifies, by brute force and by closed form, the vertex
 structure that makes the lower-bound objective family hard for vertex
 walks: a prefix-product/suffix-parity characterization of the unique
 improving dimension at each vertex, the Hamiltonian path those dimensions
-generate (the reflected binary Gray code), the edge orientation induced by
-vertex values, unique-sink and combedness checks, and a sink finder that
-needs only ``O(n)`` value queries on decomposable orientations.
+generate (the reflected binary Gray code, yielded one vertex id at a
+time, so a caller holds only what it keeps), the edge orientation induced
+by vertex values, unique-sink and combedness checks, and a sink finder
+that needs only ``O(n)`` value queries on decomposable orientations.
 
 An orientation is stored as its outmap alone: one outgoing-coordinate mask
 per vertex, ``2^n`` integers in all.  Every check reads those masks.  The
@@ -104,31 +105,20 @@ def improving_dimension(bits: Sequence[int], oracle: Optional[LowerBoundPolynomi
     return by_gradient[0] if by_gradient else None
 
 
-@dataclass(frozen=True)
-class GrayPath:
-    """An ordered visit of all ``2^n`` vertices, consecutive ones differing
-    in exactly one bit, ending at ``e_n``."""
-
-    n: int
-    vertex_ids: tuple
-
-    def to_json_dict(self) -> dict:
-        return {"n": self.n, "path": list(self.vertex_ids)}
-
-
-def improving_walk(n: int, oracle: Optional[LowerBoundPolynomial] = None):
-    """Follow the unique improving dimension from the all-zeros vertex,
-    yielding each visited vertex id as it is reached.
+def hamiltonian_path(n: int):
+    """Follow the unique improving dimension of the lower-bound objective
+    from the all-zeros vertex, yielding each visited vertex id as it is
+    reached.
 
     The walk flips bit ``k`` of the current vertex, where ``k`` is the
-    improving dimension, until the optimal vertex has none.  It visits
-    every vertex once, in the reflected binary Gray code ordering; a walk
-    longer than ``2^n`` vertices raises :class:`AmbiguousImprovementError`.
+    improving dimension, until the optimal vertex ``e_n`` has none.  It
+    visits every vertex once, in the reflected binary Gray code ordering;
+    a walk longer than ``2^n`` vertices raises
+    :class:`AmbiguousImprovementError`.
     """
     if n < 1:
         raise ValueError("dimension must be at least 1")
-    if oracle is None:
-        oracle = LowerBoundPolynomial(n)
+    oracle = LowerBoundPolynomial(n)
     bits = (0,) * n
     vid = 0
     yield vid
@@ -145,11 +135,6 @@ def improving_walk(n: int, oracle: Optional[LowerBoundPolynomial] = None):
                 "walk exceeded 2^n vertices; a vertex repeated", vertex=bits
             )
         yield vid
-
-
-def hamiltonian_path(n: int, oracle: Optional[LowerBoundPolynomial] = None) -> GrayPath:
-    """The whole :func:`improving_walk` as a :class:`GrayPath`."""
-    return GrayPath(n, tuple(improving_walk(n, oracle)))
 
 
 def reflected_gray_ids(n: int) -> list:

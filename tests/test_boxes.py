@@ -14,13 +14,17 @@ from pivotforge import (
 
 
 def edge_directions(box, x):
-    """The ``n`` full edge vectors at a vertex, as axis directions with
-    component ``(u_k - l_k)`` signed away from the tight bound."""
-    bits = box.bits_of_vertex(x)
-    return [
-        AxisDirection(k, (hi - lo) * (1 - 2 * b))
-        for k, (b, lo, hi) in enumerate(zip(bits, box.lower, box.upper), start=1)
-    ]
+    """The ``n`` feasible unit axis directions at a vertex, each signed
+    away from its coordinate's tight bound."""
+    return [AxisDirection(k, 1 - 2 * b)
+            for k, b in enumerate(box.bits_of_vertex(x), start=1)]
+
+
+def test_axis_directions_are_unit():
+    assert AxisDirection(2, -1).sign == -1
+    for sign in (2, 0, Fraction(1, 2), -3):
+        with pytest.raises(ValueError):
+            AxisDirection(1, sign)
 
 
 def test_eq_set_row_indexing():
@@ -70,9 +74,12 @@ def test_edge_directions_on_unit_cubes():
         edge_directions(cube2, (Fraction(1, 2), 0))
 
 
-def test_edge_directions_scale_with_the_box():
+def test_edge_steps_scale_with_the_box():
+    """On a box that is not the unit cube the directions stay unit, and
+    the step to an edge's far end is the edge's length."""
     box = BoxProgram((0, -1), (2, 1))
-    assert edge_directions(box, (0, 1)) == [AxisDirection(1, 2), AxisDirection(2, -2)]
+    assert edge_directions(box, (0, 1)) == [AxisDirection(1, 1), AxisDirection(2, -1)]
+    assert [box.step_to_boundary((0, 1), d) for d in edge_directions(box, (0, 1))] == [2, 2]
 
 
 def test_step_to_boundary():
@@ -102,6 +109,7 @@ def test_edge_steps_land_on_adjacent_vertices():
         for x in box.vertices():
             for d in edge_directions(box, x):
                 mu = box.step_to_boundary(x, d)
+                assert mu == box.upper[d.coord - 1] - box.lower[d.coord - 1]
                 y = box.move(x, d, mu)
                 assert box.is_vertex(y)
                 differing = [i for i in range(box.n) if x[i] != y[i]]

@@ -13,7 +13,10 @@ import pytest
 
 from pivotforge import (
     BoxProgram,
+    CnfFormula,
+    Literal,
     LowerBoundPolynomial,
+    MultiPoly,
     Trajectory,
     Walk,
     active_set_run,
@@ -221,16 +224,17 @@ def test_failed_run_removes_only_a_file_the_out_path_names(tmp_path, capsys, mon
     assert sorted(p.name for p in tmp_path.iterdir()) == ["link.json", "target.json"]
 
 
-@pytest.mark.parametrize("fmt", ["json", "csv"])
-def test_run_memory_does_not_grow_with_the_walk(tmp_path, capsys, fmt):
-    """``run --n 12`` walks eight times as many passes as ``run --n 9``;
-    the peak of traced allocations may grow by less than 128 KiB (holding
-    the records grows it by about 1.6 MB)."""
+@pytest.mark.parametrize("argv", [["run", "--format", "json"], ["run", "--format", "csv"],
+                                  ["export", "path"]], ids=["json", "csv", "export-path"])
+def test_run_memory_does_not_grow_with_the_walk(tmp_path, capsys, argv):
+    """``run --n 12`` walks eight times as many passes as ``run --n 9``,
+    and ``export path --n 12`` writes eight times as many ids; the peak of
+    traced allocations may grow by less than 128 KiB (holding the records
+    grows it by about 1.6 MB, and holding the ids by about 490 KB)."""
     def peak(n: int) -> int:
         tracemalloc.start()
         try:
-            assert run_cli(["run", "--n", str(n), "--format", fmt,
-                            "--out", str(tmp_path / f"n{n}.{fmt}")]) == 0
+            assert run_cli([*argv, "--n", str(n), "--out", str(tmp_path / f"n{n}")]) == 0
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -249,7 +253,7 @@ def _check_path_on_the_trajectory(n: int):
     oracle for the witness bytes.  (The path checks before it are
     unchanged.)"""
     program = BoxProgram.unit_cube(n)
-    ids = list(hamiltonian_path(n).vertex_ids)
+    ids = list(hamiltonian_path(n))
     start = (0,) * n
     walk = Walk(program, start, cli.active_set_steps(program, LowerBoundPolynomial(n), start,
                                                      make_rule("lowest-index")))
@@ -315,7 +319,7 @@ def _path_checks_on_lists(n: int, ids: list):
     return None
 
 
-PATH_WALKS = {  # walks over the 3-cube that the improving walk could be swapped for
+PATH_WALKS = {  # walks over the 3-cube that the Gray path could be swapped for
     "gray": [0, 1, 3, 2, 6, 7, 5, 4],
     "short": [0, 1, 3, 2, 6, 7, 5],
     "long": [0, 1, 3, 2, 6, 7, 5, 4, 0],
@@ -329,7 +333,7 @@ PATH_WALKS = {  # walks over the 3-cube that the improving walk could be swapped
 @pytest.mark.parametrize("kind", sorted(PATH_WALKS))
 def test_verify_path_witness_bytes_on_a_wrong_path(capsys, monkeypatch, kind):
     ids = PATH_WALKS[kind]
-    monkeypatch.setattr(cli, "improving_walk", lambda n, oracle: iter(ids))
+    monkeypatch.setattr(cli, "hamiltonian_path", lambda n: iter(ids))
     expected = _path_checks_on_lists(3, ids)
     assert (expected is None) == (kind == "gray")
     assert cli.check_path(3) == (expected or (True, None))
@@ -436,6 +440,20 @@ def test_verify_sat_draws_at_most_n_variables(capsys, monkeypatch):
     assert run_cli(["verify", "sat", "--n", "2", "--trials", "40"]) == 0
     assert capsys.readouterr().out == "check=sat n=2 trials=40 seed=0 result=pass\n"
     assert sorted(set(drawn)) == [1, 2]
+
+
+def test_verify_sat_witness_is_the_lowest_vertex_off_the_law(monkeypatch):
+    """A polynomial that keeps its degree, its maximum and the satisfying
+    witness, but not the value at every vertex, is refused at the lowest
+    vertex whose value is not minus its violated-clause count."""
+    formula = CnfFormula(3, ((Literal(1, False), Literal(2, False), Literal(3, False)),))
+    x2, x3 = MultiPoly.variable(3, 2), MultiPoly.variable(3, 3)
+    # off by -1 at ids 6 and 7 only; still 0 at id 1, the lowest satisfying one
+    monkeypatch.setattr(cli, "violation_polynomial", lambda f: violation_polynomial(f) - x2 * x3)
+    assert cli.certify_formula(formula, 0) == (
+        False, {"reason": "per-vertex law violated", "vertex": [0, 1, 1]})
+    monkeypatch.setattr(cli, "violation_polynomial", violation_polynomial)
+    assert cli.certify_formula(formula, 0) == (True, None)
 
 
 def test_verify_sat_past_the_enumeration_limit_exits_2(capsys, monkeypatch):

@@ -436,8 +436,8 @@ def _row_dot(d, row, n):
     """Inner product of constraint row ``row`` (``1..n`` the upper bounds,
     ``n+1..2n`` the negated lower bounds) with the axis direction ``d``."""
     if row <= n:
-        return d.component if row == d.coord else 0
-    return -d.component if row - n == d.coord else 0
+        return d.sign if row == d.coord else 0
+    return -d.sign if row - n == d.coord else 0
 
 
 def test_row_dot_convention():
@@ -505,7 +505,7 @@ def _reference_active_set_run(program, objective, start, rule, max_iter=None):
             return trace, "not_representable"
         mu = mu_boundary if mu_objective is None else mu_objective
         x_new = tuple(
-            c + (mu * d.component if i == d.coord - 1 else 0)
+            c + (mu * d.sign if i == d.coord - 1 else 0)
             for i, c in enumerate(x)
         )
         added = None

@@ -33,11 +33,11 @@ small_rationals = st.fractions(min_value=-3, max_value=4, max_denominator=5).map
 
 def _line_coords(x: tuple, d: AxisDirection) -> tuple:
     """Coordinates of ``x + mu*d`` as scalars, with coordinate ``d.coord``
-    the degree-1 polynomial ``x_k + component * mu``: evaluating an
+    the degree-1 polynomial ``x_k + sign * mu``: evaluating an
     objective's recursion or expanded polynomial at them gives its
     restriction to the line over the univariate polynomial ring."""
     k = d.coord - 1
-    return x[:k] + (UniPoly((x[k], d.component)),) + x[k + 1:]
+    return x[:k] + (UniPoly((x[k], d.sign)),) + x[k + 1:]
 
 
 def _substituted_restriction(evaluate, x: tuple, d: AxisDirection) -> UniPoly:
@@ -176,7 +176,7 @@ def test_gradient_equals_dual_number_forward_mode(n, data):
         assert (value, grad[k - 1]) == (dual.value, dual.derivative)
 
 
-def test_adjoint_gradient_equals_expanded_polynomial_gradient():
+def test_vertex_sweep_and_forward_partials_equal_expanded_polynomial_gradient():
     """The gradient, from the vertex sweep at int vertices and from the
     forward-mode partials elsewhere, equals the symbolic gradient of the
     expanded polynomial."""
@@ -383,7 +383,7 @@ def test_edge_restriction_matches_generic_polynomial_ring_route(n, data):
     recursion over explicit univariate-polynomial scalars."""
     point = tuple(data.draw(small_rationals) for _ in range(n))
     k = data.draw(st.integers(1, n))
-    s = data.draw(st.sampled_from([1, -1, 2, Fraction(1, 3), Fraction(-3, 2)]))
+    s = data.draw(st.sampled_from([1, -1]))
     d = AxisDirection(k, s)
     expected = _substituted_restriction(_evaluate_value, point, d)
     oracle = LowerBoundPolynomial(n)
@@ -405,7 +405,7 @@ def test_edge_restriction_matches_gradient_along_edge(n, data):
     if all(c in (0, 1) for c in point):
         point = (Fraction(1, 2),) + point[1:]
     k = data.draw(st.integers(1, n))
-    c = data.draw(st.sampled_from([1, -1, 2, Fraction(2, 3), Fraction(-3, 2)]))
+    c = data.draw(st.sampled_from([1, -1]))
     d = AxisDirection(k, c)
     for oracle in _oracles_at(n, data):
         g = oracle.edge_restriction(point, d)
@@ -550,24 +550,20 @@ def test_multipoly_value_and_gradient_equals_references(n, data):
 @given(st.integers(min_value=1, max_value=6), st.data())
 @settings(max_examples=120, deadline=None)
 def test_multipoly_edge_restriction_equals_substitution(n, data):
-    """Along a unit direction or a full edge ``±(u_k - l_k)·e_k``, with and
-    without ``slope``, the Taylor-shift restriction is the derivative of
-    the polynomial evaluated on the line."""
+    """Along a unit direction ``±e_k``, with and without ``slope``, the
+    Taylor-shift restriction is the derivative of the polynomial evaluated
+    on the line."""
     poly = data.draw(polynomials(n))
     point = tuple(data.draw(point_scalars) for _ in range(n))
     k = data.draw(st.integers(1, n))
-    lower = data.draw(point_scalars)
-    upper = lower + data.draw(st.fractions(min_value=Fraction(1, 50), max_value=5,
-                                           max_denominator=50))
     sign = data.draw(st.sampled_from([1, -1]))
-    component = data.draw(st.sampled_from([sign, sign * (upper - lower)]))
-    d = AxisDirection(k, component)
+    d = AxisDirection(k, sign)
     objective = MultiPolyObjective(poly)
     expected = _substituted_restriction(poly.eval, point, d)
     g = objective.edge_restriction(point, d)
     assert g == expected
     assert _canonical(g.coeffs)
-    slope = component * objective.gradient(point)[k - 1]
+    slope = sign * objective.gradient(point)[k - 1]
     assert objective.edge_restriction(point, d, slope) == expected
 
 
@@ -579,7 +575,7 @@ def test_multipoly_zero_and_constant_polynomials():
                 value, grad = objective.value_and_gradient(point)
                 assert value == (0 if poly.is_zero() else Fraction(-7, 3))
                 assert grad == (0,) * n and _canonical((value,) + grad)
-                for d in (AxisDirection(1, 1), AxisDirection(n, Fraction(-5, 2))):
+                for d in (AxisDirection(1, 1), AxisDirection(n, -1)):
                     assert objective.edge_restriction(point, d).is_zero()
 
 

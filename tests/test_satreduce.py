@@ -14,9 +14,10 @@ from pivotforge import (
     brute_force_sat,
     multi_eval,
     parse_dimacs,
+    violation_counts,
     violation_polynomial,
 )
-from pivotforge.satreduce import _vertex_fields, _vertex_values, violated_clause_count
+from pivotforge.satreduce import _vertex_fields, violated_clause_count
 from pivotforge.scalars import as_rational
 
 
@@ -145,6 +146,14 @@ def test_brute_force_max_matches_full_evaluation():
         ]
         assert best == max(values)
         assert multi_eval(poly, argmax) == best
+
+
+def _vertex_values(poly, n):
+    """Exact values of ``poly`` on all 2^n vertices, indexed by vertex id
+    (``int`` when integral, else ``Fraction``), read from the packed
+    fields."""
+    fields, offset, scale = _vertex_fields(poly, n)
+    return [as_rational(Fraction(field - offset, scale)) for field in fields]
 
 
 def _vertex_values_oracle(poly, n):
@@ -300,6 +309,20 @@ def _formulas(draw):
 @settings(max_examples=200, deadline=None)
 def test_truth_table_sat_matches_the_assignment_loop(formula):
     assert brute_force_sat(formula) == _brute_force_sat_by_loop(formula)
+    n = formula.n_vars
+    assert list(violation_counts(formula)) == [
+        violated_clause_count(formula, tuple((vid >> i) & 1 for i in range(n)))
+        for vid in range(1 << n)]
+
+
+def test_violation_counts_fields_widen_with_the_clause_count():
+    # 255 clauses fit one byte per vertex, 256 need two; every clause is
+    # violated at the all-zeros vertex
+    for clauses, itemsize in ((255, 1), (256, 2)):
+        formula = CnfFormula(2, (clause(1, 2),) * clauses)
+        counts = violation_counts(formula)
+        assert counts.itemsize == itemsize
+        assert list(counts) == [clauses, 0, 0, 0]
 
 
 def test_enumeration_guards():
@@ -307,6 +330,8 @@ def test_enumeration_guards():
         brute_force_max(MultiPoly.zero(25), 25)
     with pytest.raises(TooLargeError):
         brute_force_sat(CnfFormula(25, ()))
+    with pytest.raises(TooLargeError):
+        violation_counts(CnfFormula(25, ()))
 
 
 # --------------------------------------------------------- soundness --

@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 from fractions import Fraction
 
@@ -13,6 +14,7 @@ from pivotforge import (
     TieError,
     active_set_run,
     bits_from_id,
+    cli,
     combed_dimension,
     combed_in_top_dimensions,
     faces,
@@ -93,27 +95,25 @@ def test_improving_dimension_rejects_non_bits():
 # ------------------------------------------------------------- path --
 
 
-def test_path_small_cases(oracle_for):
-    assert hamiltonian_path(1, oracle_for(1)).vertex_ids == (0, 1)
-    assert hamiltonian_path(2, oracle_for(2)).vertex_ids == (0, 1, 3, 2)
-    path3 = hamiltonian_path(3, oracle_for(3))
-    assert [bits_from_id(v, 3) for v in path3.vertex_ids] == [
+def test_path_small_cases():
+    assert list(hamiltonian_path(1)) == [0, 1]
+    assert list(hamiltonian_path(2)) == [0, 1, 3, 2]
+    assert [bits_from_id(v, 3) for v in hamiltonian_path(3)] == [
         (0, 0, 0), (1, 0, 0), (1, 1, 0), (0, 1, 0),
         (0, 1, 1), (1, 1, 1), (1, 0, 1), (0, 0, 1),
     ]
 
 
-def test_path_is_the_reflected_gray_code(oracle_for):
+def test_path_is_the_reflected_gray_code():
     for n in range(1, 11):
-        assert list(hamiltonian_path(n, oracle_for(n)).vertex_ids) == \
-            reflected_gray_ids(n)
+        assert list(hamiltonian_path(n)) == reflected_gray_ids(n)
         # and matches the closed-form ranking i ^ (i >> 1)
         assert reflected_gray_ids(n) == [i ^ (i >> 1) for i in range(1 << n)]
 
 
-def test_path_half_reflection_law(oracle_for):
+def test_path_half_reflection_law():
     for n in range(2, 10):
-        ids = list(hamiltonian_path(n, oracle_for(n)).vertex_ids)
+        ids = list(hamiltonian_path(n))
         half = 1 << (n - 1)
         assert ids[half:] == [v | half for v in reversed(ids[:half])]
 
@@ -121,8 +121,7 @@ def test_path_half_reflection_law(oracle_for):
 def test_path_visits_values_in_order(oracle_for):
     for n in range(1, 13):
         oracle = oracle_for(n)
-        ids = hamiltonian_path(n, oracle_for(n)).vertex_ids
-        for position, vid in enumerate(ids):
+        for position, vid in enumerate(hamiltonian_path(n)):
             assert oracle.value(bits_from_id(vid, n)) == position
 
 
@@ -132,7 +131,7 @@ def test_path_matches_engine_trajectory(oracle_for):
         trajectory = active_set_run(
             BoxProgram.unit_cube(n), oracle, (0,) * n, make_rule("highest-index")
         )
-        assert trajectory.vertex_ids() == list(hamiltonian_path(n, oracle).vertex_ids)
+        assert trajectory.vertex_ids() == list(hamiltonian_path(n))
 
 
 # ------------------------------------------------------ orientation --
@@ -425,6 +424,12 @@ def test_face_membership_and_vertices():
     assert face.json_pattern() == [1, "*", 0]
 
 
-def test_gray_path_json(oracle_for):
-    data = hamiltonian_path(2, oracle_for(2)).to_json_dict()
-    assert data == {"n": 2, "path": [0, 1, 3, 2]}
+def test_gray_path_json(tmp_path, capsys):
+    """``export path`` streams the ids, laid out byte for byte as
+    ``json.dumps`` lays out the whole document."""
+    for n in (1, 2, 5):
+        out = tmp_path / f"path_n{n}.json"
+        assert cli.main(["export", "path", "--n", str(n), "--out", str(out)]) == 0
+        assert capsys.readouterr().out == f"n={n} length={1 << n} file={out}\n"
+        document = {"n": n, "path": list(hamiltonian_path(n))}
+        assert out.read_text() == json.dumps(document, indent=2, sort_keys=True) + "\n"
