@@ -391,8 +391,8 @@ def check_uso(n: int):
 def check_sink(n: int):
     oracle = LowerBoundPolynomial(n)
     vid, queries = sink_find_decomposable(lambda bits: oracle.value(bits), n)
-    values = [oracle.value(bits_from_id(v, n)) for v in range(1 << n)]
-    argmax = max(range(1 << n), key=lambda v: values[v])
+    # max keeps the first, lowest, id of equal values, as one streaming pass
+    argmax = max(range(1 << n), key=lambda v: oracle.value(bits_from_id(v, n)))
     optimum = 1 << (n - 1)
     if vid != argmax or vid != optimum or queries > 2 * n:
         return False, {"found": vid, "argmax": argmax, "optimum": optimum,
@@ -423,15 +423,16 @@ def certify_formula(formula: CnfFormula, probe: int):
     poly = violation_polynomial(formula)
     if poly.total_degree > 3:
         return False, {"reason": "degree > 3", "degree": poly.total_degree}
-    best, _ = brute_force_max(poly, n)
-    satisfiable, assignment = brute_force_sat(formula)
+    satisfiable, assignment = brute_force_sat(formula)  # checks the enumeration cap
+    # one zeta transform serves the maximum and the per-vertex law
+    fields, offset, scale = _vertex_fields(poly, n)
+    best = Fraction(max(fields) - offset, scale)
     if (best == 0) != satisfiable:
         return False, {"reason": "max/sat mismatch",
                        "max": format_rational(best), "sat": satisfiable}
     if satisfiable and violated_clause_count(formula, assignment) != 0:
         return False, {"reason": "satisfying assignment violates a clause",
                        "vertex": list(assignment)}
-    fields, offset, scale = _vertex_fields(poly, n)
     # the law is fields[v] == offset - scale * count[v]; C loops find the lowest v off it
     expected = [offset - scale * c for c in range(len(formula.clauses) + 1)]
     lawless = map(ne, fields, map(expected.__getitem__, violation_counts(formula)))

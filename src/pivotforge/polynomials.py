@@ -3,15 +3,16 @@
 Univariate polynomials (:class:`UniPoly`) carry the line-search machinery:
 Sturm chains and :func:`first_nonpositive`, which computes
 ``inf {t in [0, t_max] : p(t) <= 0}`` exactly.  It isolates the leftmost
-root by bisection and then tests the one rational that can be that root,
-the best approximation with denominator at most the leading coefficient;
+root by bisection, narrows it below ``1 / lead`` (``lead`` the leading
+coefficient of the primitive square-free part) and then tests the one
+point of the grid ``(1/lead)ℤ`` there, which holds every rational root;
 no integer is ever factored, so the cost is polynomial in the bit size.
 From the primitive square-free part onward the search runs on ``int``:
-the Sturm chain and the gcd come from one loop of integer
-pseudo-remainders (``|lead(b)|^(δ+1) · a mod b``, a positive multiple of
-the remainder, made primitive again), and the bisection visits only the
-dyadic points ``t_max · a / 2^k``, where each chain polynomial's sign is the sign of an
-integer homogenized Horner sum.
+one loop of integer pseudo-remainders (``|lead(b)|^(δ+1) · a mod b``, a
+positive multiple of the remainder, made primitive again) gives both the
+gcd and, for a square-free ``p``, the Sturm chain, and the bisection
+visits only the dyadic points ``t_max · a / 2^k``, where each chain
+polynomial's sign is the sign of an integer homogenized Horner sum.
 Irrational stopping points are reported as
 :class:`~pivotforge.errors.NotRepresentableError` rather than approximated,
 because downstream iteration counting depends on stopping points being
@@ -94,7 +95,7 @@ class UniPoly:
         return result
 
     def derivative(self) -> "UniPoly":
-        return UniPoly._make(tuple(i * c for i, c in enumerate(self.coeffs) if i))
+        return UniPoly._make(_derivative_ints(self.coeffs))
 
     def _lift(self, other):
         if isinstance(other, UniPoly):
@@ -213,15 +214,13 @@ class UniPoly:
 
         ``p`` is made primitive first; the gcd of a primitive integer
         polynomial divides it with an integer quotient (Gauss's lemma), so
-        the division runs on ``int`` coefficients.
+        the division runs on ``int`` coefficients
+        (:func:`_squarefree_and_chain`).
         """
         p = self.primitive()
-        if p.degree <= 1:
+        if p.degree <= 0:
             return p
-        g = poly_gcd(p, p.derivative())
-        if g.degree == 0:
-            return p
-        return UniPoly._make(_primitive_ints(_exact_quotient(p.coeffs, g.coeffs)))
+        return UniPoly._make(_squarefree_and_chain(p.coeffs)[0])
 
 
 def _primitive_ints(cs) -> tuple:
@@ -279,6 +278,32 @@ def _remainder_sequence(a, b) -> list:
         if not r:
             return seq
         seq.append(_primitive_ints([-c for c in r]))
+
+
+def _squarefree_and_chain(p) -> tuple:
+    """``(s, chain)`` for the primitive integer coefficients ``p`` of a
+    polynomial of degree at least 1: ``s`` is its primitive square-free
+    part ``p / gcd(p, p')`` and ``chain`` the Sturm chain of ``s``, both
+    from the integer remainder sequence.
+
+    The sequence of ``p`` and ``p'`` ends in their gcd.  When that is a
+    constant, ``p`` is square-free and the sequence is already its Sturm
+    chain; only otherwise is a second sequence run, from ``s`` and ``s'``.
+    """
+    sequence = _remainder_sequence(p, _primitive_ints(_derivative_ints(p)))
+    g = sequence[-1]
+    if len(g) == 1:
+        return p, sequence
+    if g[-1] < 0:
+        g = tuple(-c for c in g)
+    s = _primitive_ints(_exact_quotient(p, g))
+    return s, _remainder_sequence(s, _primitive_ints(_derivative_ints(s)))
+
+
+def _derivative_ints(cs) -> tuple:
+    """Coefficients of the derivative of the polynomial with coefficients
+    ``cs``."""
+    return tuple(i * c for i, c in enumerate(cs) if i)
 
 
 def poly_gcd(a: UniPoly, b: UniPoly) -> UniPoly:
@@ -343,6 +368,30 @@ def _dyadic_value(cs, a: int, k: int) -> int:
     return value
 
 
+def _grid_value(cs, m: int, lead: int) -> int:
+    """``lead^d · q(m / lead)`` by homogenized Horner: a positive multiple
+    of ``q(m / lead)``, in integers."""
+    value = 0
+    power = 1
+    for c in reversed(cs):
+        value = value * m + c * power
+        power *= lead
+    return value
+
+
+def _narrow(s_unit, a: int, k: int, positive_at_lo: bool, width_bound: int,
+            den: int) -> tuple:
+    """Bisect the interval ``(a, k)`` of :func:`first_nonpositive`, which
+    holds exactly one root of ``s`` and a sign change, until
+    ``width_bound < den·2^k``; returns the final ``(a, k)``."""
+    while width_bound >= den << k:
+        a, k = 2 * a, k + 1
+        value = _dyadic_value(s_unit, a + 1, k)
+        if value != 0 and (value > 0) == positive_at_lo:
+            a += 1
+    return a, k
+
+
 def first_nonpositive(p: UniPoly, t_max) -> Optional[Rational]:
     """Smallest ``t`` in ``[0, t_max]`` with ``p(t) <= 0``, exactly.
 
@@ -354,14 +403,22 @@ def first_nonpositive(p: UniPoly, t_max) -> Optional[Rational]:
 
     The computation is exact throughout.  With ``s`` the square-free part
     of ``p``, the sign variations ``V`` of its Sturm chain satisfy
-    ``V(a) - V(b) = #roots of s in (a, b]``.  Bisection keeps no root in
-    ``(0, lo]`` and at least one in ``(lo, hi]`` until the interval holds
-    exactly one root and is narrower than ``1 / (2 lead^2)``, ``lead``
-    being the leading coefficient of the primitive integer ``s``.  A
-    rational root of ``s`` has a denominator dividing ``lead``, and two
-    such rationals are at least ``1 / lead^2`` apart, so the only
-    candidate is the best approximation to the midpoint with denominator
-    at most ``lead``; exact evaluation accepts or rejects it.
+    ``V(a) - V(b) = #roots of s in (a, b]``.  One integer remainder
+    sequence, of ``p`` and ``p'``, gives both: when it ends in a constant
+    ``p`` is square-free and the sequence is the chain; only a repeated
+    root costs a second sequence, from ``s`` (:func:`_squarefree_and_chain`).
+    Bisection keeps no root in ``(0, lo]`` and at least one in
+    ``(lo, hi]`` until the interval holds exactly one root, then halves
+    it further, following the sign change of ``s``, until it is narrower
+    than ``1 / lead``, ``lead`` being the leading coefficient of the
+    primitive integer ``s``.  A rational root of ``s`` has a denominator
+    dividing ``lead`` (the rational root theorem), so it lies on the grid
+    ``(1/lead)ℤ``, and an interval that narrow holds at most one grid
+    point ``m / lead``, ``m = floor(lead·hi)``.  The root is rational iff
+    that point lies in ``(lo, hi]`` and ``s`` vanishes there, which the
+    integer ``lead^d · s(m / lead)`` decides.  Otherwise the root is
+    irrational, and the bisection goes on to a witness narrower than
+    ``1 / (2 lead^2)`` before raising.  No integer is ever factored.
 
     The bisection runs on integers.  With ``t_max = num / den`` every point
     it visits is ``t = num·a / (den·2^k)``, and the interval is kept as
@@ -369,9 +426,10 @@ def first_nonpositive(p: UniPoly, t_max) -> Optional[Rational]:
     Each chain polynomial ``q`` of degree ``d`` is evaluated there as the
     homogenized ``Σ c_i (num·a)^i (den·2^k)^(d-i)``, which has the sign of
     ``q(t)``; the ``num`` and ``den`` powers are folded into the
-    coefficients once, leaving a shift per coefficient.  The width test
-    ``hi - lo >= 1 / (2 lead^2)`` is ``2·lead^2·num >= den·2^k``.  Only
-    the candidate and the witness are built as ``Fraction``.
+    coefficients once, leaving a shift per coefficient.  The width tests
+    ``hi - lo < 1 / lead`` and ``hi - lo < 1 / (2 lead^2)`` are
+    ``lead·num < den·2^k`` and ``2·lead^2·num < den·2^k``.  Only the
+    result and the witness are built as ``Fraction``.
     """
     t_max = as_rational(t_max)
     if t_max < 0:
@@ -381,9 +439,9 @@ def first_nonpositive(p: UniPoly, t_max) -> Optional[Rational]:
     if t_max == 0 or p.degree == 0:
         return None  # positive constants never dip; intervals of width 0 are done
     # p(0) > 0, so the infimum (if any) is the leftmost root in (0, t_max].
-    s = p.squarefree_part()
+    s, sequence = _squarefree_and_chain(p.primitive().coeffs)
     num, den = t_max.numerator, t_max.denominator
-    chain = [_scaled_to_unit(q.coeffs, num, den) for q in sturm_chain(s)]
+    chain = [_scaled_to_unit(q, num, den) for q in sequence]
 
     def variations(a, k):
         return sign_variations([_dyadic_value(q, a, k) for q in chain])
@@ -400,23 +458,20 @@ def first_nonpositive(p: UniPoly, t_max) -> Optional[Rational]:
         else:
             a += 1
     # (lo, hi] holds exactly one root, a simple one: s changes sign there.
-    lead = abs(s.coeffs[-1])
+    lead = abs(s[-1])
+    scaled = lead * num
     s_unit = chain[0]
     positive_at_lo = _dyadic_value(s_unit, a, k) > 0
-    width_bound = 2 * lead * lead * num
-    while width_bound >= den << k:
-        a, k = 2 * a, k + 1
-        value = _dyadic_value(s_unit, a + 1, k)
-        if value != 0 and (value > 0) == positive_at_lo:
-            a += 1
-    lo = Fraction(num * a, den << k)
-    hi = Fraction(num * (a + 1), den << k)
-    candidate = Fraction(num * (2 * a + 1), den << (k + 1)).limit_denominator(lead)
-    if lo < candidate <= hi and s.eval(candidate) == 0:
-        return as_rational(candidate)
+    a, k = _narrow(s_unit, a, k, positive_at_lo, scaled, den)
+    # hi - lo < 1 / lead: the grid point m / lead is the one rational candidate.
+    m = scaled * (a + 1) // (den << k)
+    if m * (den << k) > scaled * a and _grid_value(s, m, lead) == 0:
+        return as_rational(Fraction(m, lead))
+    a, k = _narrow(s_unit, a, k, positive_at_lo, 2 * lead * scaled, den)
     raise NotRepresentableError(
         "leftmost zero of the restriction is irrational",
-        lower=as_rational(lo), upper=as_rational(hi),
+        lower=as_rational(Fraction(num * a, den << k)),
+        upper=as_rational(Fraction(num * (a + 1), den << k)),
     )
 
 

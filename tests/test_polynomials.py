@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from collections import Counter
 from math import gcd, isqrt
 
 import pytest
@@ -15,6 +16,7 @@ from pivotforge import (
     multi_eval,
     uni_eval,
 )
+from pivotforge import polynomials
 from pivotforge.polynomials import (
     poly_gcd,
     sign_variations,
@@ -548,6 +550,113 @@ def test_first_nonpositive_matches_fraction_bisection_64_bit_denominator():
               UniPoly((root.numerator ** 2 + 1, 0, -q * q))):
         for t_max in (2, Fraction(2 * q + 1, q)):
             _assert_same_as_fraction_bisection(p, t_max)
+
+
+def _linear(c0, c1):
+    return UniPoly((c0, c1))
+
+
+def test_first_nonpositive_grid_root_with_reduced_denominator():
+    # lead 6, first root 1/2: its denominator is a proper divisor of lead
+    p = -(_linear(-1, 2) * _linear(-5, 3) * _linear(-4, 1))
+    for t_max in (1, Fraction(5, 3), 5, Fraction(5, 11)):
+        _assert_same_as_fraction_bisection(p, t_max)
+    assert first_nonpositive(p, 5) == Fraction(1, 2)
+    assert first_nonpositive(p, Fraction(5, 11)) is None
+
+
+def test_first_nonpositive_grid_root_at_hi_and_at_t_max():
+    # 3/4 is a dyadic point of [0, 1]: the bisection ends with it as hi
+    p = -(_linear(-3, 4) * _linear(2, 1) * _linear(1, 5))
+    assert first_nonpositive(p, 1) == Fraction(3, 4)
+    # the same root as t_max: the first interval already ends on it
+    assert first_nonpositive(p, Fraction(3, 4)) == Fraction(3, 4)
+    # an integer root at t_max, with lead 1 and lead 7
+    assert first_nonpositive(_linear(3, -1) * _linear(1, 1), 3) == 3
+    assert first_nonpositive(_linear(6, -2) * _linear(1, 7), 3) == 3
+    for q, t_max in ((p, 1), (p, Fraction(3, 4)), (p, Fraction(3, 2)),
+                     (_linear(6, -2) * _linear(1, 7), 3)):
+        _assert_same_as_fraction_bisection(q, t_max)
+
+
+def test_first_nonpositive_non_squarefree_rational_root():
+    p = _linear(-1, 3) ** 2 * _linear(2, -1)  # touches 0 at 1/3, crosses at 2
+    for t_max in (1, Fraction(1, 3), 3, Fraction(13, 7)):
+        _assert_same_as_fraction_bisection(p, t_max)
+    assert first_nonpositive(p, 3) == Fraction(1, 3)
+    assert first_nonpositive(p, Fraction(1, 4)) is None
+
+
+def test_first_nonpositive_degree_one():
+    for p, t_max, root in ((_linear(5, -7), 1, Fraction(5, 7)),
+                           (_linear(5, -7), Fraction(5, 7), Fraction(5, 7)),
+                           (_linear(Fraction(3, 2), -Fraction(1, 4)), 9, 6),
+                           (_linear(12, -5), 2, None)):
+        assert first_nonpositive(p, t_max) == root
+        _assert_same_as_fraction_bisection(p, t_max)
+
+
+@pytest.mark.parametrize("lead_root, k", [(7, 3), (1000, 1), (2**40 + 15, 5)])
+def test_first_nonpositive_irrational_root_next_to_a_grid_point(lead_root, k):
+    # sqrt(L^2 k^2 + 1) / L is within 1 / (2 L^2 k) = 1 / (2 lead k) of the
+    # grid point k; the witness must still be narrower than 1 / (2 lead^2)
+    p = UniPoly((lead_root * lead_root * k * k + 1, 0, -lead_root * lead_root))
+    with pytest.raises(NotRepresentableError) as info:
+        first_nonpositive(p, k + 1)
+    _assert_isolating_witness(p, k + 1, info.value)
+    _assert_same_as_fraction_bisection(p, k + 1)
+
+
+def _counting(monkeypatch, *names):
+    """Counter of calls to the named ``polynomials`` functions, from now on."""
+    counts = Counter()
+    for name in names:
+        original = getattr(polynomials, name)
+
+        def counted(*args, original=original, name=name):
+            counts[name] += 1
+            return original(*args)
+        monkeypatch.setattr(polynomials, name, counted)
+    return counts
+
+
+def test_first_nonpositive_runs_one_remainder_sequence_when_squarefree(monkeypatch):
+    square_free = -(_linear(-1, 2) * _linear(-5, 3) * _linear(-4, 1))
+    repeated = _linear(-1, 3) ** 2 * _linear(2, -1)
+    counts = _counting(monkeypatch, "_remainder_sequence")
+    assert first_nonpositive(square_free, 5) == Fraction(1, 2)
+    assert counts["_remainder_sequence"] == 1
+    counts.clear()
+    assert first_nonpositive(repeated, 3) == Fraction(1, 3)
+    assert counts["_remainder_sequence"] == 2
+
+
+def _ceil_log2(x) -> int:
+    e = 0
+    while 2 ** e < x:
+        e += 1
+    return e
+
+
+@pytest.mark.parametrize("p, t_max, root", [
+    (-(_linear(-1, 2) * _linear(-5, 3) * _linear(-4, 1)), 5, Fraction(1, 2)),
+    (-(_linear(-999_999, 1_000_003) * _linear(2, 1) * _linear(3, 1)), 1,
+     Fraction(999_999, 1_000_003)),
+    (_linear(-7, 2**31 - 1) * _linear(-8, 2**31 - 1) * _linear(1, 1), Fraction(9, 7),
+     Fraction(7, 2**31 - 1)),
+    (_linear(-1, 3) ** 2 * _linear(2, -1), 3, Fraction(1, 3)),
+])
+def test_first_nonpositive_refines_a_rational_root_only_to_the_grid(monkeypatch, p, t_max, root):
+    """Past isolation, a rational root costs at most one evaluation per
+    halving down to width ``1 / lead`` plus two, counted without a clock."""
+    s = p.squarefree_part()
+    lead = abs(s.coeffs[-1])
+    chain_length = len(sturm_chain(s))
+    counts = _counting(monkeypatch, "_dyadic_value", "sign_variations")
+    assert first_nonpositive(p, t_max) == root
+    points = counts["sign_variations"]  # 0, t_max, one per isolation step
+    refinement = counts["_dyadic_value"] - chain_length * points
+    assert refinement <= (points - 2) + _ceil_log2(t_max * lead) + 2
 
 
 # ----------------------------------------------------------- MultiPoly --
