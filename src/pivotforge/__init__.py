@@ -36,16 +36,12 @@ from .objectives import (
     alpha,
     beta,
     expand,
-    f_value,
-    pad,
     partial_closed_form,
 )
 from .polynomials import (
     MultiPoly,
     UniPoly,
     first_nonpositive,
-    multi_eval,
-    uni_eval,
 )
 from .satreduce import (
     CnfFormula,
@@ -56,7 +52,7 @@ from .satreduce import (
     violation_counts,
     violation_polynomial,
 )
-from .scalars import DualNumber, Rational, as_rational, format_rational, parse_rational
+from .scalars import DualNumber, Rational, as_rational, format_rational
 from .structure import (
     Face,
     Orientation,

@@ -20,7 +20,7 @@ operations are pure.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .errors import DimensionMismatchError, InfeasiblePointError, NotAVertexError
 from .scalars import Rational, as_rational
@@ -167,11 +167,6 @@ class BoxProgram:
         """The point ``x + mu * d`` (exact, single coordinate update)."""
         k = d.coord - 1
         return x[:k] + (x[k] + mu * d.sign,) + x[k + 1:]
-
-    def vertices(self) -> Iterator[Point]:
-        """All ``2^n`` vertices in id order."""
-        for vid in range(1 << self.n):
-            yield self.vertex_from_bits(bits_from_id(vid, self.n))
 
 
 def bits_to_id(bits: Sequence[int]) -> int:

@@ -38,7 +38,6 @@ import sys
 from array import array
 from fractions import Fraction
 from itertools import compress, count, islice, pairwise, product, zip_longest
-from math import lcm
 from operator import ne
 from typing import Callable, NamedTuple
 
@@ -58,11 +57,10 @@ from .errors import DimacsParseError, PivotforgeError, TooLargeError
 from .objectives import (
     LinearObjective,
     LowerBoundPolynomial,
+    PaddedObjective,
     expand,
-    pad,
     partial_closed_form,
 )
-from .polynomials import multi_eval
 from .satreduce import (
     ENUMERATION_LIMIT,
     CnfFormula,
@@ -192,7 +190,7 @@ def cmd_run(args) -> int:
         raise _usage_error(f"--max-iter must be at least 0, got {args.max_iter}")
     _check_cap(ambient, "run", "engine-run")
     inner = LowerBoundPolynomial(n)
-    objective = pad(inner, ambient) if ambient > n else inner
+    objective = PaddedObjective(inner, ambient) if ambient > n else inner
     program = BoxProgram.unit_cube(ambient)
     rule = make_rule(args.rule, args.seed)
     label = args.rule if args.rule != "random" else f"random(seed={args.seed})"
@@ -328,18 +326,19 @@ def check_constancy(n: int):
 
 
 def _random_linear_objective(rng: random.Random, n: int) -> LinearObjective:
-    """Random rational coefficients, resampled until all 2^n vertex values
-    are distinct (checked by exact subset-sum enumeration on the integer
-    numerators over the coefficients' common denominator)."""
-    while True:
-        c = tuple(Fraction(rng.randint(-60, 60), rng.randint(1, 9)) for _ in range(n))
-        scale = lcm(*(ci.denominator for ci in c))
-        sums = [0]
-        for ci in c:
-            step = ci.numerator * (scale // ci.denominator)
-            sums += [s + step for s in sums]
-        if len(set(sums)) == len(sums):
-            return LinearObjective(c)
+    """Random rational coefficients ``a/b`` (``|a| <= 60``, ``1 <= b <= 9``),
+    plus the tie-break ``2^(i-1) / (2520 · 2^n)`` on coordinate i, so that
+    all 2^n vertex values are distinct without a redraw.
+
+    Every ``b`` divides 2520 = lcm(1..9), so two vertices whose drawn sums
+    differ do so by at least 1/2520.  Their tie-breaks are distinct (the
+    numerators are the vertex ids over the same denominator) and differ
+    by less than 1/2520, so they separate equal sums and cannot close a
+    gap between unequal ones.
+    """
+    return LinearObjective(tuple(
+        Fraction(rng.randint(-60, 60), rng.randint(1, 9)) + Fraction(1 << i, 2520 << n)
+        for i in range(n)))
 
 
 def check_equivalence(n: int, trials: int, seed: int):
@@ -371,7 +370,7 @@ def check_equivalence(n: int, trials: int, seed: int):
 
 
 def check_uso(n: int):
-    orientation = induce_orientation(LowerBoundPolynomial(n), n)
+    orientation = induce_orientation(LowerBoundPolynomial(n))
     ok, witness = is_uso(orientation)
     if not ok:
         return False, {"reason": "face without a unique sink", **witness}
@@ -441,7 +440,7 @@ def certify_formula(formula: CnfFormula, probe: int):
         return False, {"reason": "per-vertex law violated",
                        "vertex": list(bits_from_id(wrong, n))}
     bits = bits_from_id(probe, n)
-    if Fraction(fields[probe] - offset, scale) != multi_eval(poly, bits):
+    if Fraction(fields[probe] - offset, scale) != poly.eval(bits):
         return False, {"reason": "vertex evaluator disagrees with full evaluation",
                        "vertex": list(bits)}
     return True, None
@@ -543,7 +542,7 @@ def cmd_export(args) -> int:
         print(f"degree={poly.total_degree} terms={len(poly.terms)} file={out}")
     elif args.what == "orientation":
         _check_cap(n, "pair-test", "orientation")
-        orientation = induce_orientation(LowerBoundPolynomial(n), n)
+        orientation = induce_orientation(LowerBoundPolynomial(n))
         out = args.out or f"orientation_n{n}.json"
         _write_json(out, orientation.to_json_dict())
         print(f"n={n} edges={n * (1 << (n - 1))} file={out}")

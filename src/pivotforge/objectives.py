@@ -208,12 +208,6 @@ def beta(n: int, i: int, x: Sequence) -> Rational:
     return as_rational((1 << i) * (xi - xi * xi) * s)
 
 
-def f_value(n: int, x: Sequence) -> Rational:
-    """The defining sum ``sum_i 2^{i-1} a_i(x) - b_i(x)``, exactly."""
-    require_length(x, n)
-    return as_rational(_evaluate_value(tuple(x)))
-
-
 def _require_unit_vertex(x: Sequence) -> tuple:
     coords = tuple(x)
     if any(c != 0 and c != 1 for c in coords):
@@ -334,22 +328,16 @@ class LowerBoundPolynomial:
             slope, curvature = as_rational(slope), as_rational(curvature)
         return UniPoly._make((slope, curvature))
 
-    def expand(self) -> MultiPoly:
-        """Fully expanded monomial form, obtained by evaluating the
-        recursion over the multivariate polynomial ring."""
-        variables = tuple(MultiPoly.variable(self.n, j) for j in range(1, self.n + 1))
-        result = _evaluate_value(variables)
-        if not isinstance(result, MultiPoly):
-            result = MultiPoly.constant(self.n, result)
-        return result
-
 
 def expand(n: int) -> MultiPoly:
     """Expanded monomial form of the degree-n family member.
 
-    Total degree is ``n`` for every ``n != 2`` and 3 for ``n = 2``.
+    Total degree is ``n`` for every ``n != 2`` and 3 for ``n = 2``.  The
+    recursion is evaluated over the multivariate polynomial ring.
     """
-    return LowerBoundPolynomial(n).expand()
+    if n < 1:
+        raise ValueError("dimension must be at least 1")
+    return _evaluate_value(tuple(MultiPoly.variable(n, j) for j in range(1, n + 1)))
 
 
 class LinearObjective:
@@ -416,12 +404,7 @@ class PaddedObjective:
         require_length(x, self.n)
         if d.coord <= self.inner.n:
             return self.inner.edge_restriction(tuple(x[: self.inner.n]), d, slope)
-        return UniPoly.zero()
-
-
-def pad(inner, n: int) -> PaddedObjective:
-    """Lift an oracle to ``n >= inner.n`` dimensions by ignoring the tail."""
-    return PaddedObjective(inner, n)
+        return UniPoly(())
 
 
 def _parts(v) -> tuple:

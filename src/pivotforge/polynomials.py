@@ -1,8 +1,10 @@
 """Exact univariate and sparse multivariate polynomial arithmetic.
 
-Univariate polynomials (:class:`UniPoly`) carry the line-search machinery:
-Sturm chains and :func:`first_nonpositive`, which computes
-``inf {t in [0, t_max] : p(t) <= 0}`` exactly.  It isolates the leftmost
+Univariate polynomials (:class:`UniPoly`) carry the line search,
+:func:`first_nonpositive`, which computes
+``inf {t in [0, t_max] : p(t) <= 0}`` exactly.  Square-free parts, gcds
+and Sturm chains are its private integer helpers, not entry points of
+their own.  The search isolates the leftmost
 root by bisection, narrows it below ``1 / lead`` (``lead`` the leading
 coefficient of the primitive square-free part) and then tests the one
 point of the grid ``(1/lead)ℤ`` there, which holds every rational root;
@@ -27,7 +29,9 @@ artifact byte-deterministic.
 Coefficients and evaluation points are exact scalars (``int | Fraction``);
 evaluation is generic over any commutative ring whose elements support
 ``+``, ``-``, ``*`` with ints, so the same code evaluates over rationals,
-dual numbers, and polynomial rings.
+dual numbers, and polynomial rings.  ``eval`` returns the ring element as
+the arithmetic leaves it (an integral value may be a ``Fraction``);
+callers that store a rational canonicalize it with ``as_rational``.
 """
 
 from __future__ import annotations
@@ -74,10 +78,6 @@ class UniPoly:
         poly = object.__new__(cls)
         poly.coeffs = tuple(cs)
         return poly
-
-    @staticmethod
-    def zero() -> "UniPoly":
-        return UniPoly(())
 
     @property
     def degree(self) -> int:
@@ -209,19 +209,6 @@ class UniPoly:
         return UniPoly._make(_primitive_ints(
             [c.numerator * (den_lcm // c.denominator) for c in self.coeffs]))
 
-    def squarefree_part(self) -> "UniPoly":
-        """A polynomial with the same roots, all simple (``p / gcd(p, p')``).
-
-        ``p`` is made primitive first; the gcd of a primitive integer
-        polynomial divides it with an integer quotient (Gauss's lemma), so
-        the division runs on ``int`` coefficients
-        (:func:`_squarefree_and_chain`).
-        """
-        p = self.primitive()
-        if p.degree <= 0:
-            return p
-        return UniPoly._make(_squarefree_and_chain(p.coeffs)[0])
-
 
 def _primitive_ints(cs) -> tuple:
     """Integer coefficients divided by their gcd (a positive scaling)."""
@@ -304,40 +291,6 @@ def _derivative_ints(cs) -> tuple:
     """Coefficients of the derivative of the polynomial with coefficients
     ``cs``."""
     return tuple(i * c for i, c in enumerate(cs) if i)
-
-
-def poly_gcd(a: UniPoly, b: UniPoly) -> UniPoly:
-    """Greatest common divisor, returned primitive with positive lead.
-
-    Euclid's algorithm on the primitive integer forms: the last entry of
-    :func:`_remainder_sequence` (``a`` itself when ``b`` is zero), whose
-    signs do not matter here because the lead is made positive.
-    """
-    a, b = a.primitive().coeffs, b.primitive().coeffs
-    g = _remainder_sequence(a, b)[-1] if b else a
-    if g and g[-1] < 0:
-        g = tuple(-c for c in g)
-    return UniPoly._make(g)
-
-
-def sturm_chain(p: UniPoly) -> list:
-    """The Sturm chain of ``p``: p, p', then negated remainders, each
-    rescaled to primitive integer form (a positive scaling, so sign
-    variations are unchanged).
-
-    This is :func:`_remainder_sequence` from the primitive forms of ``p``
-    and ``p'``; its pseudo-remainders are positive multiples of the true
-    ones, so after the rescaling the chain is the one rational division
-    gives.
-    """
-    if p.is_zero():
-        raise ValueError("Sturm chain of the zero polynomial is undefined")
-    head = p.primitive()
-    d = head.derivative()
-    if d.is_zero():
-        return [head]
-    return [UniPoly._make(cs) for cs in
-            _remainder_sequence(head.coeffs, _primitive_ints(d.coeffs))]
 
 
 def sign_variations(values: Sequence) -> int:
@@ -475,11 +428,6 @@ def first_nonpositive(p: UniPoly, t_max) -> Optional[Rational]:
     )
 
 
-def uni_eval(p: UniPoly, t) -> Rational:
-    """Exact value ``p(t)`` for a rational argument."""
-    return as_rational(p.eval(as_rational(t)))
-
-
 class MultiPoly:
     """A sparse multivariate polynomial over exact rationals.
 
@@ -502,10 +450,6 @@ class MultiPoly:
             if coeff != 0:
                 clean[exps] = coeff
         self.terms = clean
-
-    @staticmethod
-    def zero(nvars: int) -> "MultiPoly":
-        return MultiPoly(nvars)
 
     @staticmethod
     def constant(nvars: int, c) -> "MultiPoly":
@@ -694,15 +638,3 @@ class MultiPoly:
             )
             bits.append(f"{coeff}" + (f"*{mono}" if mono else ""))
         return f"MultiPoly({self.nvars}, {' + '.join(bits)})"
-
-
-def multi_eval(p: MultiPoly, point: Sequence):
-    """Exact value of ``p`` at ``point``.
-
-    For rational entries the result is rational; dual-number entries
-    propagate a directional derivative alongside the value.
-    """
-    value = p.eval(point)
-    if isinstance(value, (int, Fraction)):
-        return as_rational(value)
-    return value

@@ -158,7 +158,7 @@ def violation_polynomial(formula: CnfFormula) -> MultiPoly:
     """The clause-penalty polynomial described in the module docstring:
     total degree at most 3, value ``-(violated clause count)`` on vertices."""
     n = formula.n_vars
-    total = MultiPoly.zero(n)
+    total = MultiPoly(n)
     for clause in formula.clauses:
         product = MultiPoly.constant(n, 1)
         for lit in clause:

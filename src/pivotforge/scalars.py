@@ -9,7 +9,9 @@ Python's numeric tower guarantees that equal values of the two types
 compare and hash identically, so the mixed representation is transparent.
 
 Floats are rejected everywhere: no rounding happens anywhere in the
-package.
+package.  :func:`as_rational` takes only ``int`` and ``Fraction``;
+:func:`format_rational` writes the ``"p/q"`` text of output files, which
+``fractions.Fraction`` parses back.
 """
 
 from __future__ import annotations
@@ -21,11 +23,11 @@ Rational = Union[int, Fraction]
 
 
 def as_rational(value) -> Rational:
-    """Coerce ``value`` to the canonical exact-scalar representation.
-
-    Accepts ``int``, ``Fraction``, strings of the form ``"p/q"`` or ``"p"``,
-    and ``(numerator, denominator)`` pairs.  Fractions with denominator 1
-    collapse to ``int``.  Floats are rejected.
+    """Coerce an ``int`` or ``Fraction`` to the canonical exact-scalar
+    representation: fractions with denominator 1 collapse to ``int``.
+    Everything else, floats and bools included, is rejected; a ``"p/q"``
+    string written by :func:`format_rational` is read back with
+    ``Fraction(text)``.
     """
     if isinstance(value, bool):
         raise TypeError("bool is not a rational scalar")
@@ -33,12 +35,8 @@ def as_rational(value) -> Rational:
         return value
     if isinstance(value, Fraction):
         return value.numerator if value.denominator == 1 else value
-    if isinstance(value, str):
-        return as_rational(parse_rational(value))
-    if isinstance(value, tuple) and len(value) == 2:
-        return as_rational(Fraction(value[0], value[1]))
     if isinstance(value, float):
-        raise TypeError(f"refusing float {value!r}; use int, Fraction, or 'p/q'")
+        raise TypeError(f"refusing float {value!r}; use int or Fraction")
     raise TypeError(f"cannot interpret {value!r} as an exact rational")
 
 
@@ -53,15 +51,6 @@ def format_rational(value: Rational) -> str:
         return f"{value}/1"
     f = Fraction(value)
     return f"{f.numerator}/{f.denominator}"
-
-
-def parse_rational(text: str) -> Fraction:
-    """Parse a ``"p/q"`` or ``"p"`` string produced by :func:`format_rational`."""
-    text = text.strip()
-    if "/" in text:
-        num, _, den = text.partition("/")
-        return Fraction(int(num), int(den))
-    return Fraction(int(text))
 
 
 class DualNumber:

@@ -60,8 +60,7 @@ def s_parity(x: Sequence[int], k: int) -> int:
     return sum(x[j] for j in range(k, n)) % 2
 
 
-def improving_dimension(bits: Sequence[int], oracle: Optional[LowerBoundPolynomial] = None
-                        ) -> Optional[int]:
+def improving_dimension(bits: Sequence[int], oracle: LowerBoundPolynomial) -> Optional[int]:
     """The unique coordinate along which the lower-bound objective improves
     at a 0/1 vertex, or ``None`` at the optimal vertex ``e_n``.
 
@@ -80,8 +79,6 @@ def improving_dimension(bits: Sequence[int], oracle: Optional[LowerBoundPolynomi
     n = len(bits)
     if not _BITS.issuperset(bits):
         raise ValueError(f"{bits!r} is not a 0/1 vertex")
-    if oracle is None:
-        oracle = LowerBoundPolynomial(n)
     by_predicates = []
     prefix = 1  # pp(bits, k)
     zeros = 1   # prod of (1 - x_j) over 1 <= j < k
@@ -187,10 +184,6 @@ class Face:
                 vid |= 1 << i
         return vid
 
-    def contains(self, vid: int) -> bool:
-        free = self.free_mask()
-        return (vid & ~free) == self.base_id()
-
     def vertex_ids(self) -> list:
         """All vertex ids in the face (submask enumeration of the free mask)."""
         free = self.free_mask()
@@ -255,12 +248,11 @@ class Orientation:
         return {"n": self.n, "outgoing": outgoing}
 
 
-def induce_orientation(objective, n: int) -> Orientation:
+def induce_orientation(objective) -> Orientation:
     """Orient each cube edge toward the endpoint with the larger objective
     value.  Raises :class:`TieError` if two adjacent vertices share a value
     (the precondition is distinct values on all vertices)."""
-    if objective.n != n:
-        raise ValueError(f"objective dimension {objective.n} != n {n}")
+    n = objective.n
     values = [objective.value(bits_from_id(vid, n)) for vid in range(1 << n)]
     masks = [0] * (1 << n)
     for low in range(1 << n):

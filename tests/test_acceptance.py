@@ -31,12 +31,12 @@ from pivotforge import (
     BoxProgram,
     CnfFormula,
     Literal,
+    PaddedObjective,
     active_set_run,
     bits_from_id,
     equivalence_check,
     expand,
     make_rule,
-    pad,
 )
 from pivotforge.cli import (
     _random_formula,
@@ -128,7 +128,7 @@ def test_06_partial_constant_along_improving_edge():
 def test_07_padding_preserves_the_count(oracle_for):
     with report("07 padded objectives run for exactly 2^d - 1 iterations"):
         for d, n in [(4, 16), (5, 20), (8, 16)]:
-            objective = pad(oracle_for(d), n)
+            objective = PaddedObjective(oracle_for(d), n)
             program = BoxProgram.unit_cube(n)
             trajectory = active_set_run(
                 program, objective, (0,) * n, make_rule("lowest-index")

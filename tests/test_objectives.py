@@ -14,13 +14,11 @@ from pivotforge import (
     MultiPoly,
     MultiPolyObjective,
     NotAVertexError,
+    PaddedObjective,
     alpha,
     beta,
     expand,
-    f_value,
     improving_dimension,
-    multi_eval,
-    pad,
     partial_closed_form,
 )
 from pivotforge.boxes import bits_from_id
@@ -89,9 +87,10 @@ def test_beta_vanishes_on_every_vertex():
 
 
 def test_f_values_on_small_vertices():
-    assert [f_value(2, b) for b in [(0, 0), (1, 0), (1, 1), (0, 1)]] == [0, 1, 2, 3]
-    assert f_value(3, (0, 0, 1)) == 7
-    assert f_value(2, (0, Fraction(1, 2))) == Fraction(1, 2)
+    f2 = LowerBoundPolynomial(2)
+    assert [f2.value(b) for b in [(0, 0), (1, 0), (1, 1), (0, 1)]] == [0, 1, 2, 3]
+    assert LowerBoundPolynomial(3).value((0, 0, 1)) == 7
+    assert f2.value((0, Fraction(1, 2))) == Fraction(1, 2)
 
 
 def test_vertex_values_are_a_permutation(oracle_for):
@@ -270,7 +269,7 @@ def test_padded_vertex_sweep_agrees(monkeypatch):
     for head in range(1, 6):
         inner = LowerBoundPolynomial(head)
         for n in (head, head + 3):
-            padded = pad(inner, n)
+            padded = PaddedObjective(inner, n)
             for vid in range(1 << n):
                 bits = bits_from_id(vid, n)
                 value, grad = _vertex_reference(bits[:head])
@@ -320,7 +319,7 @@ def _oracles_at(n: int, data) -> list:
         LowerBoundPolynomial(n),
         LinearObjective(tuple(data.draw(mixed_scalars) for _ in range(n))),
         MultiPolyObjective(MultiPoly(n, terms)),
-        pad(LowerBoundPolynomial(head), n),
+        PaddedObjective(LowerBoundPolynomial(head), n),
     ]
 
 
@@ -453,24 +452,24 @@ def test_expansion_matches_recursive_values(oracle_for):
         poly = expand(n)
         for vid in range(1 << n):
             bits = bits_from_id(vid, n)
-            assert multi_eval(poly, bits) == oracle.value(bits)
+            assert poly.eval(bits) == oracle.value(bits)
         # 500 random rational points at the largest size, fewer below
         for _ in range(500 if n == 8 else 60):
             point = tuple(
                 Fraction(rng.randint(-8, 12), rng.randint(1, 7)) for _ in range(n)
             )
-            assert multi_eval(poly, point) == oracle.value(point)
+            assert poly.eval(point) == oracle.value(point)
 
 
 def test_expanded_f2_at_example_point():
-    assert multi_eval(expand(2), (0, 1)) == 3
+    assert expand(2).eval((0, 1)) == 3
 
 
 # ---------------------------------------------------------- padding --
 
 
 def test_padding_reads_only_the_head(oracle_for):
-    padded = pad(oracle_for(2), 4)
+    padded = PaddedObjective(oracle_for(2), 4)
     assert padded.value((0, 1, 1, 1)) == 3
     grad = padded.gradient((0, 1, 1, 0))
     assert grad[2:] == (0, 0)
@@ -483,7 +482,7 @@ def test_padding_reads_only_the_head(oracle_for):
 
 def test_padding_to_same_dimension_is_identity(oracle_for):
     oracle = oracle_for(3)
-    padded = pad(oracle, 3)
+    padded = PaddedObjective(oracle, 3)
     for vid in range(8):
         bits = bits_from_id(vid, 3)
         assert padded.value(bits) == oracle.value(bits)
@@ -492,7 +491,7 @@ def test_padding_to_same_dimension_is_identity(oracle_for):
 
 def test_padding_dimension_mismatch():
     with pytest.raises(DimensionMismatchError):
-        pad(LowerBoundPolynomial(4), 2)
+        PaddedObjective(LowerBoundPolynomial(4), 2)
 
 
 # ------------------------------------------- polynomial-backed oracle --
@@ -569,7 +568,7 @@ def test_multipoly_edge_restriction_equals_substitution(n, data):
 
 def test_multipoly_zero_and_constant_polynomials():
     for n in (1, 3):
-        for poly in (MultiPoly.zero(n), MultiPoly.constant(n, Fraction(-7, 3))):
+        for poly in (MultiPoly(n), MultiPoly.constant(n, Fraction(-7, 3))):
             objective = MultiPolyObjective(poly)
             for point in ((0,) * n, (Fraction(1, 2),) + (-3,) * (n - 1)):
                 value, grad = objective.value_and_gradient(point)

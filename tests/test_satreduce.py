@@ -12,7 +12,6 @@ from pivotforge import (
     TooLargeError,
     brute_force_max,
     brute_force_sat,
-    multi_eval,
     parse_dimacs,
     violation_counts,
     violation_polynomial,
@@ -121,12 +120,12 @@ def test_brute_force_max_examples():
     poly = violation_polynomial(CnfFormula(3, (clause(1, -2, 3),)))
     best, argmax = brute_force_max(poly, 3)
     assert best == 0
-    assert multi_eval(poly, argmax) == 0
+    assert poly.eval(argmax) == 0
     best, _ = brute_force_max(
         violation_polynomial(CnfFormula(1, (clause(1), clause(-1)))), 1
     )
     assert best == -1
-    assert brute_force_max(MultiPoly.zero(2), 2) == (0, (0, 0))
+    assert brute_force_max(MultiPoly(2), 2) == (0, (0, 0))
 
 
 def test_brute_force_max_matches_full_evaluation():
@@ -141,11 +140,11 @@ def test_brute_force_max_matches_full_evaluation():
         poly = MultiPoly(n, terms)
         best, argmax = brute_force_max(poly, n)
         values = [
-            multi_eval(poly, tuple((v >> i) & 1 for i in range(n)))
+            poly.eval(tuple((v >> i) & 1 for i in range(n)))
             for v in range(1 << n)
         ]
         assert best == max(values)
-        assert multi_eval(poly, argmax) == best
+        assert poly.eval(argmax) == best
 
 
 def _vertex_values(poly, n):
@@ -232,7 +231,7 @@ def test_zeta_vertex_values_equal_per_term_evaluation(n, data):
     assert values == _vertex_values_oracle(poly, n) == reference
     assert [type(v) for v in values] == [type(as_rational(v)) for v in reference]
     vid = data.draw(st.integers(min_value=0, max_value=(1 << n) - 1))
-    assert values[vid] == multi_eval(poly, tuple((vid >> i) & 1 for i in range(n)))
+    assert values[vid] == poly.eval(tuple((vid >> i) & 1 for i in range(n)))
     best, argmax = brute_force_max(poly, n)
     reference_best, reference_argmax = _brute_force_max_by_list_zeta(poly, n)
     assert (best, argmax) == (reference_best, reference_argmax)
@@ -264,7 +263,7 @@ def test_zeta_vertex_values_in_fields_across_a_width_boundary(n):
             assert values == _vertex_values_oracle(poly, n)
             assert values[-1] == sign * offset
             assert brute_force_max(poly, n) == _brute_force_max_by_list_zeta(poly, n)
-    assert _vertex_values(MultiPoly.zero(0), 0) == [0]
+    assert _vertex_values(MultiPoly(0), 0) == [0]
     assert _vertex_values(MultiPoly.constant(0, Fraction(3, 7)), 0) == [Fraction(3, 7)]
 
 
@@ -275,7 +274,7 @@ def test_brute_force_max_returns_the_lowest_maximizing_vertex():
     values = _vertex_values(poly, 3)
     assert [vid for vid in range(8) if values[vid] == 2] == [3, 6, 7]
     assert brute_force_max(poly, 3) == (2, (1, 1, 0))
-    assert brute_force_max(MultiPoly.zero(3), 3) == (0, (0, 0, 0))
+    assert brute_force_max(MultiPoly(3), 3) == (0, (0, 0, 0))
 
 
 def test_brute_force_sat_examples():
@@ -327,7 +326,7 @@ def test_violation_counts_fields_widen_with_the_clause_count():
 
 def test_enumeration_guards():
     with pytest.raises(TooLargeError):
-        brute_force_max(MultiPoly.zero(25), 25)
+        brute_force_max(MultiPoly(25), 25)
     with pytest.raises(TooLargeError):
         brute_force_sat(CnfFormula(25, ()))
     with pytest.raises(TooLargeError):
@@ -357,7 +356,7 @@ def test_reduction_soundness_on_random_formulas():
         assert (best == 0) == satisfiable
         assert best <= 0
         if satisfiable:
-            assert multi_eval(poly, witness) == 0
+            assert poly.eval(witness) == 0
 
 
 def test_polynomial_counts_violated_clauses_on_every_vertex():
@@ -367,7 +366,7 @@ def test_polynomial_counts_violated_clauses_on_every_vertex():
         poly = violation_polynomial(formula)
         for vid in range(1 << formula.n_vars):
             bits = tuple((vid >> i) & 1 for i in range(formula.n_vars))
-            assert multi_eval(poly, bits) == -violated_clause_count(formula, bits)
+            assert poly.eval(bits) == -violated_clause_count(formula, bits)
 
 
 def test_polynomial_nonpositive_at_interior_points():
@@ -379,4 +378,4 @@ def test_polynomial_nonpositive_at_interior_points():
             point = tuple(
                 Fraction(rng.randint(0, 24), 24) for _ in range(formula.n_vars)
             )
-            assert multi_eval(poly, point) <= 0
+            assert poly.eval(point) <= 0

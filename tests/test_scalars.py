@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from pivotforge import DualNumber, UniPoly, as_rational, format_rational, parse_rational
+from pivotforge import DualNumber, UniPoly, as_rational, format_rational
 
 rationals = st.fractions(
     min_value=-1000, max_value=1000, max_denominator=60
@@ -14,9 +14,6 @@ def test_as_rational_accepts_exact_forms():
     assert as_rational(5) == 5
     assert isinstance(as_rational(Fraction(4, 2)), int)
     assert as_rational(Fraction(3, 7)) == Fraction(3, 7)
-    assert as_rational("3/7") == Fraction(3, 7)
-    assert as_rational("-12") == -12
-    assert as_rational((3, 6)) == Fraction(1, 2)
 
 
 def test_as_rational_rejects_floats_and_bools():
@@ -24,6 +21,9 @@ def test_as_rational_rejects_floats_and_bools():
         as_rational(0.5)
     with pytest.raises(TypeError):
         as_rational(True)
+    for text_or_pair in ("3/7", (3, 6)):  # parse text with Fraction(text)
+        with pytest.raises(TypeError):
+            as_rational(text_or_pair)
 
 
 def test_format_always_carries_denominator():
@@ -38,7 +38,7 @@ def test_format_always_carries_denominator():
 
 @given(st.one_of(rationals, st.integers(min_value=-(10**40), max_value=10**40)))
 def test_format_parse_round_trip(q):
-    assert parse_rational(format_rational(q)) == q
+    assert Fraction(format_rational(q)) == q
 
 
 @given(rationals, rationals, rationals, rationals)
