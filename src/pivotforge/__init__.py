@@ -33,8 +33,6 @@ from .objectives import (
     MultiPolyObjective,
     ObjectiveOracle,
     PaddedObjective,
-    alpha,
-    beta,
     expand,
     partial_closed_form,
 )

@@ -14,9 +14,8 @@ usage or parse errors.
 
 Dimension caps guard the exponential work, each set where a measured
 command still finishes in bounded time and memory (``CAP_HELP`` lists
-them): engine runs and vertex scans n <= 20 (``run``, ``verify path``
-and the other vertex checks, ``export path``), the Szabó–Welzl pair test
-over 2^n x 2^n vertex pairs n <= 16 (``verify uso``, ``export
+them): engine runs and vertex scans n <= 20 (``run``, ``verify path``,
+``verify uso`` and the other vertex checks, ``export path``, ``export
 orientation``), the expanded polynomial n <= 19 (``export polynomial``,
 whose term list is built in memory), SAT enumeration <= 24 variables.
 Setting the ``PIVOTFORGE_MAX_N`` environment variable replaces each of
@@ -88,15 +87,15 @@ from .structure import (
 )
 
 # Set from measurements (2-vCPU VM, Python 3.11; the README has the table):
-# run --n 20 takes 72 s in 18 MB, as every n does; verify uso --n 16 takes
-# 11 s and 23 MB, about three times the time of n = 15; export polynomial --n 19
-# takes 20 s and 504 MB, the largest n under 1 GB (the terms double per n).
-DEFAULT_CAPS = {"run": 20, "pair-test": 16, "expansion": 19, "sat": ENUMERATION_LIMIT}
+# run --n 20 takes 72 s in 18 MB, as every n does, and verify uso and export
+# orientation, which hold one outgoing mask per vertex, finish at n = 20 too;
+# export polynomial --n 19 takes 20 s and 504 MB, the largest n under 1 GB
+# (the terms double per n).
+DEFAULT_CAPS = {"run": 20, "expansion": 19, "sat": ENUMERATION_LIMIT}
 
 CAP_HELP = (
-    f"dimension caps: engine runs and vertex scans n <= {DEFAULT_CAPS['run']};\n"
-    f"the pair test of 'verify uso' and 'export orientation' n <= "
-    f"{DEFAULT_CAPS['pair-test']};\n"
+    f"dimension caps: engine runs and vertex scans, 'verify uso' and 'export "
+    f"orientation' included, n <= {DEFAULT_CAPS['run']};\n"
     f"'export polynomial' n <= {DEFAULT_CAPS['expansion']}; "
     f"SAT enumeration <= {DEFAULT_CAPS['sat']} variables.\n"
     "The environment variable PIVOTFORGE_MAX_N replaces each cap with its value."
@@ -370,13 +369,15 @@ def check_equivalence(n: int, trials: int, seed: int):
 
 
 def check_uso(n: int):
+    """The slice test certifies all three claims (the lemma is proved in
+    :func:`combed_in_top_dimensions`).  Only an orientation that fails it
+    has its faces scanned, to pick the witness and its reason."""
     orientation = induce_orientation(LowerBoundPolynomial(n))
+    if combed_in_top_dimensions(orientation):
+        return True, None
     ok, witness = is_uso(orientation)
     if not ok:
         return False, {"reason": "face without a unique sink", **witness}
-    if combed_in_top_dimensions(orientation):  # certifies both combedness claims
-        return True, None
-    # the face scans below pick the witness and its reason
     ok, witness = is_decomposable(orientation)
     if not ok:
         return False, {"reason": "uncombed subcube", **witness}
@@ -494,7 +495,7 @@ CHECKS = {
         "the induced orientation has exactly one sink in every face, is combed "
         "on every subcube, and is combed in each subcube's highest free "
         "dimension",
-        check_uso, "pair-test", 8),
+        check_uso, "run", 8),
     "sink": Check(
         "the descent sink finder returns the brute-force optimum vertex, the "
         "last unit vector, with at most 2n value queries",
@@ -532,6 +533,23 @@ def cmd_verify(args) -> int:
 # ------------------------------------------------------------- export --
 
 
+def _decimal_key_order(size: int):
+    """Yield ``0 .. size - 1`` in the order of their decimal strings, the
+    order in which ``sort_keys`` writes the keys ``str(vid)``: a preorder
+    walk of the digit trie, holding one number."""
+    if size:
+        yield 0  # "0" sorts before every other key
+    vid = 1
+    for _ in range(size - 1):
+        yield vid
+        if vid * 10 < size:
+            vid *= 10  # first child: append a 0 digit
+        else:
+            while vid % 10 == 9 or vid + 1 >= size:  # no next sibling: climb
+                vid //= 10
+            vid += 1
+
+
 def cmd_export(args) -> int:
     n = args.n
     if args.what == "polynomial":
@@ -541,10 +559,19 @@ def cmd_export(args) -> int:
         _write_json(out, poly.to_json_dict())
         print(f"degree={poly.total_degree} terms={len(poly.terms)} file={out}")
     elif args.what == "orientation":
-        _check_cap(n, "pair-test", "orientation")
-        orientation = induce_orientation(LowerBoundPolynomial(n))
+        _check_cap(n, "run", "orientation")
+        masks = induce_orientation(LowerBoundPolynomial(n)).outgoing_masks()
         out = args.out or f"orientation_n{n}.json"
-        _write_json(out, orientation.to_json_dict())
+        coords = [(1 << (k - 1), f"\n      {k}") for k in range(1, n + 1)]
+        with _writing(out) as handle:  # laid out as _write_json lays out {"n": n, "outgoing": {...}}
+            handle.write(f'{{\n  "n": {n},\n  "outgoing": {{')
+            separator = "\n"
+            for vid in _decimal_key_order(1 << n):  # one vertex at a time, in sort_keys order
+                listed = ",".join(text for bit, text in coords if masks[vid] & bit)
+                handle.write(f'{separator}    "{vid}": [{listed}\n    ]' if listed
+                             else f'{separator}    "{vid}": []')
+                separator = ",\n"
+            handle.write("\n  }\n}\n")
         print(f"n={n} edges={n * (1 << (n - 1))} file={out}")
     else:
         _check_cap(n, "run", "path")

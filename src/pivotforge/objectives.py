@@ -175,39 +175,6 @@ def _vertex_sweep(bits: Sequence, powers: Sequence) -> tuple:
     return value, tuple(grad)
 
 
-def alpha(n: int, i: int, x: Sequence) -> Rational:
-    """The value ``a_{n,i}(x)`` of the first recursion (``a_{n,n+1} = 0``).
-
-    On {0,1}^n the result is the XOR of the bits ``x_i .. x_n``, hence in
-    {0, 1}.
-    """
-    if not 1 <= i <= n + 1:
-        raise ValueError(f"index i={i} out of range 1..{n + 1}")
-    require_length(x, n)
-    acc = 0
-    for j in range(n - 1, i - 2, -1):
-        xj = x[j]
-        acc = xj + (1 - 2 * xj) * acc
-    return as_rational(acc)
-
-
-def beta(n: int, i: int, x: Sequence) -> Rational:
-    """The value ``b_{n,i}(x)`` of the second recursion.
-
-    Zero whenever ``x_i`` is 0 or 1, and identically zero for ``i = 1``
-    because of the ``x_0 := 1`` convention.
-    """
-    if not 1 <= i <= n:
-        raise ValueError(f"index i={i} out of range 1..{n}")
-    require_length(x, n)
-    xi = x[i - 1]
-    prev = x[i - 2] if i >= 2 else 1
-    s = 1 - prev
-    for j in range(i - 2):
-        s += x[j]
-    return as_rational((1 << i) * (xi - xi * xi) * s)
-
-
 def _require_unit_vertex(x: Sequence) -> tuple:
     coords = tuple(x)
     if any(c != 0 and c != 1 for c in coords):

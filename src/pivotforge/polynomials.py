@@ -94,9 +94,6 @@ class UniPoly:
             result = result * t + c
         return result
 
-    def derivative(self) -> "UniPoly":
-        return UniPoly._make(_derivative_ints(self.coeffs))
-
     def _lift(self, other):
         if isinstance(other, UniPoly):
             return other

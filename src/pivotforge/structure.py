@@ -10,13 +10,14 @@ by vertex values, unique-sink and combedness checks, and a sink finder
 that needs only ``O(n)`` value queries on decomposable orientations.
 
 An orientation is stored as its outmap alone: one outgoing-coordinate mask
-per vertex, ``2^n`` integers in all.  Every check reads those masks.  The
-unique-sink check decides with the Szabó-Welzl pair criterion on them,
-and combedness in every face's highest free coordinate with an
-``O(n * 2^n)`` slice test; neither visits the ``3^n`` faces.  The face
-scans (:func:`sinks_in_face`, :func:`combed_dimension`,
-:func:`is_decomposable`) remain for locating a witness face and for
-combedness in an arbitrary dimension.
+per vertex, ``2^n`` integers in all.  Every check reads those masks.
+Combedness in every face's highest free coordinate is decided by an
+``O(n * 2^n)`` slice test that does not visit the ``3^n`` faces, and it
+implies a unique sink in every face (see
+:func:`combed_in_top_dimensions`).  The face scans (:func:`is_uso`,
+:func:`sinks_in_face`, :func:`combed_dimension`, :func:`is_decomposable`)
+remain for locating a witness face and for combedness in an arbitrary
+dimension.
 
 Vertices of the unit cube are handled as 0/1 bit tuples (bit ``k-1`` is
 coordinate ``k``) and as little-endian integer ids, matching the id
@@ -239,14 +240,6 @@ class Orientation:
         """Per-vertex bitmask of outgoing coordinates (bit k-1 for coord k)."""
         return self._masks
 
-    def to_json_dict(self) -> dict:
-        masks = self._masks
-        outgoing = {
-            str(vid): [k for k in range(1, self.n + 1) if masks[vid] >> (k - 1) & 1]
-            for vid in range(1 << self.n)
-        }
-        return {"n": self.n, "outgoing": outgoing}
-
 
 def induce_orientation(objective) -> Orientation:
     """Orient each cube edge toward the endpoint with the larger objective
@@ -277,55 +270,14 @@ def sinks_in_face(orientation: Orientation, face: Face) -> list:
     return [vid for vid in face.vertex_ids() if masks[vid] & free == 0]
 
 
-def _outmaps_separate_all_pairs(orientation: Orientation) -> bool:
-    """The Szabó-Welzl criterion: ``(u ^ v) & (s(u) ^ s(v)) != 0`` for all
-    vertices ``u != v``, where ``s`` is the outgoing mask.
-
-    Pairs are grouped by ``d = u ^ v``.  Column ``i`` is the ``2^n``-bit set
-    of vertices whose coordinate-``i+1`` edge is outgoing; ``shifted[i]``
-    holds the same set with every vertex ``u`` replaced by ``u ^ d``.  The
-    pairs at ``d`` all separate iff no vertex agrees with its partner on
-    every column in ``d``.  Visiting ``d`` in Gray-code order turns each
-    update of ``shifted`` into one swap of bit blocks per column.
-    """
-    n = orientation.n
-    size = 1 << n
-    masks = orientation.outgoing_masks()
-    full = (1 << size) - 1
-    columns = [
-        int("".join("1" if mask >> i & 1 else "0" for mask in reversed(masks)), 2)
-        for i in range(n)
-    ]
-    # keeps[j]: the vertices with bit j clear, as a 2^n-bit set
-    keeps = [full // ((1 << (2 << j)) - 1) * ((1 << (1 << j)) - 1) for j in range(n)]
-    shifted = list(columns)
-    d = 0
-    for step in range(1, size):
-        j = (step & -step).bit_length() - 1
-        d ^= 1 << j
-        width = 1 << j
-        keep = keeps[j]
-        shifted = [((c & keep) << width) | ((c >> width) & keep) for c in shifted]
-        agree = full
-        for i in range(n):
-            if d >> i & 1:
-                agree &= ~(columns[i] ^ shifted[i])
-        if agree:
-            return False
-    return True
-
-
 def is_uso(orientation: Orientation):
     """Does every one of the ``3^n`` faces have exactly one sink?
 
-    Decided by the outmap criterion of Szabó and Welzl ("Unique sink
-    orientations of cubes", FOCS 2001) in ``O(n * 4^n / w)`` word
-    operations on ``2^n``-bit sets.  Only when it fails are the faces scanned, to
-    return ``(False, witness)`` with the first face in :func:`faces` order
-    that has no unique sink, and its sink list; otherwise ``(True, None)``.
+    Scans the faces in :func:`faces` order and returns ``(False, witness)``
+    with the first face that has no unique sink, and its sink list;
+    otherwise ``(True, None)``.  :func:`combed_in_top_dimensions` decides
+    the same claim, in ``O(n * 2^n)``, on the orientations that pass it.
     """
-    if _outmaps_separate_all_pairs(orientation):
-        return True, None
     for face in faces(orientation.n):
         sinks = sinks_in_face(orientation, face)
         if len(sinks) != 1:
@@ -373,8 +325,17 @@ def combed_in_top_dimensions(orientation: Orientation) -> bool:
     same coordinates above ``c`` and frees all below.  So the property holds
     iff, for every ``c``, all ``c``-edges of each such slice point one way.
     A slice's low endpoints are one contiguous block of vertex ids, which
-    makes the test ``O(n * 2^n)``.  Passing it also certifies
-    :func:`is_decomposable`, since every face is then combed somewhere.
+    makes the test ``O(n * 2^n)``.
+
+    Passing it certifies :func:`is_decomposable`, since every face is then
+    combed somewhere, and :func:`is_uso`, by induction on the face
+    dimension.  A vertex is the one sink of its 0-face.  In a face of
+    dimension at least 1 with highest free coordinate ``c``, all ``c``-edges
+    point into one facet: every vertex of the other facet has its
+    ``c``-edge outgoing and is no sink, and a vertex of the target facet,
+    whose ``c``-edge comes in, is a sink of the face exactly when it is a
+    sink of that facet.  The facet is a face of one dimension less, so it
+    has exactly one sink, and so has the face.
     """
     masks = orientation.outgoing_masks()
     for i in range(orientation.n):

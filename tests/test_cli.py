@@ -97,10 +97,14 @@ def test_run_output_bytes_are_pinned(tmp_path, capsys, argv):
 
 
 #: sha256 of small ``export`` and ``reduce --check`` outputs, recorded while
-#: each document was still built as one string before it was written
+#: each document was still built as one string before it was written (the
+#: ``export orientation`` pins at n = 11 and 12, whose keys run to 4 digits,
+#: while that document was still built whole and encoded by ``json``)
 WRITE_SHA256 = {
     "export polynomial --n 6": "d62c8bba57fd8a1db1b5b0ceee0ddbd8d254e54ae95c3e1f7afa720b29b6b518",
     "export orientation --n 5": "906140446a5710e29d788e20dd9541fea0d58ee291c3f14960dfdf178c3424a3",
+    "export orientation --n 11": "eb4c08eb218d5bdc94e9d88408cad5f97d18b4530014f87fb41d9e38a367f110",
+    "export orientation --n 12": "0f021b987989079dc921067111eb3f01fd331bc341a05120641aa944315d8143",
     "export path --n 6": "ddf5bf48c3c5593a537ca34fda60edfbcebf61183d85579877c0134ceef68617",
     "reduce CNF --check": "9f69ab6191e5e595e59f103586e2c83903900c25cb4cc334b11f6d3188947437",
 }
@@ -114,6 +118,11 @@ def test_export_and_reduce_output_bytes_are_pinned(tmp_path, capsys, argv):
     assert run_cli(argv.replace("CNF", str(cnf)).split() + ["--out", str(out)]) == 0
     capsys.readouterr()
     assert hashlib.sha256(out.read_bytes()).hexdigest() == WRITE_SHA256[argv]
+
+
+def test_decimal_key_order_is_sort_keys_order():
+    for size in (1 << k for k in range(15)):
+        assert list(cli._decimal_key_order(size)) == sorted(range(size), key=str)
 
 
 def test_cli_runs_without_site_packages():
@@ -549,23 +558,23 @@ def test_module_docstring_states_the_caps():
     doc = " ".join(cli.__doc__.split())
     caps = cli.DEFAULT_CAPS
     for phrase in (f"engine runs and vertex scans n <= {caps['run']}",
-                   f"vertex pairs n <= {caps['pair-test']}",
+                   "``verify uso``", "``export orientation``",
                    f"the expanded polynomial n <= {caps['expansion']}",
                    f"SAT enumeration <= {caps['sat']} variables"):
         assert phrase in doc
 
 
 def test_caps_and_override(monkeypatch, capsys):
-    assert cli.DEFAULT_CAPS == {"run": 20, "pair-test": 16, "expansion": 19, "sat": 24}
-    for argv in (["verify", "uso", "--n", "17"], ["export", "orientation", "--n", "17"],
+    assert cli.DEFAULT_CAPS == {"run": 20, "expansion": 19, "sat": 24}
+    for argv in (["verify", "uso", "--n", "21"], ["export", "orientation", "--n", "21"],
                  ["export", "polynomial", "--n", "20"], ["run", "--n", "21"],
                  ["verify", "path", "--n", "21"]):
         with pytest.raises(SystemExit) as err:
             run_cli(argv)
         assert err.value.code == 2
     assert capsys.readouterr().err.splitlines() == [
-        "error: n=17 exceeds the 'uso' cap 16 (set PIVOTFORGE_MAX_N to override)",
-        "error: n=17 exceeds the orientation cap 16 (set PIVOTFORGE_MAX_N to override)",
+        "error: n=21 exceeds the 'uso' cap 20 (set PIVOTFORGE_MAX_N to override)",
+        "error: n=21 exceeds the orientation cap 20 (set PIVOTFORGE_MAX_N to override)",
         "error: n=20 exceeds the expansion cap 19 (set PIVOTFORGE_MAX_N to override)",
         "error: n=21 exceeds the engine-run cap 20 (set PIVOTFORGE_MAX_N to override)",
         "error: n=21 exceeds the 'path' cap 20 (set PIVOTFORGE_MAX_N to override)",
@@ -574,8 +583,8 @@ def test_caps_and_override(monkeypatch, capsys):
         run_cli(["--help"])
     assert err.value.code == 0
     assert " ".join(capsys.readouterr().out.split()).endswith(
-        "dimension caps: engine runs and vertex scans n <= 20; the pair test of "
-        "'verify uso' and 'export orientation' n <= 16; 'export polynomial' n <= 19; "
+        "dimension caps: engine runs and vertex scans, 'verify uso' and 'export "
+        "orientation' included, n <= 20; 'export polynomial' n <= 19; "
         "SAT enumeration <= 24 variables. The environment variable PIVOTFORGE_MAX_N "
         "replaces each cap with its value.")
     monkeypatch.setenv("PIVOTFORGE_MAX_N", "3")

@@ -15,8 +15,6 @@ from pivotforge import (
     MultiPolyObjective,
     NotAVertexError,
     PaddedObjective,
-    alpha,
-    beta,
     expand,
     improving_dimension,
     partial_closed_form,
@@ -44,7 +42,7 @@ def _substituted_restriction(evaluate, x: tuple, d: AxisDirection) -> UniPoly:
     restricted = evaluate(_line_coords(x, d))
     if not isinstance(restricted, UniPoly):
         restricted = UniPoly((restricted,))
-    return restricted.derivative()
+    return UniPoly(i * c for i, c in enumerate(restricted.coeffs) if i)  # power rule
 
 
 def _canonical(values) -> bool:
@@ -53,37 +51,6 @@ def _canonical(values) -> bool:
 
 
 # ------------------------------------------------- recursion values --
-
-
-def test_alpha_values():
-    assert alpha(2, 2, (0, 1)) == 1
-    assert alpha(2, 1, (1, 1)) == 0
-    for n in (1, 3, 5):
-        assert alpha(n, n + 1, (0,) * n) == 0
-    # on vertices, alpha is the XOR of the suffix bits
-    rng = random.Random(1)
-    for _ in range(50):
-        n = rng.randint(1, 8)
-        bits = tuple(rng.randint(0, 1) for _ in range(n))
-        for i in range(1, n + 2):
-            xor = 0
-            for b in bits[i - 1:]:
-                xor ^= b
-            assert alpha(n, i, bits) == xor
-
-
-def test_beta_values():
-    for x in [(0, 0), (1, 0), (Fraction(1, 3), Fraction(4, 5))]:
-        assert beta(2, 1, x) == 0
-    assert beta(2, 2, (0, Fraction(1, 2))) == 1
-
-
-def test_beta_vanishes_on_every_vertex():
-    for n in range(1, 9):
-        for vid in range(1 << n):
-            bits = bits_from_id(vid, n)
-            for i in range(1, n + 1):
-                assert beta(n, i, bits) == 0
 
 
 def test_f_values_on_small_vertices():

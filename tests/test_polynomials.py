@@ -42,6 +42,12 @@ def _primitive_by_fractions(p):
     return UniPoly(tuple(v // g for v in ints))
 
 
+def _derivative(p):
+    """``p'`` by the power rule, written here rather than taken from the
+    library's ``_derivative_ints``, which the references below check."""
+    return UniPoly(i * c for i, c in enumerate(p.coeffs) if i)
+
+
 def _gcd_by_divmod(a, b):
     a, b = _primitive_by_fractions(a), _primitive_by_fractions(b)
     while not b.is_zero():
@@ -55,7 +61,7 @@ def _gcd_by_divmod(a, b):
 def _squarefree_by_divmod(p):
     if p.degree <= 1:
         return _primitive_by_fractions(p)
-    g = _gcd_by_divmod(p, p.derivative())
+    g = _gcd_by_divmod(p, _derivative(p))
     if g.degree == 0:
         return _primitive_by_fractions(p)
     q, r = divmod(p, g)
@@ -65,7 +71,7 @@ def _squarefree_by_divmod(p):
 
 def _sturm_chain_by_divmod(p):
     chain = [_primitive_by_fractions(p)]
-    d = p.derivative()
+    d = _derivative(p)
     if d.is_zero():
         return chain
     chain.append(_primitive_by_fractions(d))

@@ -29,7 +29,7 @@ from pivotforge import (
     s_parity,
     sink_find_decomposable,
 )
-from pivotforge.structure import FREE, _outmaps_separate_all_pairs, sinks_in_face
+from pivotforge.structure import FREE, sinks_in_face
 
 FORWARD = "forward"  # the edge points from its bit-0 endpoint to its bit-1 endpoint
 BACKWARD = "backward"
@@ -194,12 +194,27 @@ def test_orientation_rejects_what_is_not_an_outmap(masks):
         Orientation(2, masks)
 
 
-def test_orientation_json_lists_outgoing_coords(oracle_for):
+def _outgoing_document(orientation):
+    """The ``export orientation`` document, built whole from the masks."""
+    n = orientation.n
+    return {"n": n, "outgoing": {
+        str(vid): [k for k in range(1, n + 1) if mask >> (k - 1) & 1]
+        for vid, mask in enumerate(orientation.outgoing_masks())}}
+
+
+def test_orientation_json_lists_outgoing_coords(oracle_for, tmp_path, capsys):
     # vertex values are 0, 1, 3, 2 at ids 0, 1, 2, 3: both neighbors of the
     # origin are larger, so both its edges point away
-    data = induce_orientation(oracle_for(2)).to_json_dict()
-    assert data["n"] == 2
-    assert data["outgoing"] == {"0": [1, 2], "1": [2], "2": [], "3": [1]}
+    data = _outgoing_document(induce_orientation(oracle_for(2)))
+    assert data == {"n": 2, "outgoing": {"0": [1, 2], "1": [2], "2": [], "3": [1]}}
+    # the export streams the vertices, laid out byte for byte as json.dumps
+    # lays out the whole document
+    for n in (1, 2, 5, 11):
+        out = tmp_path / f"orientation_n{n}.json"
+        assert cli.main(["export", "orientation", "--n", str(n), "--out", str(out)]) == 0
+        assert capsys.readouterr().out == f"n={n} edges={n << (n - 1)} file={out}\n"
+        document = _outgoing_document(induce_orientation(oracle_for(n)))
+        assert out.read_text() == json.dumps(document, indent=2, sort_keys=True) + "\n"
 
 
 # -------------------------------------------------------- USO checks --
@@ -272,10 +287,13 @@ def test_hard_objective_combed_in_highest_free_dimension(oracle_for):
     assert combed_dimension(orientation, Face((FREE, FREE, FREE))) == {3}
 
 
-def _naive_face_scan(values, n):
+def _naive_face_scan(n, leaves):
     """Independent recomputation: faces by filtering all vertex ids, sinks
-    and combedness straight from the value table."""
-    uso = True
+    and combedness straight from ``leaves(v, i)``, whether the edge along
+    bit ``i`` leaves vertex ``v``.  Returns what :func:`is_uso` returns (the
+    first face, in the same order, without a unique sink) and whether every
+    face of dimension >= 1 is combed somewhere."""
+    uso = (True, None)
     decomposable = True
     for pattern in itertools.product((0, 1, None), repeat=n):
         members = [
@@ -283,31 +301,55 @@ def _naive_face_scan(values, n):
             if all(p is None or ((v >> i) & 1) == p for i, p in enumerate(pattern))
         ]
         free = [i for i, p in enumerate(pattern) if p is None]
-        sinks = 0
-        for v in members:
-            outgoing = False
-            for i in free:
-                w = v ^ (1 << i)
-                if values[w] > values[v]:
-                    outgoing = True
-                    break
-            if not outgoing:
-                sinks += 1
-        if sinks != 1:
-            uso = False
-        if free:
-            combed_any = False
-            for i in free:
-                directions = {
-                    values[v] < values[v | (1 << i)]
-                    for v in members if not (v >> i) & 1
-                }
-                if len(directions) == 1:
-                    combed_any = True
-                    break
-            if not combed_any:
-                decomposable = False
+        sinks = [v for v in members if not any(leaves(v, i) for i in free)]
+        if len(sinks) != 1 and uso[0]:
+            uso = (False, {"face": ["*" if p is None else p for p in pattern],
+                           "sinks": sinks})
+        if free and not any(
+                len({leaves(v, i) for v in members if not (v >> i) & 1}) == 1
+                for i in free):
+            decomposable = False
     return uso, decomposable
+
+
+def _outmaps_separate_all_pairs(orientation):
+    """The reference unique-sink test, the Szabó-Welzl criterion ("Unique
+    sink orientations of cubes", FOCS 2001): ``(u ^ v) & (s(u) ^ s(v)) != 0``
+    for all vertices ``u != v``, where ``s`` is the outgoing mask.
+
+    Pairs are grouped by ``d = u ^ v``.  Column ``i`` is the ``2^n``-bit set
+    of vertices whose coordinate-``i+1`` edge is outgoing; ``shifted[i]``
+    holds the same set with every vertex ``u`` replaced by ``u ^ d``.  The
+    pairs at ``d`` all separate iff no vertex agrees with its partner on
+    every column in ``d``.  Visiting ``d`` in Gray-code order turns each
+    update of ``shifted`` into one swap of bit blocks per column, so the
+    test takes ``O(n * 4^n / w)`` word operations.
+    """
+    n = orientation.n
+    size = 1 << n
+    masks = orientation.outgoing_masks()
+    full = (1 << size) - 1
+    columns = [
+        int("".join("1" if mask >> i & 1 else "0" for mask in reversed(masks)), 2)
+        for i in range(n)
+    ]
+    # keeps[j]: the vertices with bit j clear, as a 2^n-bit set
+    keeps = [full // ((1 << (2 << j)) - 1) * ((1 << (1 << j)) - 1) for j in range(n)]
+    shifted = list(columns)
+    d = 0
+    for step in range(1, size):
+        j = (step & -step).bit_length() - 1
+        d ^= 1 << j
+        width = 1 << j
+        keep = keeps[j]
+        shifted = [((c & keep) << width) | ((c >> width) & keep) for c in shifted]
+        agree = full
+        for i in range(n):
+            if d >> i & 1:
+                agree &= ~(columns[i] ^ shifted[i])
+        if agree:
+            return False
+    return True
 
 
 def test_random_value_tables_match_naive_face_scan():
@@ -318,18 +360,10 @@ def test_random_value_tables_match_naive_face_scan():
         rng.shuffle(table)
         values = {bits_from_id(v, n): table[v] for v in range(1 << n)}
         orientation = induce_orientation(TableObjective(n, values))
-        expected_uso, expected_decomposable = _naive_face_scan(table, n)
-        assert is_uso(orientation)[0] == expected_uso
+        expected_uso, expected_decomposable = _naive_face_scan(
+            n, lambda v, i: table[v ^ (1 << i)] > table[v])
+        assert is_uso(orientation) == expected_uso
         assert is_decomposable(orientation)[0] == expected_decomposable
-
-
-def _is_uso_by_face_scan(orientation):
-    """The reference USO test: the sinks of every face, in faces() order."""
-    for face in faces(orientation.n):
-        sinks = sinks_in_face(orientation, face)
-        if len(sinks) != 1:
-            return False, {"face": face.json_pattern(), "sinks": sinks}
-    return True, None
 
 
 def _top_combed_by_face_scan(orientation):
@@ -367,20 +401,53 @@ def test_pair_criterion_and_slice_test_agree_with_face_scans():
     seen = set()
     for _ in range(600):
         kind, orientation = _random_orientation(rng)
-        expected = _is_uso_by_face_scan(orientation)
-        # a too-strict pair test would still give is_uso's answer, through
-        # the face scan it falls back to
-        assert _outmaps_separate_all_pairs(orientation) == expected[0]
+        masks = orientation.outgoing_masks()
+        expected, decomposable = _naive_face_scan(orientation.n,
+                                                  lambda v, i: masks[v] >> i & 1)
         assert is_uso(orientation) == expected
+        assert _outmaps_separate_all_pairs(orientation) == expected[0]
+        assert is_decomposable(orientation)[0] == decomposable
         top = _top_combed_by_face_scan(orientation)
         assert combed_in_top_dimensions(orientation) == top
-        if top:
-            assert is_decomposable(orientation) == (True, None)
+        if top:  # the lemma that lets verify uso skip the other two tests
+            assert expected == (True, None) and decomposable
         seen.add((kind, expected[0], top))
     # every kind produced both verdicts of both tests
     both = {(kind, verdict) for kind in range(3) for verdict in (True, False)}
     assert {(kind, uso) for kind, uso, _ in seen} == both
     assert {(kind, top) for kind, _, top in seen} == both
+
+
+def _recursively_combed(rng, n):
+    """A random orientation combed in every face's highest free coordinate:
+    for each coordinate, one random direction per slice that fixes the
+    coordinates above it."""
+    masks = [0] * (1 << n)
+    for i in range(n):
+        bit = 1 << i
+        forward = [rng.random() < 0.5 for _ in range(1 << (n - 1 - i))]
+        for low in range(1 << n):
+            if not low & bit:
+                masks[low if forward[low >> (i + 1)] else low | bit] |= bit
+    return Orientation(n, masks)
+
+
+def test_recursively_combed_orientations_are_usos():
+    """The lemma behind ``verify uso``: an orientation combed in every
+    face's highest free coordinate has a unique sink in every face."""
+    rng = random.Random(61)
+    for _ in range(150):
+        orientation = _recursively_combed(rng, rng.randint(1, 8))
+        assert combed_in_top_dimensions(orientation)
+        assert _outmaps_separate_all_pairs(orientation)
+        assert is_uso(orientation) == (True, None)
+
+
+def test_pair_criterion_confirms_the_hard_orientation(oracle_for):
+    for n in range(1, 13):
+        orientation = induce_orientation(oracle_for(n))
+        assert _outmaps_separate_all_pairs(orientation)
+        assert combed_in_top_dimensions(orientation)
 
 
 # ------------------------------------------------------- sink finder --
