@@ -64,10 +64,10 @@ from .satreduce import (
     ENUMERATION_LIMIT,
     CnfFormula,
     Literal,
-    _vertex_fields,
     brute_force_max,
     brute_force_sat,
     parse_dimacs,
+    vertex_field_tiles,
     violated_clause_count,
     violation_counts,
     violation_polynomial,
@@ -424,24 +424,32 @@ def certify_formula(formula: CnfFormula, probe: int):
     if poly.total_degree > 3:
         return False, {"reason": "degree > 3", "degree": poly.total_degree}
     satisfiable, assignment = brute_force_sat(formula)  # checks the enumeration cap
-    # one zeta transform serves the maximum and the per-vertex law
-    fields, offset, scale = _vertex_fields(poly, n)
-    best = Fraction(max(fields) - offset, scale)
+    # one pass over the value tiles and the count tiles, in lockstep, serves the
+    # maximum, the probe and the law fields[v] == offset - scale * count[v],
+    # whose lowest breaking v C loops find
+    tiles, offset, scale = vertex_field_tiles(poly, n)
+    expected = [offset - scale * c for c in range(len(formula.clauses) + 1)]
+    top, wrong, start = -1, None, 0
+    for fields, counts in zip(tiles, violation_counts(formula)):
+        top = max(top, max(fields))
+        if wrong is None:
+            lawless = map(ne, fields, map(expected.__getitem__, counts))
+            wrong = next(compress(count(start), lawless), None)
+        if start <= probe < start + len(fields):
+            probe_field = fields[probe - start]
+        start += len(fields)
+    best = Fraction(top - offset, scale)
     if (best == 0) != satisfiable:
         return False, {"reason": "max/sat mismatch",
                        "max": format_rational(best), "sat": satisfiable}
     if satisfiable and violated_clause_count(formula, assignment) != 0:
         return False, {"reason": "satisfying assignment violates a clause",
                        "vertex": list(assignment)}
-    # the law is fields[v] == offset - scale * count[v]; C loops find the lowest v off it
-    expected = [offset - scale * c for c in range(len(formula.clauses) + 1)]
-    lawless = map(ne, fields, map(expected.__getitem__, violation_counts(formula)))
-    wrong = next(compress(count(), lawless), None)
     if wrong is not None:
         return False, {"reason": "per-vertex law violated",
                        "vertex": list(bits_from_id(wrong, n))}
     bits = bits_from_id(probe, n)
-    if Fraction(fields[probe] - offset, scale) != poly.eval(bits):
+    if Fraction(probe_field - offset, scale) != poly.eval(bits):
         return False, {"reason": "vertex evaluator disagrees with full evaluation",
                        "vertex": list(bits)}
     return True, None

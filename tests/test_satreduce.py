@@ -1,5 +1,7 @@
 import random
 from fractions import Fraction
+from itertools import chain
+from math import lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,7 +18,16 @@ from pivotforge import (
     violation_counts,
     violation_polynomial,
 )
-from pivotforge.satreduce import _vertex_fields, violated_clause_count
+from pivotforge import cli, satreduce
+from pivotforge.boxes import bits_from_id
+from pivotforge.satreduce import (
+    _FIELD_TYPECODES,
+    _clear_bit_slots,
+    _repeat,
+    _unpack,
+    vertex_field_tiles,
+    violated_clause_count,
+)
 from pivotforge.scalars import as_rational
 
 
@@ -147,12 +158,58 @@ def test_brute_force_max_matches_full_evaluation():
         assert poly.eval(argmax) == best
 
 
+def _whole_vertex_fields(poly, n):
+    """The whole-table routine, kept as a reference: the zeta transform of
+    all 2^n vertices in one packed integer, ``n.bit_length()`` guard bits
+    per field.  Returns ``(fields, offset, scale)``."""
+    scale = lcm(*(coeff.denominator for coeff in poly.terms.values()))
+    scaled = {}
+    for exps, coeff in poly.terms.items():
+        mask = sum(1 << i for i, e in enumerate(exps) if e)
+        scaled[mask] = scaled.get(mask, 0) + coeff.numerator * (scale // coeff.denominator)
+    offset = sum(map(abs, scaled.values()))
+    scaled[0] = scaled.get(0, 0) + offset
+    bits = (2 * offset).bit_length()
+    value_mask = (1 << bits) - 1
+    nbytes = max(1, -(-(bits + n.bit_length()) // 8))
+    nbytes = min((k for k in _FIELD_TYPECODES if k >= nbytes), default=nbytes)
+    width = 8 * nbytes
+    table = bytearray(nbytes << n)
+    for mask, coeff in scaled.items():
+        table[mask * nbytes:(mask + 1) * nbytes] = \
+            (coeff & value_mask).to_bytes(nbytes, "little")
+    packed = int.from_bytes(table, "little")
+    for i, low in _clear_bit_slots(value_mask, width, n):
+        packed += (packed & low) << (width << i)
+    packed &= _repeat(value_mask, width, width << n)
+    return _unpack(packed, nbytes, n), offset, scale
+
+
+def _whole_violation_counts(formula):
+    """The whole-table routine, kept as a reference: each clause's
+    violating set over all 2^n assignments in byte-wide slots, summed."""
+    n = formula.n_vars
+    bits = len(formula.clauses).bit_length()
+    nbytes = min(k for k in _FIELD_TYPECODES if 8 * k >= bits)
+    width = 8 * nbytes
+    clear = dict(_clear_bit_slots(1, width, n))
+    ones = _repeat(1, width, width << n)
+    total = 0
+    for clause in formula.clauses:
+        violating = ones
+        for lit in clause:
+            zeros = clear[lit.variable - 1]
+            violating &= ones ^ zeros if lit.negated else zeros
+        total += violating
+    return _unpack(total, nbytes, n)
+
+
 def _vertex_values(poly, n):
     """Exact values of ``poly`` on all 2^n vertices, indexed by vertex id
     (``int`` when integral, else ``Fraction``), read from the packed
-    fields."""
-    fields, offset, scale = _vertex_fields(poly, n)
-    return [as_rational(Fraction(field - offset, scale)) for field in fields]
+    field tiles."""
+    tiles, offset, scale = vertex_field_tiles(poly, n)
+    return [as_rational(Fraction(field - offset, scale)) for field in chain.from_iterable(tiles)]
 
 
 def _vertex_values_oracle(poly, n):
@@ -239,12 +296,13 @@ def test_zeta_vertex_values_equal_per_term_evaluation(n, data):
 
 
 @pytest.mark.parametrize("n", [14, 15])
-def test_zeta_vertex_values_in_fields_across_a_width_boundary(n):
+def test_zeta_vertex_values_in_fields_across_a_width_boundary(n, monkeypatch):
     # the sum of |coefficients| on either side of each field-width boundary:
     # 2 * offset takes k + 1 or k + 2 bits and 4 guard bits sit above them,
     # so the fields are 1 | 2, 2 | 4 and 4 | 8 bytes wide, and 8 | 9 bytes,
     # past every machine width; with one sign throughout, the all-ones
-    # vertex takes the extreme value +offset or -offset
+    # vertex takes the extreme value +offset or -offset.  At 8 and 12 tile
+    # bits every tile has the width, and the tiles make up the whole table.
     rng = random.Random(61 + n)
     for k, below, above in ((3, 1, 2), (11, 2, 4), (27, 4, 8), (59, 8, 9)):
         for offset, width in ((2 ** k - 1, below), (2 ** k, above)):
@@ -256,13 +314,20 @@ def test_zeta_vertex_values_in_fields_across_a_width_boundary(n):
                     terms[exps] = sign * rng.randint(1, max(1, offset >> 3))
             terms[(0,) * n] = sign * (offset - sum(abs(c) for c in terms.values()))
             poly = MultiPoly(n, terms)
-            fields, packed_offset, scale = _vertex_fields(poly, n)
-            assert (packed_offset, scale) == (offset, 1)
-            assert getattr(fields, "itemsize", 9) == width
-            values = _vertex_values(poly, n)
-            assert values == _vertex_values_oracle(poly, n)
-            assert values[-1] == sign * offset
-            assert brute_force_max(poly, n) == _brute_force_max_by_list_zeta(poly, n)
+            whole = list(_whole_vertex_fields(poly, n)[0])
+            reference = _brute_force_max_by_list_zeta(poly, n)
+            for tile_bits in (8, 12):
+                monkeypatch.setattr(satreduce, "TILE_BITS", tile_bits)
+                tiles, packed_offset, scale = vertex_field_tiles(poly, n)
+                tiles = list(tiles)
+                assert (packed_offset, scale) == (offset, 1)
+                assert len(tiles) == 1 << (n - tile_bits)
+                assert {getattr(fields, "itemsize", 9) for fields in tiles} == {width}
+                assert list(chain.from_iterable(tiles)) == whole
+                values = _vertex_values(poly, n)
+                assert values == _vertex_values_oracle(poly, n)
+                assert values[-1] == sign * offset
+                assert brute_force_max(poly, n) == reference
     assert _vertex_values(MultiPoly(0), 0) == [0]
     assert _vertex_values(MultiPoly.constant(0, Fraction(3, 7)), 0) == [Fraction(3, 7)]
 
@@ -309,7 +374,7 @@ def _formulas(draw):
 def test_truth_table_sat_matches_the_assignment_loop(formula):
     assert brute_force_sat(formula) == _brute_force_sat_by_loop(formula)
     n = formula.n_vars
-    assert list(violation_counts(formula)) == [
+    assert list(chain.from_iterable(violation_counts(formula))) == [
         violated_clause_count(formula, tuple((vid >> i) & 1 for i in range(n)))
         for vid in range(1 << n)]
 
@@ -319,7 +384,7 @@ def test_violation_counts_fields_widen_with_the_clause_count():
     # violated at the all-zeros vertex
     for clauses, itemsize in ((255, 1), (256, 2)):
         formula = CnfFormula(2, (clause(1, 2),) * clauses)
-        counts = violation_counts(formula)
+        counts, = violation_counts(formula)
         assert counts.itemsize == itemsize
         assert list(counts) == [clauses, 0, 0, 0]
 
@@ -331,6 +396,152 @@ def test_enumeration_guards():
         brute_force_sat(CnfFormula(25, ()))
     with pytest.raises(TooLargeError):
         violation_counts(CnfFormula(25, ()))
+
+
+# ------------------------------------------------------------- tiles --
+
+
+def _poly_with_values(values, n):
+    """The multilinear polynomial with ``values[v]`` at vertex id ``v``:
+    its coefficients are the Moebius transform of the values."""
+    coeffs = list(values)
+    for i in range(n):
+        for vid in range(1 << n):
+            if vid >> i & 1:
+                coeffs[vid] -= coeffs[vid ^ (1 << i)]
+    return MultiPoly(n, {tuple((mask >> i) & 1 for i in range(n)): coeff
+                         for mask, coeff in enumerate(coeffs) if coeff})
+
+
+def _monomial(n, mask):
+    return MultiPoly(n, {tuple((mask >> i) & 1 for i in range(n)): 1})
+
+
+def _random_clauses(rng, n, count):
+    clauses = []
+    for _ in range(count):
+        variables = rng.sample(range(1, n + 1), rng.randint(1, min(3, n)))
+        clauses.append(tuple(Literal(v, rng.random() < 0.5) for v in variables))
+    return tuple(clauses)
+
+
+@pytest.mark.parametrize("tile_bits", [2, 3])
+def test_tiles_match_the_whole_table_references(tile_bits, monkeypatch):
+    monkeypatch.setattr(satreduce, "TILE_BITS", tile_bits)
+    rng = random.Random(71 + tile_bits)
+    for n in range(11):
+        for _ in range(6):
+            terms = {
+                tuple(rng.randint(0, 2) for _ in range(n)):
+                    Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+                for _ in range(rng.randint(0, 8))
+            }
+            poly = MultiPoly(n, terms)
+            tiles, offset, scale = vertex_field_tiles(poly, n)
+            tiles = list(tiles)
+            whole, whole_offset, whole_scale = _whole_vertex_fields(poly, n)
+            assert (offset, scale) == (whole_offset, whole_scale)
+            assert [len(fields) for fields in tiles] == \
+                [1 << min(n, tile_bits)] * (1 << max(0, n - tile_bits))
+            assert list(chain.from_iterable(tiles)) == list(whole)
+            assert brute_force_max(poly, n) == _brute_force_max_by_list_zeta(poly, n)
+
+            formula = CnfFormula(n, _random_clauses(rng, n, rng.randint(0, 24)) if n else ())
+            assert brute_force_sat(formula) == _brute_force_sat_by_loop(formula)
+            assert list(chain.from_iterable(violation_counts(formula))) == \
+                list(_whole_violation_counts(formula))
+            assert cli.certify_formula(formula, rng.randrange(1 << n)) == (True, None)
+
+
+def test_tiled_max_keeps_the_lowest_argmax_across_tile_boundaries(monkeypatch):
+    monkeypatch.setattr(satreduce, "TILE_BITS", 2)
+    # tiles of four ids: the maximum 3 sits at in-tile position 3 of tile 1
+    # and position 0 of tiles 2 and 3; a lesser 2 comes first, in tile 0
+    values = [0] * 16
+    values[1], values[7], values[8], values[12] = 2, 3, 3, 3
+    poly = _poly_with_values(values, 4)
+    assert _vertex_values(poly, 4) == values
+    assert brute_force_max(poly, 4) == (3, bits_from_id(7, 4))
+    # a tie inside the last tile only
+    values = [-1] * 16
+    values[14] = values[15] = 0
+    assert brute_force_max(_poly_with_values(values, 4), 4) == (0, bits_from_id(14, 4))
+
+
+@pytest.mark.parametrize("tile_bits", [2, 3])
+def test_tiled_sat_finds_a_witness_in_the_last_tile_and_refutes_unsat(tile_bits, monkeypatch):
+    monkeypatch.setattr(satreduce, "TILE_BITS", tile_bits)
+    for n in range(2, 11):
+        # x2 .. xn all 1: the satisfying ids are the last two, in the last tile
+        forced = tuple(clause(k) for k in range(2, n + 1))
+        formula = CnfFormula(n, forced)
+        assert brute_force_sat(formula) == (True, bits_from_id((1 << n) - 2, n))
+        assert brute_force_max(violation_polynomial(formula), n) == \
+            (0, bits_from_id((1 << n) - 2, n))
+        assert cli.certify_formula(formula, (1 << n) - 1) == (True, None)
+        # and x2 = 0 as well: nothing satisfies
+        formula = CnfFormula(n, forced + (clause(-2),))
+        assert brute_force_sat(formula) == (False, None)
+        assert brute_force_max(violation_polynomial(formula), n)[0] == -1
+        assert list(chain.from_iterable(violation_counts(formula))) == \
+            list(_whole_violation_counts(formula))
+        assert cli.certify_formula(formula, 1) == (True, None)
+
+
+@pytest.mark.parametrize("tile_bits", [2, 3])
+def test_certify_reports_the_lowest_lawless_vertex_across_tiles(tile_bits, monkeypatch):
+    monkeypatch.setattr(satreduce, "TILE_BITS", tile_bits)
+    n = 6
+    formula = CnfFormula(n, (clause(1, 2), clause(-3, 5, 6)))  # id 1 satisfies it
+    # coefficients off by -1: the values drop at every id that contains one
+    # of their masks, so the lowest lawless id is the lowest mask
+    for masks in ((0b000110,), (0b101000,), (0b110001,), (0b111000,),
+                  (0b001011, 0b010001)):  # 11 and 17: tile positions 3 and 1
+        off = sum((_monomial(n, mask) for mask in masks), MultiPoly(n))
+        monkeypatch.setattr(cli, "violation_polynomial",
+                            lambda f: violation_polynomial(f) - off)
+        assert cli.certify_formula(formula, 0) == (
+            False, {"reason": "per-vertex law violated",
+                    "vertex": list(bits_from_id(min(masks), n))})
+
+
+def test_scans_hold_one_tile_at_a_time(monkeypatch):
+    """At n = TILE_BITS + 4 no packed integer or field array the oracles
+    build spans more than 2^TILE_BITS vertices."""
+    n = satreduce.TILE_BITS + 4
+    spans = []
+
+    def recording(name, measure):
+        original = getattr(satreduce, name)
+
+        def wrapper(*args):
+            spans.append((name, measure(*args)))
+            return original(*args)
+        monkeypatch.setattr(satreduce, name, wrapper)
+
+    recording("_repeat", lambda block, period, length: length // period)
+    recording("_clear_bit_slots", lambda slot, width, bits: 1 << bits)
+    recording("_unpack", lambda packed, nbytes, bits:
+              max(1 << bits, -(-packed.bit_length() // (8 * nbytes))))
+    clause_tiles = satreduce._clause_tiles
+
+    def counted_clause_tiles(formula, b, width, combine):
+        for table in clause_tiles(formula, b, width, combine):
+            spans.append(("_clause_tiles", -(-table.bit_length() // width)))
+            yield table
+    monkeypatch.setattr(satreduce, "_clause_tiles", counted_clause_tiles)
+
+    rng = random.Random(73)
+    formula = CnfFormula(n, _random_clauses(rng, n, 40) + (clause(n - 1, n),))
+    poly = violation_polynomial(formula)
+    brute_force_max(poly, n)
+    assert [name for name, _ in spans].count("_unpack") == 16
+    brute_force_sat(formula)
+    list(violation_counts(formula))
+    assert cli.certify_formula(formula, (1 << n) - 1) == (True, None)
+    assert {name for name, _ in spans} == \
+        {"_repeat", "_clear_bit_slots", "_unpack", "_clause_tiles"}
+    assert max(span for _, span in spans) == 1 << satreduce.TILE_BITS
 
 
 # --------------------------------------------------------- soundness --
