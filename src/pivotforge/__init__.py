@@ -50,7 +50,7 @@ from .satreduce import (
     violation_counts,
     violation_polynomial,
 )
-from .scalars import DualNumber, Rational, as_rational, format_rational
+from .scalars import Rational, as_rational, format_rational
 from .structure import (
     Face,
     Orientation,
@@ -62,9 +62,7 @@ from .structure import (
     induce_orientation,
     is_decomposable,
     is_uso,
-    pp,
     reflected_gray_ids,
-    s_parity,
     sink_find_decomposable,
 )
 

@@ -254,10 +254,6 @@ class Trajectory:
         """The sequence of iterates: start point, then each pass's result."""
         return [self.start] + [r.x_after for r in self.records]
 
-    def vertex_ids(self) -> list:
-        """Vertex ids of the iterate sequence (None for non-vertices)."""
-        return [self.program.vertex_id_or_none(p) for p in self.points()]
-
     def to_json_dict(self, objective, rule_name: Optional[str] = None,
                      approx: bool = False) -> dict:
         """Deterministic JSON form; all numbers are exact ``"p/q"`` strings

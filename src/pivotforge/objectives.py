@@ -27,15 +27,15 @@ optimizing it over the cube forces vertex-walking methods through all
 digits ``a_i``.
 
 The value recursion is generic over the scalar ring: rationals give
-values and multivariate polynomials give the expanded monomial form, while
-dual numbers and univariate polynomials give the independent derivative
-and edge-restriction routes that the tests compare the oracle against.
-The oracle differentiates the recursion by hand instead.  At a vertex
-given as ``int`` 0/1 coordinates, which is every iterate of a walk from a
-vertex, one O(n) forward sweep over the vertex closed form
-(:func:`partial_closed_form` for all k at once, with ``a_{k+1} = a_k XOR
-x_k``) yields the value and the gradient together (``value_and_gradient``;
-``gradient`` is its second half).  At every other point, ``Fraction``
+values and multivariate polynomials give the expanded monomial form.  The
+tests run it over sympy's polynomial rings as well, and differentiate
+the result there: derivative and edge-restriction routes that share no
+code with the oracle's.  The oracle differentiates the recursion by
+hand.  At a vertex given as ``int`` 0/1 coordinates, which is every
+iterate of a walk from a vertex, one O(n) forward sweep over the vertex
+closed form (:func:`partial_closed_form` for all k at once, with
+``a_{k+1} = a_k XOR x_k``) yields the value and the gradient together
+(``value_and_gradient``; ``gradient`` is its second half).  At every other point, ``Fraction``
 vertices included, the reply is the recursion's value and the n
 forward-mode partials, O(n^2); no command reaches that route.  ``F``
 is multilinear except for the ``(x_k - x_k^2)`` factor of ``b_k``, so it is

@@ -1,11 +1,13 @@
-"""Exact univariate and sparse multivariate polynomial arithmetic.
+"""The edge-restriction polynomial type, the exact line search, and sparse
+multivariate polynomials.
 
-Univariate polynomials (:class:`UniPoly`) carry the line search,
-:func:`first_nonpositive`, which computes
-``inf {t in [0, t_max] : p(t) <= 0}`` exactly.  Square-free parts, gcds
-and Sturm chains are its private integer helpers, not entry points of
-their own.  The search isolates the leftmost
-root by bisection, narrows it below ``1 / lead`` (``lead`` the leading
+:class:`UniPoly` is the type of an oracle's edge restriction: its exact
+rational coefficients, indexed by power, and nothing more; it has no
+arithmetic of its own.  The line search, :func:`first_nonpositive`,
+computes ``inf {t in [0, t_max] : p(t) <= 0}`` exactly.  Square-free
+parts, gcds and Sturm chains are its private integer helpers, not entry
+points of their own.  The search isolates the leftmost root by
+bisection, narrows it below ``1 / lead`` (``lead`` the leading
 coefficient of the primitive square-free part) and then tests the one
 point of the grid ``(1/lead)ℤ`` there, which holds every rational root;
 no integer is ever factored, so the cost is polynomial in the bit size.
@@ -28,8 +30,8 @@ artifact byte-deterministic.
 
 Coefficients and evaluation points are exact scalars (``int | Fraction``);
 evaluation is generic over any commutative ring whose elements support
-``+``, ``-``, ``*`` with ints, so the same code evaluates over rationals,
-dual numbers, and polynomial rings.  ``eval`` returns the ring element as
+``+``, ``-``, ``*`` with ints, so the same code evaluates over rationals
+and over polynomial rings.  ``eval`` returns the ring element as
 the arithmetic leaves it (an integral value may be a ``Fraction``);
 callers that store a rational canonicalize it with ``as_rational``.
 """
@@ -42,15 +44,6 @@ from typing import Iterable, Optional, Sequence
 
 from .errors import DimensionMismatchError, NotRepresentableError
 from .scalars import Rational, as_rational, format_rational
-
-
-def _exact_div(a: Rational, b: Rational) -> Rational:
-    """Exact division of scalars, staying in ``int`` when it divides evenly."""
-    if isinstance(a, int) and isinstance(b, int):
-        q, r = divmod(a, b)
-        if r == 0:
-            return q
-    return as_rational(Fraction(a) / Fraction(b))
 
 
 class UniPoly:
@@ -83,116 +76,6 @@ class UniPoly:
     def degree(self) -> int:
         """Degree of the polynomial; -1 for the zero polynomial."""
         return len(self.coeffs) - 1
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def eval(self, t):
-        """Horner evaluation; ``t`` may live in any compatible ring."""
-        result = 0
-        for c in reversed(self.coeffs):
-            result = result * t + c
-        return result
-
-    def _lift(self, other):
-        if isinstance(other, UniPoly):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return UniPoly((other,))
-        return None
-
-    def __add__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        a, b = self.coeffs, o.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        return UniPoly._make(tuple(a[i] + b[i] for i in range(len(b))) + a[len(b):])
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return o + (-self)
-
-    def __neg__(self):
-        return UniPoly._make(tuple(-c for c in self.coeffs))
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            if other == 0:
-                return UniPoly(())
-            return UniPoly._make(tuple(c * other for c in self.coeffs))
-        if not isinstance(other, UniPoly):
-            return NotImplemented
-        if not self.coeffs or not other.coeffs:
-            return UniPoly(())
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return UniPoly._make(out)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, exponent: int) -> "UniPoly":
-        if not isinstance(exponent, int) or exponent < 0:
-            raise ValueError("only nonnegative integer powers are defined")
-        result = UniPoly((1,))
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
-
-    def __divmod__(self, other: "UniPoly"):
-        """Exact polynomial long division (quotient, remainder)."""
-        if not isinstance(other, UniPoly):
-            return NotImplemented
-        if other.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        div = other.coeffs
-        dq = len(rem) - len(div)
-        if dq < 0:
-            return UniPoly(()), UniPoly(rem)
-        quot = [0] * (dq + 1)
-        lead = div[-1]
-        for k in range(dq, -1, -1):
-            c = _exact_div(rem[k + len(div) - 1], lead)
-            quot[k] = c
-            if c != 0:
-                for j, d in enumerate(div):
-                    rem[k + j] -= c * d
-        return UniPoly(quot), UniPoly(rem)
-
-    def __eq__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return self.coeffs == o.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
-
-    def __repr__(self):
-        return f"UniPoly({list(self.coeffs)!r})"
-
-    # -- root machinery -------------------------------------------------
 
     def primitive(self) -> "UniPoly":
         """Scale by a positive rational so coefficients become coprime ints.
@@ -460,9 +343,6 @@ class MultiPoly:
         exps = tuple(1 if i == index - 1 else 0 for i in range(nvars))
         return MultiPoly(nvars, {exps: 1})
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     @property
     def total_degree(self) -> int:
         """Maximum exponent sum over terms; -1 for the zero polynomial."""
@@ -543,15 +423,6 @@ class MultiPoly:
 
     __rmul__ = __mul__
 
-    def __eq__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return self.nvars == o.nvars and self.terms == o.terms
-
-    def __hash__(self):
-        return hash((self.nvars, frozenset(self.terms.items())))
-
     def eval(self, point: Sequence):
         """Evaluate at a point whose entries live in any compatible ring.
 
@@ -622,16 +493,3 @@ class MultiPoly:
                 for exps, coeff in self.sorted_terms()
             ],
         }
-
-    def __repr__(self):
-        if not self.terms:
-            return f"MultiPoly({self.nvars}, 0)"
-        bits = []
-        for exps, coeff in self.sorted_terms():
-            mono = "*".join(
-                f"x{i + 1}" + (f"^{e}" if e > 1 else "")
-                for i, e in enumerate(exps)
-                if e
-            )
-            bits.append(f"{coeff}" + (f"*{mono}" if mono else ""))
-        return f"MultiPoly({self.nvars}, {' + '.join(bits)})"

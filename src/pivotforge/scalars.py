@@ -1,4 +1,4 @@
-"""Exact rational scalars and first-order dual numbers.
+"""Exact rational scalars and their ``"p/q"`` text.
 
 Every numeric quantity in this package is an exact rational.  The working
 representation is the union ``int | fractions.Fraction``: integral values
@@ -52,76 +52,3 @@ def format_rational(value: Rational) -> str:
     f = Fraction(value)
     return f"{f.numerator}/{f.denominator}"
 
-
-class DualNumber:
-    """A pair (value, derivative) with exact forward-mode arithmetic.
-
-    Multiplication obeys the product rule exactly:
-    ``(a, a')(b, b') = (ab, ab' + a'b)``.  Components may be any scalars
-    from a commutative ring implementing ``+``, ``-``, ``*`` with plain
-    ints (rationals, univariate polynomials, ...), which is what lets the
-    same code differentiate a recursion whether its scalars are numbers
-    or polynomials.
-    """
-
-    __slots__ = ("value", "derivative")
-
-    def __init__(self, value, derivative=0):
-        self.value = value
-        self.derivative = derivative
-
-    @staticmethod
-    def lift(other):
-        """View a plain ring element as a constant (zero derivative)."""
-        if isinstance(other, DualNumber):
-            return other
-        return DualNumber(other, 0)
-
-    def __add__(self, other):
-        other = DualNumber.lift(other)
-        return DualNumber(self.value + other.value, self.derivative + other.derivative)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = DualNumber.lift(other)
-        return DualNumber(self.value - other.value, self.derivative - other.derivative)
-
-    def __rsub__(self, other):
-        other = DualNumber.lift(other)
-        return DualNumber(other.value - self.value, other.derivative - self.derivative)
-
-    def __mul__(self, other):
-        other = DualNumber.lift(other)
-        return DualNumber(
-            self.value * other.value,
-            self.value * other.derivative + self.derivative * other.value,
-        )
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return DualNumber(-self.value, -self.derivative)
-
-    def __pow__(self, exponent):
-        if not isinstance(exponent, int) or exponent < 0:
-            raise ValueError("only nonnegative integer powers are defined")
-        result = DualNumber.lift(1)
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
-
-    def __eq__(self, other):
-        other = DualNumber.lift(other)
-        return self.value == other.value and self.derivative == other.derivative
-
-    def __hash__(self):
-        return hash((self.value, self.derivative))
-
-    def __repr__(self):
-        return f"DualNumber({self.value!r}, {self.derivative!r})"

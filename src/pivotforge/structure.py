@@ -38,29 +38,6 @@ from .scalars import Rational
 FREE = None  # face pattern entry for an unconstrained coordinate
 
 
-def pp(x: Sequence[int], k: int) -> int:
-    """Prefix product ``x_{k-1} * prod_{j<=k-2} (1 - x_j)`` with ``x_0 := 1``.
-
-    Always 1 for ``k = 1``; on 0/1 vertices it is 1 exactly when
-    ``x_{k-1} = 1`` and ``x_1 = ... = x_{k-2} = 0``.
-    """
-    n = len(x)
-    if not 1 <= k <= n:
-        raise ValueError(f"k={k} out of range 1..{n}")
-    value = x[k - 2] if k >= 2 else 1
-    for j in range(k - 2):
-        value *= 1 - x[j]
-    return value
-
-
-def s_parity(x: Sequence[int], k: int) -> int:
-    """Parity of the suffix sum ``x_{k+1} + ... + x_n``."""
-    n = len(x)
-    if not 1 <= k <= n:
-        raise ValueError(f"k={k} out of range 1..{n}")
-    return sum(x[j] for j in range(k, n)) % 2
-
-
 def improving_dimension(bits: Sequence[int], oracle: LowerBoundPolynomial) -> Optional[int]:
     """The unique coordinate along which the lower-bound objective improves
     at a 0/1 vertex, or ``None`` at the optimal vertex ``e_n``.
@@ -69,8 +46,11 @@ def improving_dimension(bits: Sequence[int], oracle: LowerBoundPolynomial) -> Op
 
     (i)  gradient signs: ``d_k > 0`` with ``x_k = 0``, or ``d_k < 0`` with
          ``x_k = 1``, read off one ``oracle.gradient`` call;
-    (ii) predicates: ``s_parity(x, k) == x_k`` and ``pp(x, k) == 1``, for
-         all ``k`` in one prefix-product and suffix-parity sweep.
+    (ii) predicates: the suffix parity ``(x_{k+1} + ... + x_n) mod 2``
+         equals ``x_k``, and the prefix product
+         ``x_{k-1} * prod_{j<=k-2} (1 - x_j)`` with ``x_0 := 1`` is 1 (on
+         a vertex: ``k = 1``, or ``x_{k-1} = 1`` and ``x_j = 0`` for all
+         ``j <= k-2``), for all ``k`` in one sweep.
 
     Any disagreement, or more than one qualifying coordinate, raises
     :class:`AmbiguousImprovementError` -- that would falsify the uniqueness
@@ -81,11 +61,11 @@ def improving_dimension(bits: Sequence[int], oracle: LowerBoundPolynomial) -> Op
     if not _BITS.issuperset(bits):
         raise ValueError(f"{bits!r} is not a 0/1 vertex")
     by_predicates = []
-    prefix = 1  # pp(bits, k)
+    prefix = 1  # x_{k-1} * prod_{j<=k-2} (1 - x_j), with x_0 := 1
     zeros = 1   # prod of (1 - x_j) over 1 <= j < k
     parity = sum(bits) & 1
     for k, bit in enumerate(bits, start=1):
-        parity ^= bit  # s_parity(bits, k)
+        parity ^= bit  # (x_{k+1} + ... + x_n) mod 2
         if prefix == 1 and parity == bit:
             by_predicates.append(k)
         prefix = bit * zeros
@@ -159,10 +139,6 @@ class Face:
     def __post_init__(self):
         if any(p not in (0, 1, FREE) for p in self.pattern):
             raise ValueError(f"bad face pattern {self.pattern!r}")
-
-    @property
-    def n(self) -> int:
-        return len(self.pattern)
 
     @property
     def dimension(self) -> int:

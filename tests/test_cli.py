@@ -267,9 +267,10 @@ def _check_path_on_the_trajectory(n: int):
     walk = Walk(program, start, cli.active_set_steps(program, LowerBoundPolynomial(n), start,
                                                      make_rule("lowest-index")))
     trajectory = Trajectory(program, start, list(walk), walk.stop_reason)
-    if trajectory.vertex_ids() != ids:
+    engine_ids = [program.vertex_id_or_none(p) for p in trajectory.points()]
+    if engine_ids != ids:
         return False, {"reason": "engine trajectory differs from the path",
-                       "engine": trajectory.vertex_ids(), "path": ids}
+                       "engine": engine_ids, "path": ids}
     return True, None
 
 

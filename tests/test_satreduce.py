@@ -107,14 +107,14 @@ def test_reduction_of_a_single_clause():
     formula = CnfFormula(3, (clause(1, -2, 3),))
     poly = violation_polynomial(formula)
     expected = -((1 - x(3, 1)) * x(3, 2) * (1 - x(3, 3)))
-    assert poly == expected
+    assert poly.terms == expected.terms
     assert poly.total_degree == 3
 
 
 def test_reduction_of_short_clauses():
-    assert violation_polynomial(CnfFormula(1, (clause(1),))) == -(1 - x(1, 1))
+    assert violation_polynomial(CnfFormula(1, (clause(1),))).terms == (-(1 - x(1, 1))).terms
     contradiction = CnfFormula(1, (clause(1), clause(-1)))
-    assert violation_polynomial(contradiction) == MultiPoly.constant(1, -1)
+    assert violation_polynomial(contradiction).terms == MultiPoly.constant(1, -1).terms
 
 
 def test_reduction_degree_never_exceeds_three():

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from pivotforge import DualNumber, UniPoly, as_rational, format_rational
+from pivotforge import as_rational, format_rational
 
 rationals = st.fractions(
     min_value=-1000, max_value=1000, max_denominator=60
@@ -39,46 +39,3 @@ def test_format_always_carries_denominator():
 @given(st.one_of(rationals, st.integers(min_value=-(10**40), max_value=10**40)))
 def test_format_parse_round_trip(q):
     assert Fraction(format_rational(q)) == q
-
-
-@given(rationals, rationals, rationals, rationals)
-def test_dual_product_rule(a, da, b, db):
-    x = DualNumber(a, da)
-    y = DualNumber(b, db)
-    product = x * y
-    assert product.value == a * b
-    assert product.derivative == a * db + da * b
-
-
-@given(rationals, rationals, rationals, rationals)
-def test_dual_ring_laws(a, da, b, db):
-    x = DualNumber(a, da)
-    y = DualNumber(b, db)
-    assert x + y == y + x
-    assert x * y == y * x
-    assert x - y == -(y - x)
-    assert (x + y) * x == x * x + y * x
-
-
-@given(rationals, rationals, st.integers(min_value=0, max_value=6))
-def test_dual_power_matches_repeated_product(a, da, e):
-    x = DualNumber(a, da)
-    expected = DualNumber(1, 0)
-    for _ in range(e):
-        expected = expected * x
-    assert x**e == expected
-
-
-def test_dual_lifts_plain_scalars():
-    x = DualNumber(Fraction(1, 2), 1)
-    assert 1 - 2 * x == DualNumber(0, -2)
-    assert (3 + x).derivative == 1
-
-
-def test_dual_over_polynomial_ring():
-    # seed: value = t, derivative = 1; then (value)^2 differentiates to 2t
-    t = UniPoly((0, 1))
-    x = DualNumber(t, UniPoly((1,)))
-    sq = x * x
-    assert sq.value == UniPoly((0, 0, 1))
-    assert sq.derivative == UniPoly((0, 2))

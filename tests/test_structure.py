@@ -2,6 +2,7 @@ import itertools
 import json
 import random
 from fractions import Fraction
+from math import prod
 
 import pytest
 
@@ -24,9 +25,7 @@ from pivotforge import (
     is_decomposable,
     is_uso,
     make_rule,
-    pp,
     reflected_gray_ids,
-    s_parity,
     sink_find_decomposable,
 )
 from pivotforge.structure import FREE, sinks_in_face
@@ -50,21 +49,6 @@ def points_away_from(orientation, vid, coord):
 # ------------------------------------------------------- predicates --
 
 
-def test_prefix_product_examples():
-    assert pp((1, 1, 0), 1) == 1
-    assert pp((0, 0, 1), 1) == 1
-    assert pp((1, 0, 0), 2) == 1
-    assert pp((1, 0, 0), 3) == 0
-    assert pp((0, 1, 0), 3) == 1
-
-
-def test_suffix_parity_examples():
-    assert s_parity((0, 0, 0), 2) == 0
-    assert s_parity((0, 1, 1), 1) == 0
-    assert s_parity((0, 0, 1), 2) == 1
-    assert s_parity((1, 1, 1), 3) == 0
-
-
 def test_improving_dimension_examples(oracle_for):
     assert improving_dimension((0, 0, 0), oracle_for(3)) == 1
     assert improving_dimension((1, 0, 0), oracle_for(3)) == 2
@@ -81,8 +65,12 @@ def test_improving_dimension_unique_on_every_vertex(oracle_for):
             bits = bits_from_id(vid, n)
             k = improving_dimension(bits, oracle)  # raises if conditions disagree
             assert (k is None) == (bits == e_n)
+            # the prefix product x_{j-1} prod_{i<=j-2} (1 - x_i), x_0 := 1, is 1
+            # and the suffix parity (x_{j+1} + ... + x_n) mod 2 equals x_j
+            prefix = [(bits[j - 2] if j >= 2 else 1) * prod(1 - b for b in bits[:max(j - 2, 0)])
+                      for j in range(1, n + 1)]
             by_definition = [j for j in range(1, n + 1)
-                             if pp(bits, j) == 1 and s_parity(bits, j) == bits[j - 1]]
+                             if prefix[j - 1] == 1 and sum(bits[j:]) % 2 == bits[j - 1]]
             assert by_definition == ([] if k is None else [k])
 
 
@@ -131,7 +119,8 @@ def test_path_matches_engine_trajectory(oracle_for):
         trajectory = active_set_run(
             BoxProgram.unit_cube(n), oracle, (0,) * n, make_rule("highest-index")
         )
-        assert trajectory.vertex_ids() == list(hamiltonian_path(n))
+        assert [trajectory.program.vertex_id_or_none(p) for p in trajectory.points()] == \
+            list(hamiltonian_path(n))
 
 
 # ------------------------------------------------------ orientation --
