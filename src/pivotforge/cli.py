@@ -36,8 +36,7 @@ import stat
 import sys
 from array import array
 from fractions import Fraction
-from itertools import compress, count, islice, pairwise, product, zip_longest
-from operator import ne
+from itertools import islice, pairwise, product, zip_longest
 from typing import Callable, NamedTuple
 
 from .boxes import AxisDirection, BoxProgram, bits_from_id
@@ -74,6 +73,7 @@ from .satreduce import (
 )
 from .scalars import format_rational
 from .structure import (
+    LowerBoundTiles,
     combed_dimension,
     combed_in_top_dimensions,
     faces,
@@ -85,6 +85,7 @@ from .structure import (
     reflected_gray_ids,
     sink_find_decomposable,
 )
+from .tiles import _repeat, _tile_bits, _unpack, argmax
 
 # Set from measurements (2-vCPU VM, Python 3.11; the README has the table):
 # run --n 20 takes 72 s in 18 MB, as every n does, and verify uso and export
@@ -391,11 +392,13 @@ def check_uso(n: int):
 def check_sink(n: int):
     oracle = LowerBoundPolynomial(n)
     vid, queries = sink_find_decomposable(lambda bits: oracle.value(bits), n)
-    # max keeps the first, lowest, id of equal values, as one streaming pass
-    argmax = max(range(1 << n), key=lambda v: oracle.value(bits_from_id(v, n)))
+    # the brute-force argmax, the lowest id of the largest value, from the value tiles
+    table = LowerBoundTiles(n)
+    _, top_vid = argmax(table.fields(table.values(high))
+                        for high in range(1 << (n - table.bits)))
     optimum = 1 << (n - 1)
-    if vid != argmax or vid != optimum or queries > 2 * n:
-        return False, {"found": vid, "argmax": argmax, "optimum": optimum,
+    if vid != top_vid or vid != optimum or queries > 2 * n:
+        return False, {"found": vid, "argmax": top_vid, "optimum": optimum,
                        "queries": queries, "query_budget": 2 * n}
     return True, None
 
@@ -425,19 +428,21 @@ def certify_formula(formula: CnfFormula, probe: int):
         return False, {"reason": "degree > 3", "degree": poly.total_degree}
     satisfiable, assignment = brute_force_sat(formula)  # checks the enumeration cap
     # one pass over the value tiles and the count tiles, in lockstep, serves the
-    # maximum, the probe and the law fields[v] == offset - scale * count[v],
-    # whose lowest breaking v C loops find
-    tiles, offset, scale = vertex_field_tiles(poly, n)
-    expected = [offset - scale * c for c in range(len(formula.clauses) + 1)]
+    # maximum, the probe and the law fields[v] + scale * counts[v] == offset: in
+    # fields wide enough for every such sum, one big-integer test per tile, the
+    # lowest set bit of the XOR naming the lowest lawless field
+    tiles, offset, scale, nbytes = vertex_field_tiles(poly, n, len(formula.clauses))
+    b, width = _tile_bits(n), 8 * nbytes
+    offsets = _repeat(offset, width, width << b)
     top, wrong, start = -1, None, 0
-    for fields, counts in zip(tiles, violation_counts(formula)):
-        top = max(top, max(fields))
-        if wrong is None:
-            lawless = map(ne, fields, map(expected.__getitem__, counts))
-            wrong = next(compress(count(start), lawless), None)
-        if start <= probe < start + len(fields):
-            probe_field = fields[probe - start]
-        start += len(fields)
+    for fields, counts in zip(tiles, violation_counts(formula, nbytes)):
+        top = max(top, max(_unpack(fields, nbytes, b)))
+        lawless = (fields + scale * counts) ^ offsets
+        if wrong is None and lawless:
+            wrong = start + ((lawless & -lawless).bit_length() - 1) // width
+        if start <= probe < start + (1 << b):
+            probe_field = fields >> ((probe - start) * width) & ((1 << width) - 1)
+        start += 1 << b
     best = Fraction(top - offset, scale)
     if (best == 0) != satisfiable:
         return False, {"reason": "max/sat mismatch",

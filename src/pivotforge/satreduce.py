@@ -19,24 +19,25 @@ polynomial has total degree at most 3, which turns satisfiability into
 
 Formulas arrive in DIMACS CNF; parse errors carry line/column positions.
 Brute-force maximization and satisfiability checks are guarded exhaustive
-scans, used as independent oracles for the reduction.  Both split the 2^n
-vertex ids into tiles of 2^b consecutive ids, ``b = min(n, TILE_BITS)``,
-and treat a Python integer as a table of one tile's vertices, worked on
-all at once (broadword computing, Knuth, TAOCP 7.1.3).  Inside a tile the
-variables from ``b`` up are fixed by the ids' high bits, so a clause or a
-term there depends on the low ``b`` variables alone.  The satisfiability
-check holds one bit per assignment and combines clauses by AND and OR,
-the violated-clause counts add the same clause tables in wider fields,
-and the maximum comes from a subset-sum (zeta) transform over fixed-width
-integer fields packed into one integer, one AND, shift and add per low
-variable.  A scan holds one tile at a time, so its memory does not grow
-with n.  Every step is exact integer arithmetic.
+scans, used as independent oracles for the reduction.  They work on the
+tiles of :mod:`pivotforge.tiles`: the 2^n vertex ids in tiles of 2^b
+consecutive ids, ``b = min(n, TILE_BITS)``, a Python integer holding one
+tile's vertices in fixed-width fields, worked on all at once (broadword
+computing, Knuth, TAOCP 7.1.3).  Inside a tile the variables from ``b``
+up are fixed by the ids' high bits, so a clause or a term there depends on
+the low ``b`` variables alone.  The satisfiability check holds one bit per
+assignment and combines clauses by AND and OR, the violated-clause counts
+add the same clause tables in wider fields, and the vertex values come
+from a subset-sum (zeta) transform over fixed-width integer fields packed
+into one integer, one AND, shift and add per low variable.  Values and
+counts packed at one width let a caller test ``value + scale * count ==
+offset`` in every field of a tile with one big-integer operation.  A scan
+holds one tile at a time, so its memory does not grow with n.  Every step
+is exact integer arithmetic.
 """
 
 from __future__ import annotations
 
-import sys
-from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
@@ -47,12 +48,9 @@ from typing import Optional, Tuple
 from .errors import DimacsParseError, TooLargeError
 from .polynomials import MultiPoly
 from .scalars import Rational, as_rational
+from .tiles import _FIELD_TYPECODES, _clear_bit_slots, _repeat, _tile_bits, _unpack, argmax
 
 ENUMERATION_LIMIT = 24  # 2^24 vertices is the most a brute-force scan will try
-#: the scans hold 2^TILE_BITS vertices at a time (8 KB at 2-byte fields)
-TILE_BITS = 12
-#: unsigned ``array`` typecode by item size in bytes, for reading packed fields
-_FIELD_TYPECODES = {array(code).itemsize: code for code in "BHIQ"}
 
 
 @dataclass(frozen=True)
@@ -176,44 +174,24 @@ def violation_polynomial(formula: CnfFormula) -> MultiPoly:
     return total
 
 
-def _repeat(block: int, period: int, length: int) -> int:
-    """``block`` (at most ``period`` bits wide) repeated every ``period``
-    bits up to bit ``length``, where ``length / period`` is a power of two:
-    each doubling is one shift and one OR of the pattern built so far."""
-    while period < length:
-        block |= block << period
-        period <<= 1
-    return block
-
-
-def _clear_bit_slots(slot: int, width: int, n: int):
-    """For ``i = n - 1`` down to 0, yields ``i`` and the integer that holds
-    ``slot`` in each of its 2^n slots of ``width`` bits whose id has bit
-    ``i`` clear (slot ``v`` starts at bit ``v * width``).  Each is one
-    shift and one XOR from the one before (Knuth's magic masks, TAOCP
-    7.1.3)."""
-    if n:
-        mask = _repeat(slot, width, width << (n - 1))
-        for i in reversed(range(n)):
-            yield i, mask
-            if i:
-                mask ^= mask << (width << (i - 1))
-
-
-def _tile_bits(n: int) -> int:
-    """``b = min(n, TILE_BITS)``: a scan over n variables visits 2^(n - b)
-    tiles of 2^b consecutive vertex ids.  Raises ``TooLargeError`` past the
-    enumeration cap, so every oracle refuses before it builds a table."""
+def _enumerable_bits(n: int) -> int:
+    """The tile bits ``b`` of a scan over n variables (:func:`_tile_bits`).
+    Raises ``TooLargeError`` past the enumeration cap, so every oracle
+    refuses before it builds a table."""
     if n > ENUMERATION_LIMIT:
         raise TooLargeError(f"n={n} exceeds the enumeration cap {ENUMERATION_LIMIT}")
-    return min(n, TILE_BITS)
+    return _tile_bits(n)
 
 
-def vertex_field_tiles(poly: MultiPoly, n: int):
+def vertex_field_tiles(poly: MultiPoly, n: int, spare: int = 0):
     """Exact values of ``poly`` on all 2^n vertices as unsigned integer
     fields, one tile of 2^b consecutive vertex ids at a time: returns
-    ``(tiles, offset, scale)``, where ``tiles`` yields each tile's fields in
-    id order and vertex ``v`` has value ``(field - offset) / scale``.  The
+    ``(tiles, offset, scale, nbytes)``, where ``tiles`` yields each tile's
+    fields packed in one integer, field ``v`` of ``nbytes`` bytes at byte
+    ``v * nbytes`` (:func:`~pivotforge.tiles._unpack` reads them out), and
+    vertex ``v`` has value ``(field - offset) / scale``.  The fields also
+    hold ``2 * offset + scale * spare``, so that ``scale`` times a count of
+    at most ``spare`` can be added to each without a carry.  The
     enumeration cap is checked when called.
 
     On 0/1 points a monomial contributes its coefficient exactly when
@@ -228,20 +206,17 @@ def vertex_field_tiles(poly: MultiPoly, n: int):
     iff the high part of its mask is a subset of ``h``, and the zeta
     transform runs over the low ``b`` bits alone.
 
-    A tile's 2^b entries live in one integer, entry ``v`` in the field of
-    ``width`` bits at bit ``v * width``.  A field keeps its entry modulo
-    ``2^bits`` in its low ``bits`` bits, ``2^bits > 2 * offset``, and the
-    carries out of them in the guard bits above, at least ``b.bit_length()``
-    of them: a pass adds into a field at most once, so at most ``b``
-    carries land there.  Pass ``i`` adds every field whose
-    id lacks bit ``i`` into the field whose id has it, which is one
-    whole-integer AND, shift and add (Yates' method on packed fields);
-    one last AND clears the guard bits.  ``width`` is a whole number of
-    bytes, a machine word size when the entries fit in one, so the fields
-    are read from the integer's bytes into an ``array`` whose ``max`` and
-    ``index`` run in C.
+    A field keeps its entry modulo ``2^bits`` in its low ``bits`` bits,
+    ``2^bits > 2 * offset + scale * spare``, and the carries out of them in
+    the guard bits above, at least ``b.bit_length()`` of them: a pass adds
+    into a field at most once, so at most ``b`` carries land there.  Pass
+    ``i`` adds every field whose id lacks bit ``i`` into the field whose id
+    has it, which is one whole-integer AND, shift and add (Yates' method on
+    packed fields); one last AND clears the guard bits.  ``nbytes`` is a
+    machine word size when the entries fit in one, so the fields unpack
+    into an ``array``.
     """
-    b = _tile_bits(n)
+    b = _enumerable_bits(n)
     scale = lcm(*(coeff.denominator for coeff in poly.terms.values()))
     scaled: dict = {}
     for exps, coeff in poly.terms.items():
@@ -249,7 +224,7 @@ def vertex_field_tiles(poly: MultiPoly, n: int):
         scaled[mask] = scaled.get(mask, 0) + coeff.numerator * (scale // coeff.denominator)
     offset = sum(map(abs, scaled.values()))
     scaled[0] = scaled.get(0, 0) + offset
-    bits = (2 * offset).bit_length()
+    bits = (2 * offset + scale * spare).bit_length()
     value_mask = (1 << bits) - 1
     nbytes = max(1, -(-(bits + b.bit_length()) // 8))
     nbytes = min((k for k in _FIELD_TYPECODES if k >= nbytes), default=nbytes)
@@ -274,41 +249,22 @@ def vertex_field_tiles(poly: MultiPoly, n: int):
             packed = int.from_bytes(table, "little")
             for i, low_ids in passes:
                 packed += (packed & low_ids) << (width << i)
-            yield _unpack(packed & values, nbytes, b)
+            yield packed & values
 
-    return tiles(), offset, scale
-
-
-def _unpack(packed: int, nbytes: int, n: int):
-    """The 2^n fields of ``nbytes`` bytes packed in ``packed``, field ``v``
-    at byte ``v * nbytes``: an ``array`` when a typecode has that size,
-    else a list."""
-    data = packed.to_bytes(nbytes << n, "little")
-    typecode = _FIELD_TYPECODES.get(nbytes)
-    if typecode is None:
-        return [int.from_bytes(data[k:k + nbytes], "little")
-                for k in range(0, len(data), nbytes)]
-    fields = array(typecode, data)
-    if sys.byteorder == "big":
-        fields.byteswap()
-    return fields
+    return tiles(), offset, scale, nbytes
 
 
 def brute_force_max(poly: MultiPoly, n: int) -> Tuple[Rational, tuple]:
     """Exact maximum of ``poly`` over all 2^n vertices and one argmax
     (the lowest vertex id attaining it).  Guarded by the enumeration cap.
-    The maximum and its first index are taken over each tile's packed
-    fields, which order the vertices as their values do; a later tile
-    replaces the best only with a strictly larger value."""
+    The maximum and its first index are taken over each tile's unpacked
+    fields, which order the vertices as their values do
+    (:func:`~pivotforge.tiles.argmax`)."""
     if poly.nvars != n:
         raise ValueError(f"polynomial has {poly.nvars} variables, not {n}")
-    tiles, offset, scale = vertex_field_tiles(poly, n)
-    top, best_vid, start = -1, 0, 0
-    for fields in tiles:
-        tile_top = max(fields)
-        if tile_top > top:
-            top, best_vid = tile_top, start + fields.index(tile_top)
-        start += len(fields)
+    tiles, offset, scale, nbytes = vertex_field_tiles(poly, n)
+    b = _tile_bits(n)
+    top, best_vid = argmax(_unpack(packed, nbytes, b) for packed in tiles)
     bits = tuple((best_vid >> i) & 1 for i in range(n))
     return as_rational(Fraction(top - offset, scale)), bits
 
@@ -360,7 +316,7 @@ def brute_force_sat(formula: CnfFormula) -> Tuple[bool, Optional[tuple]]:
     would find first.
     """
     n = formula.n_vars
-    b = _tile_bits(n)
+    b = _enumerable_bits(n)
     whole_tile = (1 << (1 << b)) - 1
     for high, violated in enumerate(_clause_tiles(formula, b, 1, or_)):
         satisfying = whole_tile & ~violated
@@ -370,17 +326,18 @@ def brute_force_sat(formula: CnfFormula) -> Tuple[bool, Optional[tuple]]:
     return False, None
 
 
-def violation_counts(formula: CnfFormula):
+def violation_counts(formula: CnfFormula, nbytes: int):
     """The number of clauses each assignment violates: an iterator over the
-    tiles of 2^b consecutive vertex ids, each an ``array`` indexed by the
-    id within the tile.  The enumeration cap is checked when called.  The
-    clauses' tables (:func:`_clause_tiles`) are summed in fields of whole
-    bytes, wide enough for the clause count, so no field carries into the
-    next; no polynomial is read."""
-    b = _tile_bits(formula.n_vars)
-    bits = len(formula.clauses).bit_length()
-    nbytes = min(k for k in _FIELD_TYPECODES if 8 * k >= bits)
-    return (_unpack(table, nbytes, b) for table in _clause_tiles(formula, b, 8 * nbytes, add))
+    tiles of 2^b consecutive vertex ids, each the counts packed in one
+    integer, field ``v`` of ``nbytes`` bytes for id ``v`` within the tile.
+    The clauses' tables (:func:`_clause_tiles`) are summed in those fields,
+    which must hold the clause count, so no field carries into the next; no
+    polynomial is read.  The enumeration cap and the width are checked when
+    called."""
+    b = _enumerable_bits(formula.n_vars)
+    if len(formula.clauses) >> (8 * nbytes):
+        raise ValueError(f"{len(formula.clauses)} clauses overflow {nbytes}-byte fields")
+    return _clause_tiles(formula, b, 8 * nbytes, add)
 
 
 def violated_clause_count(formula: CnfFormula, bits: tuple) -> int:

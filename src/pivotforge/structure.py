@@ -9,6 +9,15 @@ time, so a caller holds only what it keeps), the edge orientation induced
 by vertex values, unique-sink and combedness checks, and a sink finder
 that needs only ``O(n)`` value queries on decomposable orientations.
 
+The path is walked on the objective's vertex table in tiles
+(:class:`LowerBoundTiles`, on the broadword layer of
+:mod:`pivotforge.tiles`): per tile of 2^b vertex ids, the exact values,
+every partial by finite differences of those values, and the
+prefix/parity predicates, with the two sides of the improving-dimension
+test compared at every vertex by whole-integer operations.  The
+per-vertex routine :func:`improving_dimension` stays for the checks that
+ask one vertex at a time.
+
 An orientation is stored as its outmap alone: one outgoing-coordinate mask
 per vertex, ``2^n`` integers in all.  Every check reads those masks.
 Combedness in every face's highest free coordinate is decided by an
@@ -34,6 +43,7 @@ from .boxes import bits_from_id, bits_to_id
 from .errors import AmbiguousImprovementError, TieError
 from .objectives import _BITS, LowerBoundPolynomial
 from .scalars import Rational
+from .tiles import _FIELD_TYPECODES, _clear_bit_slots, _repeat, _tile_bits, _unpack
 
 FREE = None  # face pattern entry for an unconstrained coordinate
 
@@ -83,6 +93,138 @@ def improving_dimension(bits: Sequence[int], oracle: LowerBoundPolynomial) -> Op
     return by_gradient[0] if by_gradient else None
 
 
+class LowerBoundTiles:
+    """The lower-bound objective's vertex table, one tile of 2^b
+    consecutive vertex ids at a time (:mod:`pivotforge.tiles`): for the
+    tile whose ids have high bits ``high``, the packed vertex values, the
+    exact partials by finite differences, the prefix/parity predicates and
+    both sides of the improving-dimension test at every vertex.
+
+    Every table is one integer of 2^b fields of ``width`` bits, a whole
+    number of bytes that holds ``n * 2^n`` and a sign bit.  A one-bit table
+    holds 0 or 1 in each field.  Only the field of ones, the ids within a
+    tile and the partials' zero are kept; a tile's tables are built from
+    them when asked for.
+    """
+
+    def __init__(self, n: int):
+        self.n = n
+        self.bits = b = _tile_bits(n)
+        nbytes = -(-(n + n.bit_length() + 1) // 8)
+        self.nbytes = min((k for k in _FIELD_TYPECODES if k >= nbytes), default=nbytes)
+        self.width = width = 8 * self.nbytes
+        self.ones = ones = _repeat(1, width, width << b)
+        self.zero = ones << (width - 1)  # 2^(width - 1) in every field
+        self._ids = 0  # field v holds v
+        for i, clear in _clear_bit_slots(1, width, b):
+            self._ids |= (ones ^ clear) << i
+
+    def fields(self, packed: int):
+        """A tile's fields, in id order, as an ``array``."""
+        return _unpack(packed, self.nbytes, self.bits)
+
+    def coordinate(self, high: int, k: int) -> int:
+        """The one-bit table of ``x_k`` in the tile ``high``: bit ``k - 1``
+        of the id within the tile for ``k <= b``, the same in every field
+        above."""
+        if k <= self.bits:
+            return self._ids >> (k - 1) & self.ones
+        return self.ones if high >> (k - 1 - self.bits) & 1 else 0
+
+    def values(self, high: int) -> int:
+        """The vertex values, by the recursion's own step on the vertices:
+        ``a_{n+1} = 0``, ``a_i = x_i XOR a_{i+1}`` and value
+        ``sum_i 2^{i-1} a_i``, since every ``b_i`` vanishes there.  The
+        steps above ``b`` act on bits of ``high``, the same at every vertex
+        of the tile, and enter every field at once."""
+        b = self.bits
+        a = value = 0
+        for i in reversed(range(b, self.n)):
+            a ^= high >> (i - b) & 1
+            value |= a << i
+        a *= self.ones
+        values = value * self.ones
+        for i in reversed(range(b)):
+            a ^= self.coordinate(high, i + 1)
+            values |= a << i
+        return values
+
+    def curvatures(self, high: int):
+        """Yields ``s_k = 1 - x_{k-1} + sum_{j<=k-2} x_j`` in fields for
+        k = 1 .. n (``x_0 := 1`` makes ``s_1 = 0``): the constant
+        ``d^2 F / d x_k^2`` is ``2^{k+1} s_k``."""
+        yield 0
+        below = 0
+        for k in range(1, self.n):
+            prev = self.coordinate(high, k)
+            yield self.ones - prev + below
+            below += prev
+
+    def partials(self, high: int, values: int):
+        """Yields ``dF/dx_k + 2^(width - 1)`` in fields for k = 1 .. n, by
+        finite differences: ``F`` is at most quadratic in ``x_k``, with
+        ``x_k^2`` coefficient ``C_k = 2^k s_k``, so
+
+            dF/dx_k(v) = F(v | x_k=1) - F(v | x_k=0) + (2 x_k - 1) C_k.
+
+        The neighbour's value comes from a field shift for ``k <= b`` and
+        from the values of tile ``high ^ 2^(k-1-b)`` above.  Each field
+        stays in ``[1, 2^width)``, so no step borrows or carries across
+        fields."""
+        b, width = self.bits, self.width
+        for k, s in enumerate(self.curvatures(high), start=1):
+            x = self.coordinate(high, k) * ((1 << width) - 1)  # all ones where x_k = 1
+            if k <= b:
+                shift = width << (k - 1)
+                up = values & x
+                down = values ^ up
+                at_one, at_zero = up | up >> shift, down | down << shift
+            elif x:
+                at_one, at_zero = values, self.values(high ^ 1 << (k - 1 - b))
+            else:
+                at_one, at_zero = self.values(high ^ 1 << (k - 1 - b)), values
+            curvature = s << k
+            rising = curvature & x
+            yield self.zero + at_one + rising - at_zero - (curvature ^ rising)
+
+    def predicates(self, high: int):
+        """Yields for k = 1 .. n the one-bit table of the predicate side of
+        :func:`improving_dimension`: the suffix parity
+        ``x_{k+1} + ... + x_n`` equals ``x_k`` and the prefix product
+        ``x_{k-1} * prod_{j<=k-2} (1 - x_j)`` (``x_0 := 1``) is 1."""
+        ones = self.ones
+        parity = 0
+        for k in range(1, self.n + 1):
+            parity ^= self.coordinate(high, k)
+        prefix = zeros = ones
+        for k in range(1, self.n + 1):
+            x = self.coordinate(high, k)
+            parity ^= x  # (x_{k+1} + ... + x_n) mod 2
+            yield prefix & (ones ^ parity ^ x)
+            prefix = x & zeros
+            zeros &= ones ^ x
+
+    def tile(self, high: int):
+        """``(sides, predicate)`` for the tile ``high``.  Field ``v`` of
+        ``predicate`` has bit ``k - 1`` set when the predicates hold for k
+        at vertex ``v``.  ``sides[v]`` (an ``array``) holds the gradient
+        side the same way, where ``d_k > 0`` with ``x_k = 0`` or
+        ``d_k < 0`` with ``x_k = 1``, plus bit ``width - 1`` when the two
+        sides differ there or more than one coordinate qualifies."""
+        ones, top = self.ones, self.width - 1
+        partials = self.partials(high, self.values(high))
+        gradient = predicate = seen = flagged = 0
+        for i, (d, p) in enumerate(zip(partials, self.predicates(high))):
+            positive = (d - ones) >> top & ones
+            negative = ones ^ (d >> top & ones)
+            g = positive ^ ((positive ^ negative) & self.coordinate(high, i + 1))
+            flagged |= (g ^ p) | (g & seen)
+            seen |= g
+            gradient |= g << i
+            predicate |= p << i
+        return self.fields(gradient | flagged << top), predicate
+
+
 def hamiltonian_path(n: int):
     """Follow the unique improving dimension of the lower-bound objective
     from the all-zeros vertex, yielding each visited vertex id as it is
@@ -90,28 +232,48 @@ def hamiltonian_path(n: int):
 
     The walk flips bit ``k`` of the current vertex, where ``k`` is the
     improving dimension, until the optimal vertex ``e_n`` has none.  It
-    visits every vertex once, in the reflected binary Gray code ordering;
-    a walk longer than ``2^n`` vertices raises
-    :class:`AmbiguousImprovementError`.
+    reads the dimensions from the tile of :class:`LowerBoundTiles` that
+    holds the current vertex, and builds the next tile when a flip leaves
+    it; on this objective each tile is entered once.  Where the gradient
+    and predicate sides differ, or more than one coordinate qualifies, it
+    raises the :class:`AmbiguousImprovementError` that
+    :func:`improving_dimension` gives at that vertex.  It visits every
+    vertex once, in the reflected binary Gray code ordering; a walk longer
+    than ``2^n`` vertices raises :class:`AmbiguousImprovementError`.
     """
     if n < 1:
         raise ValueError("dimension must be at least 1")
-    oracle = LowerBoundPolynomial(n)
-    bits = (0,) * n
+    table = LowerBoundTiles(n)
+    b, width = table.bits, table.width
+    low, size = (1 << b) - 1, 1 << n
+    sides, predicate = table.tile(0)
     vid = 0
     yield vid
     visited = 1
     while True:
-        k = improving_dimension(bits, oracle)
-        if k is None:
-            return
-        bits = bits[: k - 1] + (1 - bits[k - 1],) + bits[k:]
-        vid ^= 1 << (k - 1)
-        visited += 1
-        if visited > (1 << n):
+        flip = sides[vid & low]
+        if flip >> n:
+            bits = bits_from_id(vid, n)
+            held = predicate >> ((vid & low) * width)
+            by_gradient = [k for k in range(1, n + 1) if flip >> (k - 1) & 1]
+            by_predicates = [k for k in range(1, n + 1) if held >> (k - 1) & 1]
             raise AmbiguousImprovementError(
-                "walk exceeded 2^n vertices; a vertex repeated", vertex=bits
+                f"improving-dimension conditions disagree at {bits}: "
+                f"gradient side {by_gradient}, predicate side {by_predicates}",
+                vertex=bits,
+                gradient_side=by_gradient,
+                predicate_side=by_predicates,
             )
+        if not flip:
+            return
+        vid ^= flip
+        visited += 1
+        if visited > size:
+            raise AmbiguousImprovementError(
+                "walk exceeded 2^n vertices; a vertex repeated", vertex=bits_from_id(vid, n)
+            )
+        if flip > low:  # the improving dimension is above b: the walk leaves the tile
+            sides, predicate = table.tile(vid >> b)
         yield vid
 
 

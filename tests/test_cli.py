@@ -26,6 +26,7 @@ from pivotforge import (
     hamiltonian_path,
     make_rule,
     reflected_gray_ids,
+    tiles,
     violation_polynomial,
 )
 from pivotforge.structure import (
@@ -106,6 +107,9 @@ WRITE_SHA256 = {
     "export orientation --n 11": "eb4c08eb218d5bdc94e9d88408cad5f97d18b4530014f87fb41d9e38a367f110",
     "export orientation --n 12": "0f021b987989079dc921067111eb3f01fd331bc341a05120641aa944315d8143",
     "export path --n 6": "ddf5bf48c3c5593a537ca34fda60edfbcebf61183d85579877c0134ceef68617",
+    # recorded while the walk made one improving_dimension call per vertex;
+    # n = 13 crosses a tile boundary at the default TILE_BITS
+    "export path --n 13": "5132e801df2538c91cb1dcc8733c6c5dc50f8edab4a73c15b0bc45dba3bc1595",
     "reduce CNF --check": "9f69ab6191e5e595e59f103586e2c83903900c25cb4cc334b11f6d3188947437",
 }
 
@@ -235,11 +239,15 @@ def test_failed_run_removes_only_a_file_the_out_path_names(tmp_path, capsys, mon
 
 @pytest.mark.parametrize("argv", [["run", "--format", "json"], ["run", "--format", "csv"],
                                   ["export", "path"]], ids=["json", "csv", "export-path"])
-def test_run_memory_does_not_grow_with_the_walk(tmp_path, capsys, argv):
+def test_run_memory_does_not_grow_with_the_walk(tmp_path, capsys, monkeypatch, argv):
     """``run --n 12`` walks eight times as many passes as ``run --n 9``,
     and ``export path --n 12`` writes eight times as many ids; the peak of
     traced allocations may grow by less than 128 KiB (holding the records
-    grows it by about 1.6 MB, and holding the ids by about 490 KB)."""
+    grows it by about 1.6 MB, and holding the ids by about 490 KB).  The
+    path's vertex table holds one tile of 2^TILE_BITS ids, a size that
+    stops growing at n = TILE_BITS; at 6 tile bits both walks cross tiles
+    of the same size."""
+    monkeypatch.setattr(tiles, "TILE_BITS", 6)
     def peak(n: int) -> int:
         tracemalloc.start()
         try:

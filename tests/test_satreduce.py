@@ -19,15 +19,10 @@ from pivotforge import (
     violation_polynomial,
 )
 from pivotforge import cli, satreduce
+from pivotforge import tiles as layer
 from pivotforge.boxes import bits_from_id
-from pivotforge.satreduce import (
-    _FIELD_TYPECODES,
-    _clear_bit_slots,
-    _repeat,
-    _unpack,
-    vertex_field_tiles,
-    violated_clause_count,
-)
+from pivotforge.satreduce import vertex_field_tiles, violated_clause_count
+from pivotforge.tiles import _FIELD_TYPECODES, _clear_bit_slots, _repeat, _unpack
 from pivotforge.scalars import as_rational
 
 
@@ -204,12 +199,26 @@ def _whole_violation_counts(formula):
     return _unpack(total, nbytes, n)
 
 
+def _fields(tiles, nbytes, n):
+    """The fields of the packed tiles of a scan over n variables, in id
+    order."""
+    b = min(n, layer.TILE_BITS)
+    return list(chain.from_iterable(_unpack(packed, nbytes, b) for packed in tiles))
+
+
+def _counts(formula):
+    """``violation_counts`` in the narrowest fields that hold the clause
+    count, in id order."""
+    nbytes = min(k for k in _FIELD_TYPECODES if 8 * k >= len(formula.clauses).bit_length())
+    return _fields(violation_counts(formula, nbytes), nbytes, formula.n_vars)
+
+
 def _vertex_values(poly, n):
     """Exact values of ``poly`` on all 2^n vertices, indexed by vertex id
     (``int`` when integral, else ``Fraction``), read from the packed
     field tiles."""
-    tiles, offset, scale = vertex_field_tiles(poly, n)
-    return [as_rational(Fraction(field - offset, scale)) for field in chain.from_iterable(tiles)]
+    tiles, offset, scale, nbytes = vertex_field_tiles(poly, n)
+    return [as_rational(Fraction(field - offset, scale)) for field in _fields(tiles, nbytes, n)]
 
 
 def _vertex_values_oracle(poly, n):
@@ -317,13 +326,14 @@ def test_zeta_vertex_values_in_fields_across_a_width_boundary(n, monkeypatch):
             whole = list(_whole_vertex_fields(poly, n)[0])
             reference = _brute_force_max_by_list_zeta(poly, n)
             for tile_bits in (8, 12):
-                monkeypatch.setattr(satreduce, "TILE_BITS", tile_bits)
-                tiles, packed_offset, scale = vertex_field_tiles(poly, n)
+                monkeypatch.setattr(layer, "TILE_BITS", tile_bits)
+                tiles, packed_offset, scale, nbytes = vertex_field_tiles(poly, n)
                 tiles = list(tiles)
-                assert (packed_offset, scale) == (offset, 1)
+                assert (packed_offset, scale, nbytes) == (offset, 1, width)
                 assert len(tiles) == 1 << (n - tile_bits)
-                assert {getattr(fields, "itemsize", 9) for fields in tiles} == {width}
-                assert list(chain.from_iterable(tiles)) == whole
+                assert {getattr(_unpack(packed, nbytes, tile_bits), "itemsize", 9)
+                        for packed in tiles} == {width}
+                assert _fields(tiles, nbytes, n) == whole
                 values = _vertex_values(poly, n)
                 assert values == _vertex_values_oracle(poly, n)
                 assert values[-1] == sign * offset
@@ -374,19 +384,20 @@ def _formulas(draw):
 def test_truth_table_sat_matches_the_assignment_loop(formula):
     assert brute_force_sat(formula) == _brute_force_sat_by_loop(formula)
     n = formula.n_vars
-    assert list(chain.from_iterable(violation_counts(formula))) == [
+    assert _counts(formula) == [
         violated_clause_count(formula, tuple((vid >> i) & 1 for i in range(n)))
         for vid in range(1 << n)]
 
 
 def test_violation_counts_fields_widen_with_the_clause_count():
-    # 255 clauses fit one byte per vertex, 256 need two; every clause is
-    # violated at the all-zeros vertex
-    for clauses, itemsize in ((255, 1), (256, 2)):
+    # 255 clauses fit one byte per vertex, 256 need two, and narrower fields
+    # are refused; every clause is violated at the all-zeros vertex
+    for clauses, nbytes in ((255, 1), (256, 2)):
         formula = CnfFormula(2, (clause(1, 2),) * clauses)
-        counts, = violation_counts(formula)
-        assert counts.itemsize == itemsize
-        assert list(counts) == [clauses, 0, 0, 0]
+        counts, = violation_counts(formula, nbytes)
+        assert list(_unpack(counts, nbytes, 2)) == [clauses, 0, 0, 0]
+        with pytest.raises(ValueError):
+            violation_counts(formula, nbytes - 1)
 
 
 def test_enumeration_guards():
@@ -395,7 +406,7 @@ def test_enumeration_guards():
     with pytest.raises(TooLargeError):
         brute_force_sat(CnfFormula(25, ()))
     with pytest.raises(TooLargeError):
-        violation_counts(CnfFormula(25, ()))
+        violation_counts(CnfFormula(25, ()), 1)
 
 
 # ------------------------------------------------------------- tiles --
@@ -427,7 +438,7 @@ def _random_clauses(rng, n, count):
 
 @pytest.mark.parametrize("tile_bits", [2, 3])
 def test_tiles_match_the_whole_table_references(tile_bits, monkeypatch):
-    monkeypatch.setattr(satreduce, "TILE_BITS", tile_bits)
+    monkeypatch.setattr(layer, "TILE_BITS", tile_bits)
     rng = random.Random(71 + tile_bits)
     for n in range(11):
         for _ in range(6):
@@ -437,24 +448,24 @@ def test_tiles_match_the_whole_table_references(tile_bits, monkeypatch):
                 for _ in range(rng.randint(0, 8))
             }
             poly = MultiPoly(n, terms)
-            tiles, offset, scale = vertex_field_tiles(poly, n)
+            tiles, offset, scale, nbytes = vertex_field_tiles(poly, n)
             tiles = list(tiles)
             whole, whole_offset, whole_scale = _whole_vertex_fields(poly, n)
             assert (offset, scale) == (whole_offset, whole_scale)
-            assert [len(fields) for fields in tiles] == \
+            assert [len(_unpack(packed, nbytes, min(n, tile_bits))) for packed in tiles] == \
                 [1 << min(n, tile_bits)] * (1 << max(0, n - tile_bits))
-            assert list(chain.from_iterable(tiles)) == list(whole)
+            assert _fields(tiles, nbytes, n) == list(whole)
             assert brute_force_max(poly, n) == _brute_force_max_by_list_zeta(poly, n)
 
             formula = CnfFormula(n, _random_clauses(rng, n, rng.randint(0, 24)) if n else ())
             assert brute_force_sat(formula) == _brute_force_sat_by_loop(formula)
-            assert list(chain.from_iterable(violation_counts(formula))) == \
+            assert _counts(formula) == \
                 list(_whole_violation_counts(formula))
             assert cli.certify_formula(formula, rng.randrange(1 << n)) == (True, None)
 
 
 def test_tiled_max_keeps_the_lowest_argmax_across_tile_boundaries(monkeypatch):
-    monkeypatch.setattr(satreduce, "TILE_BITS", 2)
+    monkeypatch.setattr(layer, "TILE_BITS", 2)
     # tiles of four ids: the maximum 3 sits at in-tile position 3 of tile 1
     # and position 0 of tiles 2 and 3; a lesser 2 comes first, in tile 0
     values = [0] * 16
@@ -470,7 +481,7 @@ def test_tiled_max_keeps_the_lowest_argmax_across_tile_boundaries(monkeypatch):
 
 @pytest.mark.parametrize("tile_bits", [2, 3])
 def test_tiled_sat_finds_a_witness_in_the_last_tile_and_refutes_unsat(tile_bits, monkeypatch):
-    monkeypatch.setattr(satreduce, "TILE_BITS", tile_bits)
+    monkeypatch.setattr(layer, "TILE_BITS", tile_bits)
     for n in range(2, 11):
         # x2 .. xn all 1: the satisfying ids are the last two, in the last tile
         forced = tuple(clause(k) for k in range(2, n + 1))
@@ -483,14 +494,14 @@ def test_tiled_sat_finds_a_witness_in_the_last_tile_and_refutes_unsat(tile_bits,
         formula = CnfFormula(n, forced + (clause(-2),))
         assert brute_force_sat(formula) == (False, None)
         assert brute_force_max(violation_polynomial(formula), n)[0] == -1
-        assert list(chain.from_iterable(violation_counts(formula))) == \
+        assert _counts(formula) == \
             list(_whole_violation_counts(formula))
         assert cli.certify_formula(formula, 1) == (True, None)
 
 
 @pytest.mark.parametrize("tile_bits", [2, 3])
 def test_certify_reports_the_lowest_lawless_vertex_across_tiles(tile_bits, monkeypatch):
-    monkeypatch.setattr(satreduce, "TILE_BITS", tile_bits)
+    monkeypatch.setattr(layer, "TILE_BITS", tile_bits)
     n = 6
     formula = CnfFormula(n, (clause(1, 2), clause(-3, 5, 6)))  # id 1 satisfies it
     # coefficients off by -1: the values drop at every id that contains one
@@ -505,10 +516,23 @@ def test_certify_reports_the_lowest_lawless_vertex_across_tiles(tile_bits, monke
                     "vertex": list(bits_from_id(min(masks), n))})
 
 
+def test_certify_law_fields_hold_the_clause_count(monkeypatch):
+    # a polynomial far narrower than its formula's counts: the zero
+    # polynomial has offset 0, and x1 = 0 violates all 300 clauses, so the
+    # law's fields must widen for the counts, not only for the values
+    n = 3
+    formula = CnfFormula(n, (clause(1),) * 300)
+    monkeypatch.setattr(cli, "violation_polynomial", lambda f: MultiPoly(n))
+    assert cli.certify_formula(formula, 5) == (
+        False, {"reason": "per-vertex law violated", "vertex": [0, 0, 0]})
+    tiles, offset, scale, nbytes = vertex_field_tiles(MultiPoly(n), n, 300)
+    assert (offset, scale, nbytes) == (0, 1, 2)
+
+
 def test_scans_hold_one_tile_at_a_time(monkeypatch):
     """At n = TILE_BITS + 4 no packed integer or field array the oracles
     build spans more than 2^TILE_BITS vertices."""
-    n = satreduce.TILE_BITS + 4
+    n = layer.TILE_BITS + 4
     spans = []
 
     def recording(name, measure):
@@ -537,11 +561,11 @@ def test_scans_hold_one_tile_at_a_time(monkeypatch):
     brute_force_max(poly, n)
     assert [name for name, _ in spans].count("_unpack") == 16
     brute_force_sat(formula)
-    list(violation_counts(formula))
+    list(violation_counts(formula, 1))
     assert cli.certify_formula(formula, (1 << n) - 1) == (True, None)
     assert {name for name, _ in spans} == \
         {"_repeat", "_clear_bit_slots", "_unpack", "_clause_tiles"}
-    assert max(span for _, span in spans) == 1 << satreduce.TILE_BITS
+    assert max(span for _, span in spans) == 1 << layer.TILE_BITS
 
 
 # --------------------------------------------------------- soundness --

@@ -7,6 +7,7 @@ from math import prod
 import pytest
 
 from pivotforge import (
+    AmbiguousImprovementError,
     BoxProgram,
     Face,
     LinearObjective,
@@ -15,6 +16,7 @@ from pivotforge import (
     TieError,
     active_set_run,
     bits_from_id,
+    bits_to_id,
     cli,
     combed_dimension,
     combed_in_top_dimensions,
@@ -28,7 +30,9 @@ from pivotforge import (
     reflected_gray_ids,
     sink_find_decomposable,
 )
-from pivotforge.structure import FREE, sinks_in_face
+from pivotforge import tiles as layer
+from pivotforge.objectives import _evaluate_value, _s_k, _vertex_sweep, partial_closed_form
+from pivotforge.structure import FREE, LowerBoundTiles, sinks_in_face
 
 FORWARD = "forward"  # the edge points from its bit-0 endpoint to its bit-1 endpoint
 BACKWARD = "backward"
@@ -93,10 +97,137 @@ def test_path_small_cases():
 
 
 def test_path_is_the_reflected_gray_code():
-    for n in range(1, 11):
+    for n in range(1, 15):
         assert list(hamiltonian_path(n)) == reflected_gray_ids(n)
         # and matches the closed-form ranking i ^ (i >> 1)
         assert reflected_gray_ids(n) == [i ^ (i >> 1) for i in range(1 << n)]
+
+
+@pytest.mark.parametrize("tile_bits", [3, layer.TILE_BITS])
+def test_vertex_table_equals_the_per_vertex_routes(tile_bits, monkeypatch, oracle_for):
+    """Every tile's value fields are the recursion's values, its
+    finite-difference partials are the engine's vertex sweep and the closed
+    form, and its gradient side is the per-vertex improving dimension; at 3
+    tile bits the partials above coordinate 3 read a neighbouring tile."""
+    monkeypatch.setattr(layer, "TILE_BITS", tile_bits)
+    for n in range(1, 11):
+        table = LowerBoundTiles(n)
+        b, zero = table.bits, 1 << (table.width - 1)
+        oracle = oracle_for(n)
+        powers = tuple(1 << i for i in range(n + 2))
+        for high in range(1 << (n - b)):
+            values = table.values(high)
+            partials = [table.fields(d) for d in table.partials(high, values)]
+            sides, _ = table.tile(high)
+            for low, value in enumerate(table.fields(values)):
+                bits = bits_from_id(high << b | low, n)
+                assert value == _evaluate_value(bits)
+                gradient = [d[low] - zero for d in partials]
+                assert gradient == list(_vertex_sweep(bits, powers)[1]) == \
+                    [partial_closed_form(n, k, bits) for k in range(1, n + 1)]
+                k = improving_dimension(bits, oracle)
+                assert sides[low] == (0 if k is None else 1 << (k - 1))
+        assert list(hamiltonian_path(n)) == reflected_gray_ids(n)
+
+
+@pytest.mark.parametrize("tile_bits", [3, layer.TILE_BITS])
+def test_sink_argmax_is_the_lowest_top_id_across_tiles(tile_bits, monkeypatch):
+    monkeypatch.setattr(layer, "TILE_BITS", tile_bits)
+    n = 6
+    assert cli.check_sink(n) == (True, None)
+    values = LowerBoundTiles.values
+    for vid, value in ((37, 1 << n), (5, (1 << n) - 1)):  # above the top; tying it
+        def bumped(table, high):
+            low = vid & ((1 << table.bits) - 1)
+            if high != vid >> table.bits:
+                return values(table, high)
+            old = table.fields(values(table, high))[low]
+            return values(table, high) + ((value - old) << (low * table.width))
+        monkeypatch.setattr(LowerBoundTiles, "values", bumped)
+        assert cli.check_sink(n) == (False, {
+            "found": 1 << (n - 1), "argmax": vid, "optimum": 1 << (n - 1),
+            "queries": n + 1, "query_budget": 2 * n})
+
+
+class _ShiftedGradient:
+    """The lower-bound oracle with ``shift(bits)`` added to its gradient:
+    what a mutated vertex table gives the gradient side."""
+
+    def __init__(self, n, shift):
+        self.oracle, self.shift = LowerBoundPolynomial(n), shift
+
+    def gradient(self, bits):
+        return tuple(g + d for g, d in zip(self.oracle.gradient(bits), self.shift(bits)))
+
+
+def _per_vertex_walk(n, oracle):
+    """The walk by one ``improving_dimension`` call per vertex, the route
+    the table replaced: it names the vertex and sides of a mutant."""
+    bits = (0,) * n
+    while (k := improving_dimension(bits, oracle)) is not None:
+        bits = bits[:k - 1] + (1 - bits[k - 1],) + bits[k:]
+        yield bits
+
+
+def _raised(walk) -> tuple:
+    with pytest.raises(AmbiguousImprovementError) as info:
+        for _ in walk:
+            pass
+    error = info.value
+    return str(error), error.vertex, error.gradient_side, error.predicate_side
+
+
+@pytest.mark.parametrize("tile_bits", [3, layer.TILE_BITS])
+def test_table_mutants_fail_at_the_per_vertex_witness(tile_bits, monkeypatch):
+    monkeypatch.setattr(layer, "TILE_BITS", tile_bits)
+    n = 7
+    b = layer._tile_bits(n)
+    values, curvatures, predicates = (LowerBoundTiles.values, LowerBoundTiles.curvatures,
+                                      LowerBoundTiles.predicates)
+    for target in (5, 46, 101):  # in the first, a middle and the last tile at 3 tile bits
+        # one value field off by one: every finite difference across it moves by 1
+        def bumped(table, high):
+            bump = 1 << ((target & ((1 << b) - 1)) * table.width)
+            return values(table, high) + (bump if high == target >> b else 0)
+        monkeypatch.setattr(LowerBoundTiles, "values", bumped)
+
+        def bump_shift(bits):
+            vid = bits_to_id(bits)
+            return [(vid | 1 << i == target) - (vid & ~(1 << i) == target) for i in range(n)]
+        assert _raised(hamiltonian_path(n)) == \
+            _raised(_per_vertex_walk(n, _ShiftedGradient(n, bump_shift)))
+        monkeypatch.setattr(LowerBoundTiles, "values", values)
+
+        # one flipped predicate bit: that vertex alone has unequal sides
+        k_flipped = 1 + target % n
+        def flipped(table, high):
+            for k, p in enumerate(predicates(table, high), start=1):
+                at_target = high == target >> b and k == k_flipped
+                yield p ^ (1 << ((target & ((1 << b) - 1)) * table.width) if at_target else 0)
+        monkeypatch.setattr(LowerBoundTiles, "predicates", flipped)
+        bits = bits_from_id(target, n)
+        k = improving_dimension(bits, LowerBoundPolynomial(n))
+        gradient_side = [] if k is None else [k]
+        predicate_side = sorted(set(gradient_side) ^ {k_flipped})
+        assert _raised(hamiltonian_path(n)) == (
+            f"improving-dimension conditions disagree at {bits}: gradient side "
+            f"{gradient_side}, predicate side {predicate_side}",
+            bits, gradient_side, predicate_side)
+        monkeypatch.setattr(LowerBoundTiles, "predicates", predicates)
+
+    for k_zeroed in range(2, n + 1):  # s_1 is 0 already
+        # one curvature zeroed: the partial loses (2 x_k - 1) 2^k s_k
+        def flat(table, high):
+            for k, s in enumerate(curvatures(table, high), start=1):
+                yield 0 if k == k_zeroed else s
+        monkeypatch.setattr(LowerBoundTiles, "curvatures", flat)
+
+        def flat_shift(bits):
+            return [0 if k != k_zeroed else -(2 * bits[k - 1] - 1) * (1 << k) * _s_k(bits, k)
+                    for k in range(1, n + 1)]
+        assert _raised(hamiltonian_path(n)) == \
+            _raised(_per_vertex_walk(n, _ShiftedGradient(n, flat_shift)))
+        monkeypatch.setattr(LowerBoundTiles, "curvatures", curvatures)
 
 
 def test_path_half_reflection_law():
