@@ -34,7 +34,6 @@ from .objectives import (
     ObjectiveOracle,
     PaddedObjective,
     expand,
-    partial_closed_form,
 )
 from .polynomials import (
     MultiPoly,

@@ -57,7 +57,6 @@ from .objectives import (
     LowerBoundPolynomial,
     PaddedObjective,
     expand,
-    partial_closed_form,
 )
 from .satreduce import (
     ENUMERATION_LIMIT,
@@ -89,7 +88,8 @@ from .tiles import _repeat, _tile_bits, _unpack, argmax
 
 # Set from measurements (2-vCPU VM, Python 3.11; the README has the table):
 # run --n 20 takes 72 s in 18 MB, as every n does, and verify uso and export
-# orientation, which hold one outgoing mask per vertex, finish at n = 20 too;
+# orientation, which hold the vertex values and the outmap in arrays, take
+# about 8 s in 24 MB there;
 # export polynomial --n 19 takes 20 s and 504 MB, the largest n under 1 GB
 # (the terms double per n).
 DEFAULT_CAPS = {"run": 20, "expansion": 19, "sat": ENUMERATION_LIMIT}
@@ -159,9 +159,9 @@ _JSON_WRITE_BATCH = 4096
 
 
 def _write_json(path: str, doc) -> None:
-    """Write the bytes of ``_json_text(doc)`` to ``path`` without building
-    that text: the encoder's chunks are written ``_JSON_WRITE_BATCH`` at a
-    time."""
+    """Write the bytes of ``json.dumps(doc, indent=2, sort_keys=True)`` and
+    a newline to ``path`` without building that text: the encoder's chunks
+    are written ``_JSON_WRITE_BATCH`` at a time."""
     chunks = json.JSONEncoder(indent=2, sort_keys=True).iterencode(doc)
     with _writing(path) as handle:
         while batch := list(islice(chunks, _JSON_WRITE_BATCH)):
@@ -169,12 +169,9 @@ def _write_json(path: str, doc) -> None:
         handle.write("\n")
 
 
-def _json_text(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
-
-
 def _print_witness(check: str, witness: dict) -> None:
-    print(_json_text({"check": check, "result": "fail", "witness": witness}), end="")
+    print(json.dumps({"check": check, "result": "fail", "witness": witness},
+                     indent=2, sort_keys=True))
 
 
 # ---------------------------------------------------------------- run --
@@ -254,8 +251,8 @@ def check_gradient(n: int):
     oracle = LowerBoundPolynomial(n)
     for vid in range(1 << n):
         bits = bits_from_id(vid, n)
-        for k in range(1, n + 1):
-            closed = partial_closed_form(n, k, bits)
+        # the gradient the engine runs: the closed form of every partial in one sweep
+        for k, closed in enumerate(oracle.gradient(bits), start=1):
             forward = oracle.partial(bits, k)
             if closed != forward:
                 return False, {
@@ -369,11 +366,21 @@ def check_equivalence(n: int, trials: int, seed: int):
     return True, None
 
 
+def _lower_bound_orientation(n: int):
+    """The orientation that F_n induces, from its 2^n vertex values read
+    tile by tile off its table."""
+    tiles = LowerBoundTiles(n).value_fields()
+    values = next(tiles)
+    for fields in tiles:
+        values += fields
+    return induce_orientation(n, values)
+
+
 def check_uso(n: int):
     """The slice test certifies all three claims (the lemma is proved in
     :func:`combed_in_top_dimensions`).  Only an orientation that fails it
     has its faces scanned, to pick the witness and its reason."""
-    orientation = induce_orientation(LowerBoundPolynomial(n))
+    orientation = _lower_bound_orientation(n)
     if combed_in_top_dimensions(orientation):
         return True, None
     ok, witness = is_uso(orientation)
@@ -393,9 +400,7 @@ def check_sink(n: int):
     oracle = LowerBoundPolynomial(n)
     vid, queries = sink_find_decomposable(lambda bits: oracle.value(bits), n)
     # the brute-force argmax, the lowest id of the largest value, from the value tiles
-    table = LowerBoundTiles(n)
-    _, top_vid = argmax(table.fields(table.values(high))
-                        for high in range(1 << (n - table.bits)))
+    _, top_vid = argmax(LowerBoundTiles(n).value_fields())
     optimum = 1 << (n - 1)
     if vid != top_vid or vid != optimum or queries > 2 * n:
         return False, {"found": vid, "argmax": top_vid, "optimum": optimum,
@@ -573,7 +578,7 @@ def cmd_export(args) -> int:
         print(f"degree={poly.total_degree} terms={len(poly.terms)} file={out}")
     elif args.what == "orientation":
         _check_cap(n, "run", "orientation")
-        masks = induce_orientation(LowerBoundPolynomial(n)).outgoing_masks()
+        masks = _lower_bound_orientation(n).outgoing_masks()
         out = args.out or f"orientation_n{n}.json"
         coords = [(1 << (k - 1), f"\n      {k}") for k in range(1, n + 1)]
         with _writing(out) as handle:  # laid out as _write_json lays out {"n": n, "outgoing": {...}}

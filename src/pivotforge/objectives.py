@@ -33,10 +33,12 @@ the result there: derivative and edge-restriction routes that share no
 code with the oracle's.  The oracle differentiates the recursion by
 hand.  At a vertex given as ``int`` 0/1 coordinates, which is every
 iterate of a walk from a vertex, one O(n) forward sweep over the vertex
-closed form (:func:`partial_closed_form` for all k at once, with
-``a_{k+1} = a_k XOR x_k``) yields the value and the gradient together
-(``value_and_gradient``; ``gradient`` is its second half).  At every other point, ``Fraction``
-vertices included, the reply is the recursion's value and the n
+closed form of every partial (:func:`_vertex_sweep`, with ``a_{k+1} =
+a_k XOR x_k``) yields the value and the gradient together
+(``value_and_gradient``; ``gradient`` is its second half), and ``verify
+gradient`` checks that sweep against the forward-mode partial in every
+coordinate at every vertex.  At every other point, ``Fraction`` vertices
+included, the reply is the recursion's value and the n
 forward-mode partials, O(n^2); no command reaches that route.  ``F``
 is multilinear except for the ``(x_k - x_k^2)`` factor of ``b_k``, so it is
 at most quadratic in each coordinate, and ``d^2 F / d x_k^2 = 2^{k+1} s_k``
@@ -57,7 +59,7 @@ from fractions import Fraction
 from typing import Optional, Protocol, Sequence, runtime_checkable
 
 from .boxes import AxisDirection, Point, as_point, require_length
-from .errors import DimensionMismatchError, NotAVertexError
+from .errors import DimensionMismatchError
 from .polynomials import MultiPoly, UniPoly
 from .scalars import Rational, as_rational
 
@@ -146,12 +148,14 @@ def _vertex_sweep(bits: Sequence, powers: Sequence) -> tuple:
 
     Every ``b_i`` vanishes on the vertices, and ``a_i`` is the parity of
     ``x_i .. x_n``, so ``a_1 = parity(x)``, ``a_{k+1} = a_k ^ x_k`` and the
-    value is ``sum_k 2^{k-1} a_k``.  The partial in coordinate k is
-    :func:`partial_closed_form`, ``(1 - 2 a_{k+1}) T_k - 2^k (1 - 2 x_k)
-    s_k``, with the prefix recurrences ``T_1 = 1``, ``T_{k+1} = (1 - 2 x_k)
-    T_k + 2^k``, ``s_1 = 0``, ``s_2 = 1 - x_1`` and ``s_{k+1} = s_k +
-    2 x_{k-1} - x_k`` for ``k >= 2``; every factor ``1 - 2 (.)`` is a sign,
-    so it picks a branch instead of multiplying.
+    value is ``sum_k 2^{k-1} a_k``.  The partial in coordinate k has the
+    vertex closed form ``(1 - 2 a_{k+1}) T_k - 2^k (1 - 2 x_k) s_k``, where
+    ``T_k = sum_{i<=k} 2^{i-1} prod_{i<=j<k} (1 - 2 x_j)`` and ``s_k = 1 -
+    x_{k-1} + sum_{j<=k-2} x_j`` (``x_0 := 1``), here by the prefix
+    recurrences ``T_1 = 1``, ``T_{k+1} = (1 - 2 x_k) T_k + 2^k``,
+    ``s_1 = 0``, ``s_2 = 1 - x_1`` and ``s_{k+1} = s_k + 2 x_{k-1} - x_k``
+    for ``k >= 2``; every factor ``1 - 2 (.)`` is a sign, so it picks a
+    branch instead of multiplying.
     """
     a = sum(bits) & 1  # a_1
     value = 0
@@ -173,42 +177,6 @@ def _vertex_sweep(bits: Sequence, powers: Sequence) -> tuple:
         s += twice_prev - xk
         twice_prev = xk + xk
     return value, tuple(grad)
-
-
-def _require_unit_vertex(x: Sequence) -> tuple:
-    coords = tuple(x)
-    if any(c != 0 and c != 1 for c in coords):
-        raise NotAVertexError(f"{coords} is not a 0/1 vertex")
-    return tuple(int(c) for c in coords)
-
-
-def partial_closed_form(n: int, k: int, x: Sequence) -> Rational:
-    """Closed form of the k-th partial derivative on 0/1 vertices:
-
-        (1 - 2 a_{k+1}) * sum_{i=1..k} 2^{i-1} prod_{j=i..k-1} (1 - 2 x_j)
-        - 2^k (1 - 2 x_k) (1 - x_{k-1} + sum_{i<=k-2} x_i),   x_0 := 1.
-
-    For ``k = 1`` this collapses to ``1 - 2 a_2``.  The form is only valid
-    on vertices; other points are rejected.
-    """
-    if not 1 <= k <= n:
-        raise ValueError(f"coordinate k={k} out of range 1..{n}")
-    bits = _require_unit_vertex(x)
-    require_length(bits, n)
-    a_next = 0
-    for j in range(n - 1, k - 1, -1):
-        a_next = bits[j] + (1 - 2 * bits[j]) * a_next
-    t = 0  # T_i = sum_{m=1..i} 2^{m-1} prod_{j=m..i-1}(1-2x_j), built forward
-    for i in range(1, k + 1):
-        if i == 1:
-            t = 1
-        else:
-            t = (1 - 2 * bits[i - 2]) * t + (1 << (i - 1))
-    if k >= 2:
-        s = 1 - bits[k - 2] + sum(bits[j] for j in range(k - 2))
-    else:
-        s = 0
-    return as_rational((1 - 2 * a_next) * t - (1 << k) * (1 - 2 * bits[k - 1]) * s)
 
 
 @runtime_checkable

@@ -18,8 +18,11 @@ test compared at every vertex by whole-integer operations.  The
 per-vertex routine :func:`improving_dimension` stays for the checks that
 ask one vertex at a time.
 
-An orientation is stored as its outmap alone: one outgoing-coordinate mask
-per vertex, ``2^n`` integers in all.  Every check reads those masks.
+An orientation is induced from the ``2^n`` exact vertex values, given in id
+order (the lower-bound objective's are read off its tile table,
+:meth:`LowerBoundTiles.value_fields`), and stored as its outmap alone: an
+``array`` of one outgoing-coordinate mask per vertex.  Every check reads
+those masks.
 Combedness in every face's highest free coordinate is decided by an
 ``O(n * 2^n)`` slice test that does not visit the ``3^n`` faces, and it
 implies a unique sink in every face (see
@@ -36,6 +39,7 @@ convention of :mod:`pivotforge.boxes`.
 from __future__ import annotations
 
 import itertools
+from array import array
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -82,6 +86,15 @@ def improving_dimension(bits: Sequence[int], oracle: LowerBoundPolynomial) -> Op
         zeros *= 1 - bit
     by_gradient = [k for k, dk, bit in zip(range(1, n + 1), oracle.gradient(bits), bits)
                    if (dk < 0 if bit else dk > 0)]
+    return _agreed_side(bits, by_gradient, by_predicates)
+
+
+def _agreed_side(bits: tuple, by_gradient: list, by_predicates: list) -> Optional[int]:
+    """The one coordinate that both sides of the improving-dimension test
+    name at the vertex ``bits``, or ``None`` when both name none.  Where the
+    sides differ or name more than one coordinate, raises the
+    :class:`AmbiguousImprovementError` that carries the vertex and both
+    sides."""
     if by_gradient != by_predicates or len(by_gradient) > 1:
         raise AmbiguousImprovementError(
             f"improving-dimension conditions disagree at {bits}: "
@@ -122,6 +135,12 @@ class LowerBoundTiles:
     def fields(self, packed: int):
         """A tile's fields, in id order, as an ``array``."""
         return _unpack(packed, self.nbytes, self.bits)
+
+    def value_fields(self):
+        """Yields the vertex values of every tile in turn, each tile's in id
+        order as an ``array``: the whole-cube value scans read them here."""
+        for high in range(1 << (self.n - self.bits)):
+            yield self.fields(self.values(high))
 
     def coordinate(self, high: int, k: int) -> int:
         """The one-bit table of ``x_k`` in the tile ``high``: bit ``k - 1``
@@ -252,18 +271,11 @@ def hamiltonian_path(n: int):
     visited = 1
     while True:
         flip = sides[vid & low]
-        if flip >> n:
-            bits = bits_from_id(vid, n)
+        if flip >> n:  # the sides differ here, so _agreed_side raises
             held = predicate >> ((vid & low) * width)
-            by_gradient = [k for k in range(1, n + 1) if flip >> (k - 1) & 1]
-            by_predicates = [k for k in range(1, n + 1) if held >> (k - 1) & 1]
-            raise AmbiguousImprovementError(
-                f"improving-dimension conditions disagree at {bits}: "
-                f"gradient side {by_gradient}, predicate side {by_predicates}",
-                vertex=bits,
-                gradient_side=by_gradient,
-                predicate_side=by_predicates,
-            )
+            _agreed_side(bits_from_id(vid, n),
+                         [k for k in range(1, n + 1) if flip >> (k - 1) & 1],
+                         [k for k in range(1, n + 1) if held >> (k - 1) & 1])
         if not flip:
             return
         vid ^= flip
@@ -356,48 +368,55 @@ class Orientation:
 
     def __init__(self, n: int, outgoing: Sequence[int]):
         """``outgoing[vid]`` is the outgoing mask of vertex ``vid``; every
-        edge must leave exactly one of its two endpoints."""
-        masks = list(outgoing)
+        edge must leave exactly one of its two endpoints.  The sequence is
+        kept as given, an ``array`` from :func:`induce_orientation`."""
         size = 1 << n
-        if len(masks) != size:
-            raise ValueError(f"expected {size} vertex masks, got {len(masks)}")
-        for low, mask in enumerate(masks):
+        if len(outgoing) != size:
+            raise ValueError(f"expected {size} vertex masks, got {len(outgoing)}")
+        bits = [1 << i for i in range(n)]
+        for low, mask in enumerate(outgoing):
             if not 0 <= mask < size:
                 raise ValueError(f"vertex {low} has mask {mask} outside 0..{size - 1}")
-            for coord in range(1, n + 1):
-                bit = 1 << (coord - 1)
-                if not low & bit and not (mask ^ masks[low | bit]) & bit:
+            for bit in bits:
+                if not low & bit and not (mask ^ outgoing[low | bit]) & bit:
                     raise ValueError(
-                        f"the coordinate-{coord} edge at vertex {low} must leave "
-                        f"exactly one endpoint"
+                        f"the coordinate-{bit.bit_length()} edge at vertex {low} must "
+                        f"leave exactly one endpoint"
                     )
         self.n = n
-        self._masks = masks
+        self._masks = outgoing
 
-    def outgoing_masks(self) -> list:
+    def outgoing_masks(self) -> Sequence[int]:
         """Per-vertex bitmask of outgoing coordinates (bit k-1 for coord k)."""
         return self._masks
 
 
-def induce_orientation(objective) -> Orientation:
-    """Orient each cube edge toward the endpoint with the larger objective
-    value.  Raises :class:`TieError` if two adjacent vertices share a value
-    (the precondition is distinct values on all vertices)."""
-    n = objective.n
-    values = [objective.value(bits_from_id(vid, n)) for vid in range(1 << n)]
-    masks = [0] * (1 << n)
-    for low in range(1 << n):
-        for coord in range(1, n + 1):
-            bit = 1 << (coord - 1)
+def induce_orientation(n: int, values: Sequence) -> Orientation:
+    """Orient each cube edge toward the endpoint with the larger value, where
+    ``values[vid]`` is the exact value of vertex ``vid``.  The outmap is an
+    ``array`` of the narrowest unsigned type that holds n bits.  Raises
+    :class:`TieError` if two adjacent vertices share a value (the
+    precondition is distinct values on all vertices)."""
+    size = 1 << n
+    if len(values) != size:
+        raise ValueError(f"expected {size} vertex values, got {len(values)}")
+    typecode = _FIELD_TYPECODES[min(k for k in _FIELD_TYPECODES if 8 * k >= n)]
+    masks = array(typecode, [0]) * size
+    bits = [1 << i for i in range(n)]
+    for low, value in enumerate(values):
+        out = masks[low]  # its edges to lower ids, set when those were visited
+        for bit in bits:
             if low & bit:
                 continue
-            high = low | bit
-            if values[low] == values[high]:
-                raise TieError(
-                    f"vertices {low} and {high} share value {values[low]}",
-                    edge=(low, high),
-                )
-            masks[low if values[low] < values[high] else high] |= bit
+            other = values[low | bit]
+            if value < other:
+                out |= bit
+            elif value > other:
+                masks[low | bit] |= bit
+            else:
+                raise TieError(f"vertices {low} and {low | bit} share value {value}",
+                               edge=(low, low | bit))
+        masks[low] = out
     return Orientation(n, masks)
 
 

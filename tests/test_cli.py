@@ -21,6 +21,7 @@ from pivotforge import (
     Trajectory,
     Walk,
     active_set_run,
+    bits_from_id,
     cli,
     engine,
     hamiltonian_path,
@@ -262,6 +263,29 @@ def test_run_memory_does_not_grow_with_the_walk(tmp_path, capsys, monkeypatch, a
     small, large = peak(9), peak(12)
     capsys.readouterr()
     assert large - small < 128 * 1024, (small, large)
+
+
+@pytest.mark.parametrize("argv", [["verify", "uso"], ["export", "orientation"]],
+                         ids=["verify-uso", "export-orientation"])
+def test_orientation_memory_grows_by_under_16_bytes_per_vertex(tmp_path, capsys, argv):
+    """From n = 12 to n = 14 the traced peak of ``verify uso`` and ``export
+    orientation`` grows by less than 16 bytes per added vertex.  Both hold
+    the values in an array of 4 bytes per vertex and the outmap in one of
+    2; holding the values as Python integers, or the outmap as a list,
+    grows it by far more."""
+    def peak(n: int) -> int:
+        out = ["--out", str(tmp_path / f"n{n}")] if argv[0] == "export" else []
+        tracemalloc.start()
+        try:
+            assert run_cli([*argv, "--n", str(n), *out]) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(12), peak(14)  # as in the walk's memory test: caches filled first
+    small, large = peak(12), peak(14)
+    capsys.readouterr()
+    assert large - small < 16 * ((1 << 14) - (1 << 12)), (small, large)
 
 
 def _check_path_on_the_trajectory(n: int):
@@ -530,7 +554,8 @@ def test_verify_uso_witness_bytes_equal_the_face_scans(capsys, monkeypatch):
     reasons = set()
     for _ in range(300):
         n = rng.randint(1, 4)
-        hard = induce_orientation(LowerBoundPolynomial(n))
+        oracle = LowerBoundPolynomial(n)
+        hard = induce_orientation(n, [oracle.value(bits_from_id(v, n)) for v in range(1 << n)])
         edges = [(low, coord) for low in range(1 << n) for coord in range(1, n + 1)
                  if not (low >> (coord - 1)) & 1]
         masks = list(hard.outgoing_masks())
@@ -539,7 +564,7 @@ def test_verify_uso_witness_bytes_equal_the_face_scans(capsys, monkeypatch):
             masks[low] ^= bit
             masks[low | bit] ^= bit
         orientation = Orientation(n, masks)
-        monkeypatch.setattr(cli, "induce_orientation", lambda objective: orientation)
+        monkeypatch.setattr(cli, "induce_orientation", lambda n, values: orientation)
         ok, witness = _check_uso_by_face_scans(orientation)
         code = run_cli(["verify", "uso", "--n", str(n)])
         out = capsys.readouterr().out

@@ -136,9 +136,6 @@ REACH_ALLOWED = {
     "cli._print_witness": (
         "witness", "prints a failing check's witness; "
                    "test_verify_path_witness_bytes_on_a_diverging_walk"),
-    "cli._json_text": (
-        "witness", "only _print_witness calls it; "
-                   "test_verify_path_witness_bytes_on_a_diverging_walk"),
     "boxes.BoxProgram.bits_of_vertex": (
         "witness", "the failing equivalence check's witness, and vertex_id; "
                    "test_vertex_id_round_trip"),
@@ -146,7 +143,8 @@ REACH_ALLOWED = {
         "witness", "raised when the uniqueness conditions disagree; "
                    "test_improving_dimension_reads_its_predicates_not_the_oracle"),
     "errors.TieError.__init__": (
-        "witness", "raised on a tied edge; test_constant_objective_has_no_orientation"),
+        "witness", "raised on a tied edge; "
+                   "test_a_repeated_neighbour_value_raises_tie_error_naming_its_edge"),
     "engine.LowestIndexRule.choose_addition": (
         "branch", "two entering rows; test_the_rule_is_asked_whenever_it_has_a_choice"),
     "engine.HighestIndexRule.choose_addition": (

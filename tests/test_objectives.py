@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,11 +15,9 @@ from pivotforge import (
     LowerBoundPolynomial,
     MultiPoly,
     MultiPolyObjective,
-    NotAVertexError,
     PaddedObjective,
     expand,
     improving_dimension,
-    partial_closed_form,
 )
 from pivotforge.boxes import bits_from_id
 from pivotforge import objectives
@@ -51,6 +50,22 @@ def _substituted_restriction(evaluate, x: tuple, d: AxisDirection) -> tuple:
     """Coefficients of the derivative of ``mu -> evaluate(x + mu*d)``, with
     ``evaluate`` run over ``QQ[mu]``."""
     return _coefficients(QQ_MU(evaluate(_line_coords(x, d))).diff(mu))
+
+
+def partial_closed_form(n: int, k: int, bits: tuple) -> int:
+    """Closed form of the k-th partial derivative at a 0/1 vertex, one k at
+    a time (the oracle's vertex sweep gives every k in one pass):
+
+        (1 - 2 a_{k+1}) * sum_{i=1..k} 2^{i-1} prod_{j=i..k-1} (1 - 2 x_j)
+        - 2^k (1 - 2 x_k) (1 - x_{k-1} + sum_{i<=k-2} x_i),   x_0 := 1.
+
+    For ``k = 1`` this collapses to ``1 - 2 a_2``."""
+    assert len(bits) == n and 1 <= k <= n
+    a_next = sum(bits[k:]) & 1  # a_{k+1}, the parity of x_{k+1} .. x_n
+    t = sum((1 << (i - 1)) * prod(1 - 2 * bits[j - 1] for j in range(i, k))
+            for i in range(1, k + 1))
+    s = 1 - bits[k - 2] + sum(bits[:k - 2]) if k >= 2 else 0
+    return (1 - 2 * a_next) * t - (1 << k) * (1 - 2 * bits[k - 1]) * s
 
 
 def _forward(point: tuple, k: int) -> tuple:
@@ -112,8 +127,6 @@ def test_partial_closed_form_examples():
         assert partial_closed_form(n, 1, (0,) * n) == 1
     assert partial_closed_form(2, 2, (1, 0)) == 1
     assert partial_closed_form(3, 3, (0, 0, 0)) == -1
-    with pytest.raises(NotAVertexError):
-        partial_closed_form(2, 1, (Fraction(1, 2), 0))
 
 
 def test_closed_form_equals_forward_mode_on_all_vertices(oracle_for):

@@ -31,7 +31,7 @@ from pivotforge import (
     sink_find_decomposable,
 )
 from pivotforge import tiles as layer
-from pivotforge.objectives import _evaluate_value, _s_k, _vertex_sweep, partial_closed_form
+from pivotforge.objectives import _evaluate_value, _s_k, _vertex_sweep
 from pivotforge.structure import FREE, LowerBoundTiles, sinks_in_face
 
 FORWARD = "forward"  # the edge points from its bit-0 endpoint to its bit-1 endpoint
@@ -106,9 +106,10 @@ def test_path_is_the_reflected_gray_code():
 @pytest.mark.parametrize("tile_bits", [3, layer.TILE_BITS])
 def test_vertex_table_equals_the_per_vertex_routes(tile_bits, monkeypatch, oracle_for):
     """Every tile's value fields are the recursion's values, its
-    finite-difference partials are the engine's vertex sweep and the closed
-    form, and its gradient side is the per-vertex improving dimension; at 3
-    tile bits the partials above coordinate 3 read a neighbouring tile."""
+    finite-difference partials are the engine's vertex sweep and the
+    forward-mode partials, and its gradient side is the per-vertex improving
+    dimension; at 3 tile bits the partials above coordinate 3 read a
+    neighbouring tile."""
     monkeypatch.setattr(layer, "TILE_BITS", tile_bits)
     for n in range(1, 11):
         table = LowerBoundTiles(n)
@@ -124,7 +125,7 @@ def test_vertex_table_equals_the_per_vertex_routes(tile_bits, monkeypatch, oracl
                 assert value == _evaluate_value(bits)
                 gradient = [d[low] - zero for d in partials]
                 assert gradient == list(_vertex_sweep(bits, powers)[1]) == \
-                    [partial_closed_form(n, k, bits) for k in range(1, n + 1)]
+                    [oracle.partial(bits, k) for k in range(1, n + 1)]
                 k = improving_dimension(bits, oracle)
                 assert sides[low] == (0 if k is None else 1 << (k - 1))
         assert list(hamiltonian_path(n)) == reflected_gray_ids(n)
@@ -257,19 +258,17 @@ def test_path_matches_engine_trajectory(oracle_for):
 # ------------------------------------------------------ orientation --
 
 
-class TableObjective:
-    """Objective defined by an explicit vertex-value table."""
+def vertex_values(oracle):
+    """The oracle's value at every vertex, in id order."""
+    return [oracle.value(bits_from_id(vid, oracle.n)) for vid in range(1 << oracle.n)]
 
-    def __init__(self, n, values):
-        self.n = n
-        self._values = dict(values)
 
-    def value(self, x):
-        return self._values[tuple(int(c) for c in x)]
+def oriented_by(oracle):
+    return induce_orientation(oracle.n, vertex_values(oracle))
 
 
 def test_induced_orientation_of_the_hard_objective(oracle_for):
-    orientation = induce_orientation(oracle_for(2))
+    orientation = oriented_by(oracle_for(2))
     # sink of the whole square is the optimum (0, 1), id 2
     assert sinks_in_face(orientation, Face((FREE, FREE))) == [2]
     masks = orientation.outgoing_masks()
@@ -277,7 +276,7 @@ def test_induced_orientation_of_the_hard_objective(oracle_for):
 
 
 def test_induced_orientation_of_a_linear_objective():
-    orientation = induce_orientation(LinearObjective((1, 2)))
+    orientation = induce_orientation(2, [0, 1, 2, 3])  # the values of x_1 + 2 x_2
     assert sinks_in_face(orientation, Face((FREE, FREE))) == [3]
     assert edge_direction(orientation, 0, 1) == "forward"
     assert points_away_from(orientation, 3, 1) is False
@@ -285,11 +284,45 @@ def test_induced_orientation_of_a_linear_objective():
 
 def test_constant_objective_has_no_orientation():
     with pytest.raises(TieError):
-        induce_orientation(LinearObjective((0, 0)))
+        induce_orientation(2, [0, 0, 0, 0])
+
+
+def test_a_repeated_neighbour_value_raises_tie_error_naming_its_edge():
+    """Distinct values but one vertex given its neighbour's value: that edge
+    is the only tie, and the error names it and the shared value."""
+    rng = random.Random(43)
+    for _ in range(40):
+        n = rng.randint(1, 5)
+        values = [Fraction(v, 3) for v in rng.sample(range(-40, 40), 1 << n)]
+        low, high = rng.choice([(low, low | 1 << i) for low in range(1 << n)
+                                for i in range(n) if not low >> i & 1])
+        tied = rng.choice((low, high))
+        values[tied] = values[tied ^ low ^ high]
+        with pytest.raises(TieError) as info:
+            induce_orientation(n, values)
+        assert info.value.edge == (low, high)
+        assert str(info.value) == f"vertices {low} and {high} share value {values[low]}"
+
+
+def test_induce_orientation_needs_one_value_per_vertex():
+    for values in ([0, 1, 2], [0, 1, 2, 3, 4]):
+        with pytest.raises(ValueError):
+            induce_orientation(2, values)
+
+
+@pytest.mark.parametrize("tile_bits", [3, layer.TILE_BITS])
+def test_table_masks_equal_the_masks_from_oracle_values(tile_bits, monkeypatch, oracle_for):
+    """The outmap of ``verify uso`` and ``export orientation``, whose values
+    come from the tile table, is the outmap of the oracle's values at each
+    vertex; at 3 tile bits the values cross tiles."""
+    monkeypatch.setattr(layer, "TILE_BITS", tile_bits)
+    for n in range(1, 13):
+        masks = cli._lower_bound_orientation(n).outgoing_masks()
+        assert list(masks) == list(oriented_by(oracle_for(n)).outgoing_masks())
 
 
 def test_orientation_is_consistent_from_both_endpoints(oracle_for):
-    orientation = induce_orientation(oracle_for(3))
+    orientation = oriented_by(oracle_for(3))
     for low in range(8):
         for coord in (1, 2, 3):
             high = low | (1 << (coord - 1))
@@ -325,7 +358,7 @@ def _outgoing_document(orientation):
 def test_orientation_json_lists_outgoing_coords(oracle_for, tmp_path, capsys):
     # vertex values are 0, 1, 3, 2 at ids 0, 1, 2, 3: both neighbors of the
     # origin are larger, so both its edges point away
-    data = _outgoing_document(induce_orientation(oracle_for(2)))
+    data = _outgoing_document(oriented_by(oracle_for(2)))
     assert data == {"n": 2, "outgoing": {"0": [1, 2], "1": [2], "2": [], "3": [1]}}
     # the export streams the vertices, laid out byte for byte as json.dumps
     # lays out the whole document
@@ -333,7 +366,7 @@ def test_orientation_json_lists_outgoing_coords(oracle_for, tmp_path, capsys):
         out = tmp_path / f"orientation_n{n}.json"
         assert cli.main(["export", "orientation", "--n", str(n), "--out", str(out)]) == 0
         assert capsys.readouterr().out == f"n={n} edges={n << (n - 1)} file={out}\n"
-        document = _outgoing_document(induce_orientation(oracle_for(n)))
+        document = _outgoing_document(oriented_by(oracle_for(n)))
         assert out.read_text() == json.dumps(document, indent=2, sort_keys=True) + "\n"
 
 
@@ -357,7 +390,7 @@ def cyclic_square():
 
 def test_hard_objective_induces_uso_and_decomposable(oracle_for):
     for n in range(1, 7):
-        orientation = induce_orientation(oracle_for(n))
+        orientation = oriented_by(oracle_for(n))
         ok, witness = is_uso(orientation)
         assert ok, witness
         ok, witness = is_decomposable(orientation)
@@ -385,12 +418,12 @@ def test_linear_objectives_induce_usos():
                 sums += [s + ci for s in sums]
             if len(set(sums)) == len(sums):
                 break
-        ok, witness = is_uso(induce_orientation(LinearObjective(c)))
+        ok, witness = is_uso(oriented_by(LinearObjective(c)))
         assert ok, witness
 
 
 def test_combed_dimensions():
-    orientation = induce_orientation(LinearObjective((1, 1)))
+    orientation = oriented_by(LinearObjective((1, 1)))
     assert combed_dimension(orientation, Face((FREE, FREE))) == {1, 2}
     with pytest.raises(ValueError):
         combed_dimension(orientation, Face((0, 1)))
@@ -398,12 +431,12 @@ def test_combed_dimensions():
 
 def test_hard_objective_combed_in_highest_free_dimension(oracle_for):
     for n in range(1, 7):
-        orientation = induce_orientation(oracle_for(n))
+        orientation = oriented_by(oracle_for(n))
         for face in faces(n, min_dimension=1):
             combed = combed_dimension(orientation, face)
             assert max(face.free_coords) in combed
     # the whole 3-cube is combed exactly in its top dimension
-    orientation = induce_orientation(oracle_for(3))
+    orientation = oriented_by(oracle_for(3))
     assert combed_dimension(orientation, Face((FREE, FREE, FREE))) == {3}
 
 
@@ -478,8 +511,7 @@ def test_random_value_tables_match_naive_face_scan():
         n = rng.randint(2, 4)
         table = list(range(1 << n))
         rng.shuffle(table)
-        values = {bits_from_id(v, n): table[v] for v in range(1 << n)}
-        orientation = induce_orientation(TableObjective(n, values))
+        orientation = induce_orientation(n, table)
         expected_uso, expected_decomposable = _naive_face_scan(
             n, lambda v, i: table[v ^ (1 << i)] > table[v])
         assert is_uso(orientation) == expected_uso
@@ -504,12 +536,11 @@ def _random_orientation(rng):
     if kind == 0:
         table = list(range(1 << n))
         rng.shuffle(table)
-        values = {bits_from_id(v, n): table[v] for v in range(1 << n)}
-        return kind, induce_orientation(TableObjective(n, values))
+        return kind, induce_orientation(n, table)
     if kind == 1:
         return kind, Orientation(n, _outmap(n, {edge: rng.random() < 0.5
                                                  for edge in _edge_keys(n)}))
-    hard = induce_orientation(LowerBoundPolynomial(n))
+    hard = oriented_by(LowerBoundPolynomial(n))
     edges = {edge: edge_direction(hard, *edge) == FORWARD for edge in _edge_keys(n)}
     for edge in rng.sample(sorted(edges), min(rng.randint(1, 2), len(edges))):
         edges[edge] = not edges[edge]
@@ -565,7 +596,7 @@ def test_recursively_combed_orientations_are_usos():
 
 def test_pair_criterion_confirms_the_hard_orientation(oracle_for):
     for n in range(1, 13):
-        orientation = induce_orientation(oracle_for(n))
+        orientation = oriented_by(oracle_for(n))
         assert _outmaps_separate_all_pairs(orientation)
         assert combed_in_top_dimensions(orientation)
 
