@@ -45,6 +45,7 @@ from math import lcm
 from operator import add, or_
 from typing import Optional, Tuple
 
+from .boxes import bits_from_id
 from .errors import DimacsParseError, TooLargeError
 from .polynomials import MultiPoly
 from .scalars import Rational, as_rational
@@ -265,8 +266,7 @@ def brute_force_max(poly: MultiPoly, n: int) -> Tuple[Rational, tuple]:
     tiles, offset, scale, nbytes = vertex_field_tiles(poly, n)
     b = _tile_bits(n)
     top, best_vid = argmax(_unpack(packed, nbytes, b) for packed in tiles)
-    bits = tuple((best_vid >> i) & 1 for i in range(n))
-    return as_rational(Fraction(top - offset, scale)), bits
+    return as_rational(Fraction(top - offset, scale)), bits_from_id(best_vid, n)
 
 
 def _clause_tiles(formula: CnfFormula, b: int, width: int, combine):
@@ -322,7 +322,7 @@ def brute_force_sat(formula: CnfFormula) -> Tuple[bool, Optional[tuple]]:
         satisfying = whole_tile & ~violated
         if satisfying:
             assignment = (high << b) + (satisfying & -satisfying).bit_length() - 1
-            return True, tuple((assignment >> i) & 1 for i in range(n))
+            return True, bits_from_id(assignment, n)
     return False, None
 
 

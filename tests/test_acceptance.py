@@ -7,7 +7,7 @@ has one implementation:
 - 02 ``check_uniqueness`` (``verify uniqueness``), n = 1..12
 - 03 ``check_gradient`` (``verify gradient``), n = 1..10
 - 05 ``check_path`` (``verify path``), n = 1..12
-- 06 ``check_constancy`` (``verify constancy``), n = 1..10
+- 06 ``check_constancy`` (``verify constancy``), n = 1..12
 - 09 ``check_uso`` (``verify uso``), n = 1..8
 - 10 ``check_sink`` (``verify sink``), n = 1..12
 - 08 keeps its own loop (origin start, seeds ``1000 + n``) and draws its
@@ -120,7 +120,7 @@ def test_05_hamiltonian_path():
 
 def test_06_partial_constant_along_improving_edge():
     with report("06 improving partial constant along its edge; degree-0 restriction"):
-        for n in range(1, 11):
+        for n in range(1, 13):
             ok, witness = check_constancy(n)
             assert ok, witness
 

@@ -19,6 +19,7 @@ from pivotforge import (
     MultiPoly,
     PaddedObjective,
     Trajectory,
+    UniPoly,
     Walk,
     active_set_run,
     bits_from_id,
@@ -30,6 +31,7 @@ from pivotforge import (
     tiles,
     violation_polynomial,
 )
+from pivotforge.objectives import _is_int_vertex
 from pivotforge.structure import (
     Orientation,
     combed_dimension,
@@ -470,6 +472,66 @@ def test_verify_checks_pass(tmp_path, capsys, monkeypatch):
         "check=equivalence n=5 trials=20 seed=3 result=pass\n")
     assert run_cli(["verify", "sat", "--trials", "30", "--seed", "3"]) == 0
     assert capsys.readouterr().out == "check=sat n=12 trials=30 seed=3 result=pass\n"
+
+
+def _off_at(name: str, vid: int, mutate):
+    """``LowerBoundPolynomial``'s method ``name`` with its reply at the
+    vertex ``vid`` of the 5-cube passed through ``mutate(reply, *args)``."""
+    original = getattr(LowerBoundPolynomial, name)
+    point = bits_from_id(vid, 5)
+
+    def mutant(self, x, *args):
+        reply = original(self, x, *args)
+        return mutate(reply, *args) if tuple(x) == point else reply
+    return mutant
+
+
+# At n = 5 the improving edge of vertex 22 is along x_3, to vertex 18, and
+# that of vertex 13 along x_2; the partial in x_4 at vertex 26 is 23.
+DERIVATIVE_MUTANTS = {
+    "partial off by 1 at the far vertex": (
+        "constancy", "partial", _off_at("partial", 18, lambda d, k: d + 1 if k == 3 else d),
+        '{\n  "check": "constancy",\n  "result": "fail",\n  "witness": {\n'
+        '    "k": 3,\n    "mu": "1/1",\n    "vertex_id": 22\n  }\n}\n'),
+    "edge restriction with a mu term": (
+        "constancy", "edge_restriction",
+        _off_at("edge_restriction", 13, lambda g, *_: UniPoly(g.coeffs + (1,))),
+        '{\n  "check": "constancy",\n  "result": "fail",\n  "witness": {\n'
+        '    "k": 2,\n    "restriction_degree": 1,\n    "vertex_id": 13\n  }\n}\n'),
+    "gradient with one sign flipped": (
+        "gradient", "gradient", _off_at("gradient", 26, lambda g: g[:3] + (-g[3],) + g[4:]),
+        '{\n  "check": "gradient",\n  "result": "fail",\n  "witness": {\n'
+        '    "closed_form": "-23/1",\n    "forward_mode": "23/1",\n    "k": 4,\n'
+        '    "vertex_id": 26\n  }\n}\n'),
+}
+
+
+@pytest.mark.parametrize("mutant", sorted(DERIVATIVE_MUTANTS))
+def test_derivative_checks_name_the_mutated_vertex(capsys, monkeypatch, mutant):
+    check, name, method, expected = DERIVATIVE_MUTANTS[mutant]
+    monkeypatch.setattr(LowerBoundPolynomial, name, method)
+    assert run_cli(["verify", check, "--n", "5"]) == 1
+    assert capsys.readouterr().out == expected
+
+
+def test_verify_reads_the_lower_bound_objective_only_at_vertices(capsys, monkeypatch):
+    """Every ``verify`` check evaluates F_n at ``int`` 0/1 points only."""
+    points = []
+
+    def recording(original):
+        def method(self, x, *args):
+            points.append(x)
+            return original(self, x, *args)
+        return method
+
+    for name in ("value", "partial", "value_and_gradient", "edge_restriction"):
+        monkeypatch.setattr(LowerBoundPolynomial, name,
+                            recording(getattr(LowerBoundPolynomial, name)))
+    for check in cli.CHECKS:
+        assert run_cli(["verify", check, "--n", "4"]) == 0
+    capsys.readouterr()
+    assert points
+    assert [x for x in points if not _is_int_vertex(x)] == []
 
 
 def test_verify_sat_draws_at_most_n_variables(capsys, monkeypatch):
