@@ -42,10 +42,11 @@ independent of the pass count; a :class:`Walk` counts them and keeps the
 last, and :func:`active_set_run` collects them into a :class:`Trajectory`,
 the audit trail the library API and the equivalence check work on.  A
 walk's outcome is derived from its stop reason.  The trajectory JSON has
-one writer, :func:`write_walk_json`, which spools the record text and so
-never holds more than one record; ``Trajectory.to_json_dict`` is the
-independent reference form it reproduces byte for byte, and an in-memory
-trajectory serializes as ``json.dumps`` of that form.
+one writer, :func:`write_walk_json`, which spools the record text a batch
+of ``SPOOL_BATCH`` records at a time, one write per batch, and so never
+holds more than one batch; ``Trajectory.to_json_dict`` is the independent
+reference form it reproduces byte for byte, and an in-memory trajectory
+serializes as ``json.dumps`` of that form.
 """
 
 from __future__ import annotations
@@ -53,8 +54,10 @@ from __future__ import annotations
 import json
 import random
 from abc import ABC, abstractmethod
+from bisect import insort
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional, Sequence
+from itertools import islice
+from typing import Callable, Collection, NamedTuple, Optional, Sequence
 
 from .boxes import AxisDirection, BoxProgram, Point, as_point
 from .errors import (
@@ -208,27 +211,6 @@ class IterationRecord:
     value_after: Optional[Rational] = None
 
 
-def _json_array(items: list, indent: int) -> str:
-    """A list of items that are already JSON text, laid out the way
-    ``json.dumps(indent=2)`` lays out a list nested ``indent`` spaces deep."""
-    if not items:
-        return "[]"
-    inner = "\n" + " " * (indent + 2)
-    return "[" + inner + ("," + inner).join(items) + "\n" + " " * indent + "]"
-
-
-def _coord_json(c: Rational) -> str:
-    return '"' + format_rational(c) + '"'
-
-
-def _json_int(value: Optional[int]) -> str:
-    return "null" if value is None else str(value)
-
-
-def _json_str(value: Optional[str]) -> str:
-    return "null" if value is None else json.dumps(value)
-
-
 @dataclass
 class Trajectory:
     """Ordered record of a run; one record per while-loop pass."""
@@ -376,6 +358,105 @@ class Walk:
 #: system calls as it copies it back
 SPOOL_CHUNK = 1 << 16
 
+#: records per spool write: :func:`write_walk_json` holds the text of one
+#: batch and writes it in one call; at n = 14 a record is about 1 KB
+SPOOL_BATCH = 32
+
+
+def _item(c: Rational) -> str:
+    """A point's coordinate ``c`` in a record: its line, eight spaces in."""
+    return '\n        "' + format_rational(c) + '"'
+
+
+def _point_json(items: list) -> str:
+    """A point in a record, from its coordinates' ``_item`` lines."""
+    return "[" + ",".join(items) + "\n      ]"
+
+
+def _record_texts(walk: Walk, approx: bool):
+    """The text of each record that ``walk`` yields, as
+    :func:`write_walk_json` spools it: a line break (after a comma, for
+    every record but the first), then the record's object.
+
+    Each iterate is formatted and identified once: a record whose
+    ``x_before`` equals the previous ``x_after`` reuses its text.  The text
+    is kept per coordinate, so when ``x_after`` differs from ``x_before`` at
+    most in the direction's coordinate, as it does after every pass of the
+    engine, only that coordinate's line changes, and the vertex id changes
+    by one bit.  The texts of rows ``1 .. 2n``, of each unit direction,
+    keyed by ``sign * coord``, and of each bound are built once per call.
+    """
+    program = walk.program
+    n = program.n
+    vertex_id = program.vertex_id_or_none
+    lower, upper = program.lower, program.upper
+    lower_items = [_item(c) for c in lower]
+    upper_items = [_item(c) for c in upper]
+    row_json = {None: "null"}  # an added or removed row
+    row_items = {}  # an active row, on its own line
+    for row in range(1, 2 * n + 1):
+        row_json[row] = str(row)
+        row_items[row] = "\n        " + str(row)
+    row_item = row_items.__getitem__
+    direction_json = {sign * k: ('{\n        "coord": ' + str(k) + ',\n        "sign": '
+                                 + str(sign) + "\n      }")
+                      for k in range(1, n + 1) for sign in (1, -1)}
+    x_prev = None  # the iterate whose text is kept; none before the first record
+    separator = "\n"
+    for r in walk:
+        rows = r.active_before
+        rows_json = "[" + ",".join(map(row_item, rows)) + "\n      ]" if rows else "[]"
+        x_before = r.x_before
+        if x_before != x_prev:
+            items_prev = [_item(c) for c in x_before]
+            point_prev = _point_json(items_prev)
+            id_prev = vertex_id(x_before)
+        x_after = r.x_after
+        d = r.direction
+        k = None if d is None else d.coord - 1
+        if k is not None and x_after[:k] == x_before[:k] and x_after[k + 1:] == x_before[k + 1:]:
+            xk = x_after[k]
+            items_after = items_prev.copy()
+            if xk == upper[k]:
+                items_after[k] = upper_items[k]
+                id_after = vertex_id(x_after) if id_prev is None else id_prev | 1 << k
+            elif xk == lower[k]:
+                items_after[k] = lower_items[k]
+                id_after = vertex_id(x_after) if id_prev is None else id_prev & ~(1 << k)
+            else:
+                items_after[k] = _item(xk)
+                id_after = None
+        else:
+            items_after = [_item(c) for c in x_after]
+            id_after = vertex_id(x_after)
+        point_after = _point_json(items_after)
+        direction = "null" if d is None else direction_json[d.sign * d.coord]
+        value_after = r.value_after
+        lossy = (f'      "objective_value_approx_lossy": {json.dumps(float(value_after))},\n'
+                 if approx else "")
+        step = "null" if r.step is None else '"' + format_rational(r.step) + '"'
+        stop = "null" if r.stop_reason is None else json.dumps(r.stop_reason)
+        yield (
+            f"{separator}    {{\n"
+            f'      "active_rows": {rows_json},\n'
+            f'      "added_row": {row_json[r.added_row]},\n'
+            f'      "direction": {direction},\n'
+            f'      "iteration": {r.index},\n'
+            f'      "num_candidates": {r.num_candidates},\n'
+            f'      "objective_value": "{format_rational(value_after)}",\n'
+            f"{lossy}"
+            f'      "point": {point_prev},\n'
+            f'      "point_after": {point_after},\n'
+            f'      "removed_row": {row_json[r.removed_row]},\n'
+            f'      "step": {step},\n'
+            f'      "stop_reason": {stop},\n'
+            f'      "vertex_id": {"null" if id_prev is None else id_prev},\n'
+            f'      "vertex_id_after": {"null" if id_after is None else id_after}\n'
+            "    }"
+        )
+        separator = ",\n"
+        x_prev, items_prev, point_prev, id_prev = x_after, items_after, point_after, id_after
+
 
 def write_walk_json(handle, spool, walk: Walk, objective,
                     rule_name: Optional[str] = None, approx: bool = False) -> None:
@@ -386,85 +467,19 @@ def write_walk_json(handle, spool, walk: Walk, objective,
 
     With sorted keys, ``final``, ``iterations`` and ``outcome`` precede
     ``records`` but are known only once the walk has ended.  So the record
-    text goes to ``spool``, an open read/write text file, one record at a
-    time as the walk yields it; then ``json`` lays out the end-of-walk
-    fields around an empty ``records`` list, and the spool is copied
-    into it in chunks of ``SPOOL_CHUNK``.  No record is kept, so memory does
-    not grow with the walk.  Values come from each record's
-    ``value_after``; ``objective`` is called only when the walk has no
-    record, for the value at its start.  Each iterate is formatted and
-    identified once: a record whose ``x_before`` equals the previous
-    ``x_after`` reuses its text.  The text is kept per coordinate, so when
-    ``x_after`` differs from ``x_before`` at most in the direction's
-    coordinate, as it does after every pass of the engine, only that
-    coordinate is formatted again and the vertex id changes by one bit.
-    The active rows likewise: a record whose ``active_before`` equals the
-    previous one's reuses its text, and otherwise the text is assembled
-    from a table of row texts, built once per call for the rows
-    ``1 .. 2n``.
+    text goes to ``spool``, an open read/write text file, as the walk yields
+    the records: the writer holds the text of at most ``SPOOL_BATCH``
+    records and makes one ``spool.write`` per batch of them.  Then ``json``
+    lays out the end-of-walk fields around an empty ``records`` list, and
+    the spool is copied into it in chunks of ``SPOOL_CHUNK``.  No record is
+    kept, so memory does not grow with the walk.  Values come from each
+    record's ``value_after``; ``objective`` is called only when the walk
+    has no record, for the value at its start.
     """
+    texts = _record_texts(walk, approx)
+    while batch := list(islice(texts, SPOOL_BATCH)):
+        spool.write("".join(batch))
     vertex_id = walk.program.vertex_id_or_none
-    lower, upper = walk.program.lower, walk.program.upper
-    x_prev = None  # the iterate whose text is kept; none before the first record
-    row_text = [str(row) for row in range(2 * walk.program.n + 1)]
-    rows_prev = None  # the previous record's active rows
-    separator = "\n"
-    for r in walk:
-        rows = r.active_before
-        if rows != rows_prev:
-            rows_json = _json_array([row_text[row] for row in rows], 6)
-            rows_prev = rows
-        x_before = r.x_before
-        if x_before != x_prev:
-            coords_prev = [_coord_json(c) for c in x_before]
-            point_prev = _json_array(coords_prev, 6)
-            id_prev = vertex_id(x_before)
-        x_after = r.x_after
-        d = r.direction
-        k = None if d is None else d.coord - 1
-        if k is not None and x_after[:k] == x_before[:k] and x_after[k + 1:] == x_before[k + 1:]:
-            xk = x_after[k]
-            coords_after = coords_prev.copy()
-            coords_after[k] = _coord_json(xk)
-            if id_prev is None:  # x_after may still be a vertex: scan it
-                id_after = vertex_id(x_after)
-            elif xk == upper[k]:
-                id_after = id_prev | (1 << k)
-            elif xk == lower[k]:
-                id_after = id_prev & ~(1 << k)
-            else:
-                id_after = None
-        else:
-            coords_after = [_coord_json(c) for c in x_after]
-            id_after = vertex_id(x_after)
-        point_after = _json_array(coords_after, 6)
-        value_after = r.value_after
-        spool.write(
-            separator + "    {\n"
-            f'      "active_rows": {rows_json},\n'
-            f'      "added_row": {_json_int(r.added_row)},\n'
-            '      "direction": '
-            + ("null" if d is None else
-               f'{{\n        "coord": {d.coord},\n        "sign": {d.sign}\n      }}')
-            + ",\n"
-            f'      "iteration": {r.index},\n'
-            f'      "num_candidates": {r.num_candidates},\n'
-            f'      "objective_value": "{format_rational(value_after)}",\n'
-            + (f'      "objective_value_approx_lossy": {json.dumps(float(value_after))},\n'
-               if approx else "")
-            + f'      "point": {point_prev},\n'
-            f'      "point_after": {point_after},\n'
-            f'      "removed_row": {_json_int(r.removed_row)},\n'
-            '      "step": '
-            + ("null" if r.step is None else f'"{format_rational(r.step)}"')
-            + ",\n"
-            f'      "stop_reason": {_json_str(r.stop_reason)},\n'
-            f'      "vertex_id": {_json_int(id_prev)},\n'
-            f'      "vertex_id_after": {_json_int(id_after)}\n'
-            "    }"
-        )
-        separator = ",\n"
-        x_prev, coords_prev, point_prev, id_prev = x_after, coords_after, point_after, id_after
     final = walk.final_point
     final_value = walk.final_value(objective)
     end = {
@@ -493,7 +508,7 @@ def write_walk_json(handle, spool, walk: Walk, objective,
     handle.write(("\n  ]" if walk.iterations else "]") + tail + "\n")
 
 
-def improving_candidates(program: BoxProgram, x: Point, active: frozenset,
+def improving_candidates(program: BoxProgram, x: Point, active: Collection[int],
                          grad: Sequence[Rational]) -> list:
     """Feasible improving axis directions at ``x``, restricted to those
     orthogonal to the maximum number of rows in ``active``.
@@ -511,15 +526,17 @@ def improving_candidates(program: BoxProgram, x: Point, active: frozenset,
     n = program.n
     base = len(active)
     candidates = []
-    for k, lo, xk, hi, gk, (up, down) in zip(range(1, n + 1), program.lower, x,
-                                             program.upper, grad, program.unit_directions):
+    for lo, xk, hi, gk, (up, down) in zip(program.lower, x, program.upper, grad,
+                                          program.unit_directions):
         if not lo <= xk <= hi:
             raise InfeasiblePointError(f"point {x} violates a bound")
         if gk > 0:
             if xk != hi:  # else +e_k would leave the box
+                k = up.coord
                 candidates.append(Candidate(up, gk, base - (k in active) - (k + n in active)))
         elif gk < 0:
             if xk != lo:  # else -e_k would leave the box
+                k = down.coord
                 candidates.append(Candidate(down, -gk, base - (k in active) - (k + n in active)))
     if len(candidates) < 2:
         return candidates
@@ -555,14 +572,17 @@ def active_set_steps(program: BoxProgram, objective, start: Point, rule: PivotRu
     stopping point; the pass that meets the latter is the only one whose
     ``x_after`` equals its ``x_before``.
 
-    The rows tight at the iterate but not active are kept as a set
-    alongside the active set; it starts empty, since the active set starts
-    as the tight set.  A pass changes tightness only in the coordinate it
-    moves, and the row it drops is one of that coordinate's, so it updates
-    that set only for the rows ``k`` and ``k + n``, besides moving the
-    added row out.
-    The entering options are that set, sorted: upper rows, then lower
-    rows, with rows the walk left tight on earlier passes among them.
+    The active rows are kept as a sorted list, from which the one dropped
+    row is removed and into which the one added row is inserted in place,
+    so each record's ``active_before`` is a copy of it.  The rows tight at
+    the iterate but not active are kept as a set alongside; it starts
+    empty, since the active set starts as the tight set.  A pass changes
+    tightness only in the coordinate it moves, and the row it drops is one
+    of that coordinate's, so it updates that set only for the rows ``k``
+    and ``k + n``, besides moving the added row out.  The entering options
+    are that set, sorted: upper rows, then lower rows, with rows the walk
+    left tight on earlier passes among them; a single option is taken as
+    it is.
 
     Each pass starts with one ``objective.value_and_gradient`` call at the
     iterate.  Its value completes the previous pass's record, which is
@@ -577,15 +597,19 @@ def active_set_steps(program: BoxProgram, objective, start: Point, rule: PivotRu
     if max_iter is None:
         max_iter = 2 ** (program.n + 1)
     n = program.n
-    active = set(program.eq_set(start))
+    active = sorted(program.eq_set(start))
     tight_inactive = set()  # eq_set(x) - active
     lower, upper = program.lower, program.upper
+    value_and_gradient = objective.value_and_gradient
+    edge_restriction = objective.edge_restriction
+    step_to_boundary = program.step_to_boundary
+    move = program.move
     x = start
     passes = 0
     held = None  # the previous pass's record, until the value at its x_after is known
 
     while True:
-        value, grad = objective.value_and_gradient(x)
+        value, grad = value_and_gradient(x)
         if held is not None:
             held.value_after = value
         candidates = improving_candidates(program, x, active, grad)
@@ -601,18 +625,18 @@ def active_set_steps(program: BoxProgram, objective, start: Point, rule: PivotRu
         d = chosen.direction
         k = d.coord
         x_before = x
-        active_before = tuple(sorted(active))
+        active_before = tuple(active)
         # the one row with a negative inner product with +-e_k: the lower
         # bound k + n for +e_k, the upper bound k for -e_k; being the only
         # option, it is dropped without asking the rule.  The other row of
         # coordinate k is not tight, so the move below is blocked by none.
         removed = k + n if d.sign > 0 else k
         if removed in active:
-            active.discard(removed)
+            active.remove(removed)
         else:
             removed = None
-        mu_boundary = program.step_to_boundary(x, d)
-        g = objective.edge_restriction(x, d, chosen.slope)  # slope = grad^T d
+        mu_boundary = step_to_boundary(x, d)
+        g = edge_restriction(x, d, chosen.slope)  # slope = grad^T d
         try:
             mu_objective = first_nonpositive(g, mu_boundary)
         except NotRepresentableError:
@@ -621,7 +645,7 @@ def active_set_steps(program: BoxProgram, objective, start: Point, rule: PivotRu
                                    len(candidates), value_after=value)  # x did not move
             break
         step = mu_boundary if mu_objective is None else mu_objective
-        x = program.move(x, d, step)
+        x = move(x, d, step)
         # only coordinate k moved, and neither of its rows is active
         tight_inactive.discard(k)
         tight_inactive.discard(k + n)
@@ -636,10 +660,12 @@ def active_set_steps(program: BoxProgram, objective, start: Point, rule: PivotRu
                     "boundary stop produced no new tight row; "
                     "box invariant violated"
                 )
-            options = sorted(tight_inactive)
-            added = options[0] if len(options) == 1 else rule.choose_addition(options)
-            tight_inactive.discard(added)
-            active.add(added)
+            if len(tight_inactive) == 1:
+                added = tight_inactive.pop()
+            else:
+                added = rule.choose_addition(sorted(tight_inactive))
+                tight_inactive.discard(added)
+            insort(active, added)
         passes += 1
         held = IterationRecord(passes, x_before, active_before, d, removed, step, x,
                                added, len(candidates))

@@ -132,14 +132,15 @@ def _partial_forward(coords: Sequence, k: int):
     return acc - db
 
 
-_INT_TYPE = frozenset((int,))
 _BITS = frozenset((0, 1))
 
 
 def _is_int_vertex(x: Sequence) -> bool:
-    """Is every coordinate of ``x`` an ``int`` 0 or 1?  Other scalars that
-    equal 0 or 1 (``Fraction(1)``, ``True``) are not."""
-    return _INT_TYPE.issuperset(map(type, x)) and _BITS.issuperset(x)
+    """Is every coordinate of ``x`` an ``int`` 0 or 1 (``bool`` included)?
+    Other scalars that equal 0 or 1 (``Fraction(1)``, ``1.0``) are not:
+    any one of them makes the sum of the coordinates a ``Fraction`` or a
+    ``float``."""
+    return type(sum(x)) is int and _BITS.issuperset(x)
 
 
 def _vertex_sweep(bits: Sequence, powers: Sequence) -> tuple:

@@ -64,12 +64,13 @@ class UniPoly:
 
     @classmethod
     def _make(cls, coeffs) -> "UniPoly":
-        """Internal constructor for coefficients already known exact."""
-        cs = list(coeffs)
-        while cs and cs[-1] == 0:
-            cs.pop()
+        """Internal constructor for a sequence of coefficients already known
+        exact."""
+        end = len(coeffs)
+        while end and coeffs[end - 1] == 0:
+            end -= 1
         poly = object.__new__(cls)
-        poly.coeffs = tuple(cs)
+        poly.coeffs = tuple(coeffs[:end])
         return poly
 
     @property
@@ -267,9 +268,10 @@ def first_nonpositive(p: UniPoly, t_max) -> Optional[Rational]:
     t_max = as_rational(t_max)
     if t_max < 0:
         raise ValueError("t_max must be nonnegative")
-    if not p.coeffs or p.coeffs[0] <= 0:
+    coeffs = p.coeffs
+    if not coeffs or coeffs[0] <= 0:
         return 0  # p(0) <= 0
-    if t_max == 0 or p.degree == 0:
+    if len(coeffs) == 1 or t_max == 0:
         return None  # positive constants never dip; intervals of width 0 are done
     # p(0) > 0, so the infimum (if any) is the leftmost root in (0, t_max].
     s, sequence = _squarefree_and_chain(p.primitive().coeffs)

@@ -26,6 +26,7 @@ from pivotforge.engine import (
     OUTCOME_CRITICAL_POINT,
     OUTCOME_ERROR,
     RULE_NAMES,
+    SPOOL_BATCH,
     STOP_MAX_ITER,
     STOP_NOT_REPRESENTABLE,
     Candidate,
@@ -455,7 +456,8 @@ def test_row_dot_convention():
 def _reference_active_set_run(program, objective, start, rule, max_iter=None):
     """Definition-level reimplementation: every set is computed by scanning
     all 2n rows with explicit inner products.  Used to pin the production
-    engine's constant-time shortcuts."""
+    engine's constant-time shortcuts; each pass's entry starts with the
+    active set before the pass, sorted."""
     from pivotforge.polynomials import first_nonpositive
 
     n = program.n
@@ -486,6 +488,7 @@ def _reference_active_set_run(program, objective, start, rule, max_iter=None):
             return trace, "max_iter_exceeded"
         chosen = rule.choose_direction(candidates)
         d = chosen.direction
+        before = tuple(sorted(active))
         removed = None
         violating = sorted(r for r in active if _row_dot(d, r, n) < 0)
         if violating:
@@ -501,7 +504,7 @@ def _reference_active_set_run(program, objective, start, rule, max_iter=None):
         try:
             mu_objective = first_nonpositive(g, mu_boundary)
         except Exception:
-            trace.append((x, d, removed, None, x, None, len(candidates)))
+            trace.append((before, d, removed, None, x, None, len(candidates)))
             return trace, "not_representable"
         mu = mu_boundary if mu_objective is None else mu_objective
         x_new = tuple(
@@ -514,7 +517,7 @@ def _reference_active_set_run(program, objective, start, rule, max_iter=None):
             added = rule.choose_addition(options)
             active.add(added)
         x = x_new
-        trace.append((None, d, removed, mu, x, added, len(candidates)))
+        trace.append((before, d, removed, mu, x, added, len(candidates)))
 
 
 def test_engine_matches_definition_level_reference(oracle_for):
@@ -553,9 +556,10 @@ def test_engine_matches_definition_level_reference(oracle_for):
             )
             assert trajectory.stop_reason == expected_stop
             assert len(trajectory.records) == len(expected)
-            for record, (_, d, removed, step, x_after, added, n_cands) in zip(
+            for record, (before, d, removed, step, x_after, added, n_cands) in zip(
                 trajectory.records, expected
             ):
+                assert record.active_before == before
                 assert record.direction == d
                 assert record.removed_row == removed
                 assert record.step == step
@@ -624,10 +628,23 @@ def _replay(trajectory):
     return trajectory.stop_reason
 
 
+class _CountingSpool(io.StringIO):
+    """A spool that counts the writer's calls to ``write``."""
+
+    writes = 0
+
+    def write(self, text):
+        self.writes += 1
+        return super().write(text)
+
+
 def _streamed_json(trajectory, objective, **options):
-    buffer = io.StringIO()
+    """The writer's text for ``trajectory``, checking on the way that it
+    made one spool write per batch of ``SPOOL_BATCH`` records."""
+    buffer, spool = io.StringIO(), _CountingSpool()
     walk = Walk(trajectory.program, trajectory.start, _replay(trajectory))
-    write_walk_json(buffer, io.StringIO(), walk, objective, **options)
+    write_walk_json(buffer, spool, walk, objective, **options)
+    assert spool.writes == -(-trajectory.iterations // SPOOL_BATCH)
     return buffer.getvalue()
 
 
@@ -641,6 +658,8 @@ def _walk_inputs(oracle_for):
         (2, 0): -1, (1, 0): Fraction(2, 3), (0, 2): -1, (0, 1): Fraction(4, 5)}))
     irrational = MultiPolyObjective(MultiPoly(1, {(1,): 2, (3,): -1}))
     lowest = ("lowest-index", 0)
+    # the n = 7 walk, of 127 records, cut by max_iter next to batch edges
+    cut = (cube(7), oracle_for(7), (0,) * 7, lowest)
     return {
         "empty": (cube(3), hard, (0,) * 3, lowest, 0),
         "max_iter": (cube(3), hard, (0,) * 3, lowest, 4),
@@ -649,6 +668,10 @@ def _walk_inputs(oracle_for):
         "fractional": (BoxProgram((0, 0), (1, 1)), fractional, (0, 0), lowest, None),
         "not_representable": (BoxProgram((0,), (2,)), irrational, (0,), lowest, None),
         "padded": (cube(5), padded, (0,) * 5, ("steepest", 0), None),
+        "batch-1": cut + (SPOOL_BATCH - 1,),
+        "batch": cut + (SPOOL_BATCH,),
+        "batch+1": cut + (SPOOL_BATCH + 1,),
+        "two_batches+1": cut + (2 * SPOOL_BATCH + 1,),
     }
 
 
@@ -696,7 +719,7 @@ def _writer_cases(oracle_for):
 
 
 WALK_CASES = ["empty", "max_iter", "hard", "random", "fractional", "not_representable",
-              "padded"]
+              "padded", "batch-1", "batch", "batch+1", "two_batches+1"]
 WRITER_CASES = WALK_CASES + ["gapped", "simplex", "simplex_at_optimum", "off_direction",
                              "unchanged", "onto_vertex", "interior"]
 
@@ -721,6 +744,10 @@ def test_writer_cases_cover_what_they_name(oracle_for):
     assert cases["fractional"][0].final_point == (Fraction(1, 3), Fraction(2, 5))
     assert cases["not_representable"][0].stop_reason == STOP_NOT_REPRESENTABLE
     assert cases["padded"][0].iterations == 7
+    assert [cases[name][0].iterations for name in ("batch-1", "batch", "batch+1",
+                                                  "two_batches+1")] == \
+        [SPOOL_BATCH - 1, SPOOL_BATCH, SPOOL_BATCH + 1, 2 * SPOOL_BATCH + 1]
+    assert 2 * SPOOL_BATCH + 1 < 2 ** 7 - 1  # every cut ends before the walk does
     assert cases["simplex"][0].iterations == 3
     assert cases["simplex"][0].final_point == (Fraction(5, 4), Fraction(1, 2), Fraction(1, 3))
     assert cases["simplex_at_optimum"][0].records == []
