@@ -33,7 +33,7 @@ from .objectives import (
     MultiPolyObjective,
     ObjectiveOracle,
     PaddedObjective,
-    expand,
+    lower_bound_terms,
 )
 from .polynomials import (
     MultiPoly,

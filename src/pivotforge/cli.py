@@ -15,9 +15,9 @@ usage or parse errors.
 Dimension caps guard the exponential work, each set where a measured
 command still finishes in bounded time and memory (``CAP_HELP`` lists
 them): engine runs and vertex scans n <= 20 (``run``, ``verify path``,
-``verify uso`` and the other vertex checks, ``export path``, ``export
-orientation``), the expanded polynomial n <= 19 (``export polynomial``,
-whose term list is built in memory), SAT enumeration <= 24 variables.
+``verify uso`` and the other vertex checks, and all three exports,
+``export polynomial`` included, which writes each term as it is
+generated), SAT enumeration <= 24 variables.
 Setting the ``PIVOTFORGE_MAX_N`` environment variable replaces each of
 these command caps with its value, but the brute-force SAT oracles never
 enumerate more than ``satreduce.ENUMERATION_LIMIT`` (24) variables: a
@@ -36,7 +36,7 @@ import stat
 import sys
 from array import array
 from fractions import Fraction
-from itertools import islice, pairwise, product, zip_longest
+from itertools import chain, pairwise, product, starmap, zip_longest
 from typing import Callable, NamedTuple
 
 from .boxes import AxisDirection, BoxProgram, bits_from_id
@@ -49,6 +49,7 @@ from .engine import (
     active_set_steps,
     equivalence_check,
     make_rule,
+    write_spliced,
     write_walk_json,
 )
 from .errors import DimacsParseError, PivotforgeError, TooLargeError
@@ -56,8 +57,9 @@ from .objectives import (
     LinearObjective,
     LowerBoundPolynomial,
     PaddedObjective,
-    expand,
+    lower_bound_terms,
 )
+from .polynomials import term_json
 from .satreduce import (
     ENUMERATION_LIMIT,
     CnfFormula,
@@ -87,17 +89,13 @@ from .structure import (
 from .tiles import _repeat, _tile_bits, _unpack, argmax
 
 # Set from measurements (2-vCPU VM, Python 3.11; the README has the table):
-# run --n 20 takes 72 s in 18 MB, as every n does, and verify uso and export
-# orientation, which hold the vertex values and the outmap in arrays, take
-# about 8 s in 24 MB there;
-# export polynomial --n 19 takes 20 s and 504 MB, the largest n under 1 GB
-# (the terms double per n).
-DEFAULT_CAPS = {"run": 20, "expansion": 19, "sat": ENUMERATION_LIMIT}
+# at n = 20, run takes 30 s, export polynomial 7 s, verify uso and export
+# orientation 6-8 s, each within 8 MB of run's 18 MB peak.
+DEFAULT_CAPS = {"run": 20, "sat": ENUMERATION_LIMIT}
 
 CAP_HELP = (
-    f"dimension caps: engine runs and vertex scans, 'verify uso' and 'export "
-    f"orientation' included, n <= {DEFAULT_CAPS['run']};\n"
-    f"'export polynomial' n <= {DEFAULT_CAPS['expansion']}; "
+    f"dimension caps: engine runs, vertex scans and exports, 'verify uso' and "
+    f"'export polynomial' included, n <= {DEFAULT_CAPS['run']};\n"
     f"SAT enumeration <= {DEFAULT_CAPS['sat']} variables.\n"
     "The environment variable PIVOTFORGE_MAX_N replaces each cap with its value."
 )
@@ -153,20 +151,10 @@ def _writing(path: str):
         raise
 
 
-#: encoder chunks joined per write by ``_write_json``: a write per chunk takes
-#: about 1.5 times as long, and one string for the whole document holds it all
-_JSON_WRITE_BATCH = 4096
-
-
-def _write_json(path: str, doc) -> None:
-    """Write the bytes of ``json.dumps(doc, indent=2, sort_keys=True)`` and
-    a newline to ``path`` without building that text: the encoder's chunks
-    are written ``_JSON_WRITE_BATCH`` at a time."""
-    chunks = json.JSONEncoder(indent=2, sort_keys=True).iterencode(doc)
-    with _writing(path) as handle:
-        while batch := list(islice(chunks, _JSON_WRITE_BATCH)):
-            handle.write("".join(batch))
-        handle.write("\n")
+def _entries(texts):
+    """Each of ``texts`` led by its JSON separator: ``"\\n"``, then ``",\\n"``."""
+    for i, text in enumerate(texts):
+        yield (",\n" if i else "\n") + text
 
 
 def _print_witness(check: str, witness: dict) -> None:
@@ -568,35 +556,35 @@ def _decimal_key_order(size: int):
 def cmd_export(args) -> int:
     n = args.n
     if args.what == "polynomial":
-        _check_cap(n, "expansion", "expansion")
-        poly = expand(n)
+        _check_cap(n, "run", "polynomial")
         out = args.out or f"polynomial_n{n}.json"
-        _write_json(out, poly.to_json_dict())
-        print(f"degree={poly.total_degree} terms={len(poly.terms)} file={out}")
+        terms = lower_bound_terms(n)
+        first = next(terms)  # graded-lex order: the first term has the largest degree
+        doc = {"nvars": n, "terms": [], "total_degree": sum(first[0])}
+        with _writing(out) as handle:  # one term at a time, as the closed form yields it
+            count = write_spliced(handle, doc, "terms",
+                                  _entries(starmap(term_json, chain([first], terms))))
+        print(f"degree={doc['total_degree']} terms={count} file={out}")
     elif args.what == "orientation":
         _check_cap(n, "run", "orientation")
         masks = _lower_bound_orientation(n).outgoing_masks()
         out = args.out or f"orientation_n{n}.json"
         coords = [(1 << (k - 1), f"\n      {k}") for k in range(1, n + 1)]
-        with _writing(out) as handle:  # laid out as _write_json lays out {"n": n, "outgoing": {...}}
-            handle.write(f'{{\n  "n": {n},\n  "outgoing": {{')
-            separator = "\n"
-            for vid in _decimal_key_order(1 << n):  # one vertex at a time, in sort_keys order
+
+        def outgoing():  # one vertex at a time, in sort_keys order
+            for vid in _decimal_key_order(1 << n):
                 listed = ",".join(text for bit, text in coords if masks[vid] & bit)
-                handle.write(f'{separator}    "{vid}": [{listed}\n    ]' if listed
-                             else f'{separator}    "{vid}": []')
-                separator = ",\n"
-            handle.write("\n  }\n}\n")
+                yield f'    "{vid}": [{listed}\n    ]' if listed else f'    "{vid}": []'
+
+        with _writing(out) as handle:
+            write_spliced(handle, {"n": n, "outgoing": {}}, "outgoing", _entries(outgoing()))
         print(f"n={n} edges={n * (1 << (n - 1))} file={out}")
     else:
         _check_cap(n, "run", "path")
         out = args.out or f"path_n{n}.json"
-        ids, length = hamiltonian_path(n), 1
-        with _writing(out) as handle:  # laid out as _write_json lays out {"n": n, "path": [...]}
-            handle.write(f'{{\n  "n": {n},\n  "path": [\n    {next(ids)}')
-            for length, vid in enumerate(ids, start=2):  # one id at a time, as the walk yields it
-                handle.write(f",\n    {vid}")
-            handle.write("\n  ]\n}\n")
+        with _writing(out) as handle:  # one id at a time, as the walk yields it
+            length = write_spliced(handle, {"n": n, "path": []}, "path",
+                                   _entries(f"    {vid}" for vid in hamiltonian_path(n)))
         print(f"n={n} length={length} file={out}")
     return 0
 
@@ -629,7 +617,9 @@ def cmd_reduce(args) -> int:
         except TooLargeError as exc:
             raise _usage_error(str(exc))
     out = args.out or (os.path.splitext(args.input)[0] + ".poly.json")
-    _write_json(out, poly.to_json_dict())
+    doc = {"nvars": poly.nvars, "terms": [], "total_degree": poly.total_degree}
+    with _writing(out) as handle:
+        write_spliced(handle, doc, "terms", _entries(starmap(term_json, poly.sorted_terms())))
     print(f"nvars={formula.n_vars} clauses={len(formula.clauses)} "
           f"degree={poly.total_degree} file={out}")
     if args.check:

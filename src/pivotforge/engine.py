@@ -43,8 +43,9 @@ last, and :func:`active_set_run` collects them into a :class:`Trajectory`,
 the audit trail the library API and the equivalence check work on.  A
 walk's outcome is derived from its stop reason.  The trajectory JSON has
 one writer, :func:`write_walk_json`, which spools the record text a batch
-of ``SPOOL_BATCH`` records at a time, one write per batch, and so never
-holds more than one batch; ``Trajectory.to_json_dict`` is the independent
+of ``SPOOL_BATCH`` records at a time, one write per batch, holding no more
+than one batch, and splices it in with :func:`write_spliced`, which lays
+out every JSON file; ``Trajectory.to_json_dict`` is the independent
 reference form it reproduces byte for byte, and an in-memory trajectory
 serializes as ``json.dumps`` of that form.
 """
@@ -139,13 +140,7 @@ class SteepestRule(PivotRule):
 
 
 class SeededRandomRule(PivotRule):
-    """Reproducible random choices from an explicit seed.
-
-    Singleton option sets are returned without consuming entropy: forced
-    moves are not decisions, so two runs that present the same genuine
-    choice points draw the same random stream even if they differ in how
-    many forced selections they route through the rule.
-    """
+    """Reproducible random choices from an explicit seed."""
 
     name = "random"
 
@@ -154,8 +149,6 @@ class SeededRandomRule(PivotRule):
         self._rng = random.Random(seed)
 
     def _pick(self, options):
-        if len(options) == 1:
-            return options[0]
         return options[self._rng.randrange(len(options))]
 
     def choose_direction(self, candidates):
@@ -499,13 +492,24 @@ def write_walk_json(handle, spool, walk: Walk, objective,
     }
     if approx:
         end["final"]["objective_value_approx_lossy"] = float(final_value)
-    # json escapes every quote inside a value, so only the key can match
-    head, _, tail = json.dumps(end, indent=2, sort_keys=True).partition('"records": []')
-    handle.write(head + '"records": [')
     spool.seek(0)
-    while chunk := spool.read(SPOOL_CHUNK):
-        handle.write(chunk)
-    handle.write(("\n  ]" if walk.iterations else "]") + tail + "\n")
+    write_spliced(handle, end, "records", iter(lambda: spool.read(SPOOL_CHUNK), ""))
+
+
+def write_spliced(handle, doc: dict, key: str, pieces) -> int:
+    """Write ``json.dumps(doc, indent=2, sort_keys=True) + "\\n"`` to
+    ``handle`` with ``pieces``, the text of the entries of the empty list or
+    object ``doc[key]``, each led by its separator, spliced in; return their
+    number.  The split string is anchored on the top-level indent, which no
+    nested key, nor any string (json escapes its line breaks), can match."""
+    head, split, tail = json.dumps(doc, indent=2, sort_keys=True).partition(
+        f'\n  "{key}": {json.dumps(doc[key])}')
+    handle.write(head + split[:-1])
+    count = 0
+    for count, piece in enumerate(pieces, start=1):
+        handle.write(piece)
+    handle.write(("\n  " if count else "") + split[-1] + tail + "\n")
+    return count
 
 
 def improving_candidates(program: BoxProgram, x: Point, active: Collection[int],

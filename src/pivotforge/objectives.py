@@ -26,11 +26,11 @@ optimizing it over the cube forces vertex-walking methods through all
 ``b_i`` vanishes on {0,1}^n, so vertex values are binary numbers with
 digits ``a_i``.
 
-The value recursion is generic over the scalar ring: rationals give
-values and multivariate polynomials give the expanded monomial form.  The
-tests run it over sympy's polynomial rings as well, and differentiate
-the result there: derivative and edge-restriction routes that share no
-code with the oracle's.  The oracle differentiates the recursion by
+The value recursion is generic over the scalar ring.  The tests run it
+over ``MultiPoly``, the reference for :func:`lower_bound_terms`, and
+over sympy's polynomial rings, where they also differentiate it:
+derivative and edge-restriction routes that share no code with the
+oracle's.  The oracle differentiates the recursion by
 hand.  At a vertex given as ``int`` 0/1 coordinates, which is every
 iterate of a walk from a vertex, one O(n) forward sweep over the vertex
 closed form of every partial (:func:`_vertex_sweep`, with ``a_{k+1} =
@@ -56,6 +56,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import combinations
 from typing import Optional, Protocol, Sequence, runtime_checkable
 
 from .boxes import AxisDirection, Point, as_point, require_length
@@ -265,15 +266,29 @@ class LowerBoundPolynomial:
         return UniPoly._make((slope, curvature))
 
 
-def expand(n: int) -> MultiPoly:
-    """Expanded monomial form of the degree-n family member.
+def lower_bound_terms(n: int):
+    """F_n's terms ``(exponents, coefficient)`` in the order of
+    :meth:`MultiPoly.sorted_terms`, from their closed form.  ``a_i`` is the
+    parity of ``x_i .. x_n``, so ``sum_i 2^{i-1} a_i`` gives each nonempty
+    set S of variables, least index m, the term ``(2^m - 1)(-2)^{|S|-1}
+    x^S``; the ``b_i`` add terms of degree at most 3.  ``combinations``
+    yields the larger sets in order; the O(n^3) terms of degree at most 3
+    are summed and sorted in memory."""
+    def parity_terms(size: int):
+        sign = (-2) ** (size - 1)
+        for subset in combinations(range(n), size):
+            exps = [0] * n
+            for j in subset:
+                exps[j] = 1
+            yield tuple(exps), ((2 << subset[0]) - 1) * sign
 
-    Total degree is ``n`` for every ``n != 2`` and 3 for ``n = 2``.  The
-    recursion is evaluated over the multivariate polynomial ring.
-    """
-    if n < 1:
-        raise ValueError("dimension must be at least 1")
-    return _evaluate_value(tuple(MultiPoly.variable(n, j) for j in range(1, n + 1)))
+    for size in range(n, 3, -1):
+        yield from parity_terms(size)
+    xs = [MultiPoly.variable(n, j) for j in range(1, n + 1)]
+    low = MultiPoly(n, dict(term for size in (1, 2, 3) for term in parity_terms(size)))
+    for i, xi in enumerate(xs, start=1):
+        low = low - (1 << i) * (xi - xi * xi) * _s_k(xs, i)  # - b_i
+    yield from low.sorted_terms()
 
 
 class LinearObjective:

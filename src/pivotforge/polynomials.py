@@ -485,13 +485,10 @@ class MultiPoly:
             key=lambda item: (-sum(item[0]), tuple(-e for e in item[0])),
         )
 
-    def to_json_dict(self) -> dict:
-        """JSON-ready form: graded-lex term list with ``"p/q"`` coefficients."""
-        return {
-            "nvars": self.nvars,
-            "total_degree": self.total_degree,
-            "terms": [
-                {"exponents": list(exps), "coefficient": format_rational(coeff)}
-                for exps, coeff in self.sorted_terms()
-            ],
-        }
+
+def term_json(exps: Sequence[int], coeff: Rational) -> str:
+    """A term in at least one variable as ``json.dumps(..., indent=2,
+    sort_keys=True)`` lays out ``{"coefficient": "p/q", "exponents": [...]}``
+    in a top-level list."""
+    return (f'    {{\n      "coefficient": "{format_rational(coeff)}",\n'
+            '      "exponents": [\n        ' + ",\n        ".join(map(str, exps)) + "\n      ]\n    }")

@@ -15,17 +15,21 @@ has one implementation:
   does.
 - 11 draws its random formulas with ``_random_formula`` and certifies
   each with ``certify_formula``, as ``verify sat`` does.
+- 12 reads the degree that ``export polynomial`` prints and writes, and
+  the degree of the tests' recursion ``expand``.
 
-Tests 01, 04, 07 and 12 have no ``verify`` counterpart.
+Tests 01, 04 and 07 have no ``verify`` counterpart.
 
 Run with ``pytest -s tests/test_acceptance.py`` to see one PASS/FAIL line
 per criterion (with wall time); without ``-s`` the lines appear only for
 failing criteria.
 """
 
+import io
+import json
 import random
 import time
-from contextlib import contextmanager
+from contextlib import contextmanager, redirect_stdout
 
 from pivotforge import (
     BoxProgram,
@@ -35,7 +39,6 @@ from pivotforge import (
     active_set_run,
     bits_from_id,
     equivalence_check,
-    expand,
     make_rule,
 )
 from pivotforge.cli import (
@@ -48,6 +51,7 @@ from pivotforge.cli import (
     check_sink,
     check_uniqueness,
     check_uso,
+    main,
 )
 from pivotforge.engine import RULE_NAMES
 
@@ -213,9 +217,13 @@ def test_11_reduction_soundness():
             assert ok, (formula, witness)
 
 
-def test_12_expansion_degrees():
+def test_12_expansion_degrees(tmp_path, expand):
     with report("12 expanded total degree: n for n in {1,3..8}, 3 for n=2"):
-        assert expand(1).total_degree == 1
-        assert expand(2).total_degree == 3
-        for n in (3, 4, 5, 6, 7, 8):
-            assert expand(n).total_degree == n
+        for n in range(1, 9):
+            degree = 3 if n == 2 else n
+            out = tmp_path / f"polynomial_n{n}.json"
+            with redirect_stdout(io.StringIO()) as printed:
+                assert main(["export", "polynomial", "--n", str(n), "--out", str(out)]) == 0
+            assert printed.getvalue().startswith(f"degree={degree} ")
+            assert json.loads(out.read_text())["total_degree"] == degree
+            assert expand(n).total_degree == degree

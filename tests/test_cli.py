@@ -25,6 +25,7 @@ from pivotforge import (
     bits_from_id,
     cli,
     engine,
+    format_rational,
     hamiltonian_path,
     make_rule,
     reflected_gray_ids,
@@ -103,9 +104,12 @@ def test_run_output_bytes_are_pinned(tmp_path, capsys, argv):
 #: sha256 of small ``export`` and ``reduce --check`` outputs, recorded while
 #: each document was still built as one string before it was written (the
 #: ``export orientation`` pins at n = 11 and 12, whose keys run to 4 digits,
-#: while that document was still built whole and encoded by ``json``)
+#: while that document was still built whole and encoded by ``json``; the
+#: ``export polynomial --n 13`` pin while the recursion was still expanded
+#: over ``MultiPoly`` and the document encoded by ``json``)
 WRITE_SHA256 = {
     "export polynomial --n 6": "d62c8bba57fd8a1db1b5b0ceee0ddbd8d254e54ae95c3e1f7afa720b29b6b518",
+    "export polynomial --n 13": "051a16357326d65658d00bfce31907c9e6af5b188cf844ffa5eafff12e41d82a",
     "export orientation --n 5": "906140446a5710e29d788e20dd9541fea0d58ee291c3f14960dfdf178c3424a3",
     "export orientation --n 11": "eb4c08eb218d5bdc94e9d88408cad5f97d18b4530014f87fb41d9e38a367f110",
     "export orientation --n 12": "0f021b987989079dc921067111eb3f01fd331bc341a05120641aa944315d8143",
@@ -125,6 +129,41 @@ def test_export_and_reduce_output_bytes_are_pinned(tmp_path, capsys, argv):
     assert run_cli(argv.replace("CNF", str(cnf)).split() + ["--out", str(out)]) == 0
     capsys.readouterr()
     assert hashlib.sha256(out.read_bytes()).hexdigest() == WRITE_SHA256[argv]
+
+
+def _polynomial_document(nvars: int, terms: list, total_degree: int) -> str:
+    """The text of a polynomial file as ``json`` encodes the whole
+    document: the byte reference of ``export polynomial`` and ``reduce``."""
+    doc = {"nvars": nvars, "total_degree": total_degree, "terms": [
+        {"exponents": list(exps), "coefficient": format_rational(c)} for exps, c in terms]}
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def test_export_polynomial_bytes_equal_the_expanded_document(tmp_path, capsys, expand):
+    for n in range(1, 11):
+        poly = expand(n)
+        out = tmp_path / f"n{n}.json"
+        assert run_cli(["export", "polynomial", "--n", str(n), "--out", str(out)]) == 0
+        assert capsys.readouterr().out == \
+            f"degree={poly.total_degree} terms={len(poly.terms)} file={out}\n"
+        assert out.read_text() == _polynomial_document(n, poly.sorted_terms(),
+                                                       poly.total_degree)
+
+
+def test_reduce_bytes_equal_the_whole_document(tmp_path, capsys):
+    rng = random.Random(29)
+    formulas = [cli._random_formula(rng, 6) for _ in range(20)]
+    formulas += [CnfFormula(0, ()), CnfFormula(3, ())]  # "terms": [] twice
+    for i, formula in enumerate(formulas):
+        cnf, out = tmp_path / f"f{i}.cnf", tmp_path / f"f{i}.json"
+        cnf.write_text(f"p cnf {formula.n_vars} {len(formula.clauses)}\n" + "".join(
+            " ".join(str(-lit.variable if lit.negated else lit.variable) for lit in clause)
+            + " 0\n" for clause in formula.clauses))
+        assert run_cli(["reduce", str(cnf), "--out", str(out)]) == 0
+        capsys.readouterr()
+        poly = violation_polynomial(formula)
+        assert out.read_text() == _polynomial_document(formula.n_vars, poly.sorted_terms(),
+                                                       poly.total_degree)
 
 
 def test_decimal_key_order_is_sort_keys_order():
@@ -267,14 +306,10 @@ def test_run_memory_does_not_grow_with_the_walk(tmp_path, capsys, monkeypatch, a
     assert large - small < 128 * 1024, (small, large)
 
 
-@pytest.mark.parametrize("argv", [["verify", "uso"], ["export", "orientation"]],
-                         ids=["verify-uso", "export-orientation"])
-def test_orientation_memory_grows_by_under_16_bytes_per_vertex(tmp_path, capsys, argv):
-    """From n = 12 to n = 14 the traced peak of ``verify uso`` and ``export
-    orientation`` grows by less than 16 bytes per added vertex.  Both hold
-    the values in an array of 4 bytes per vertex and the outmap in one of
-    2; holding the values as Python integers, or the outmap as a list,
-    grows it by far more."""
+def _traced_peaks(tmp_path, argv) -> tuple:
+    """The traced peaks of ``argv`` at n = 12 and n = 14, each from a
+    second run, after a first at each size has filled caches that do not
+    grow with n, as in the walk's memory test."""
     def peak(n: int) -> int:
         out = ["--out", str(tmp_path / f"n{n}")] if argv[0] == "export" else []
         tracemalloc.start()
@@ -284,10 +319,33 @@ def test_orientation_memory_grows_by_under_16_bytes_per_vertex(tmp_path, capsys,
         finally:
             tracemalloc.stop()
 
-    peak(12), peak(14)  # as in the walk's memory test: caches filled first
-    small, large = peak(12), peak(14)
+    peak(12), peak(14)
+    return peak(12), peak(14)
+
+
+@pytest.mark.parametrize("argv", [["verify", "uso"], ["export", "orientation"]],
+                         ids=["verify-uso", "export-orientation"])
+def test_orientation_memory_grows_by_under_16_bytes_per_vertex(tmp_path, capsys, argv):
+    """From n = 12 to n = 14 the traced peak of ``verify uso`` and ``export
+    orientation`` grows by less than 16 bytes per added vertex.  Both hold
+    the values in an array of 4 bytes per vertex and the outmap in one of
+    2; holding the values as Python integers, or the outmap as a list,
+    grows it by far more."""
+    small, large = _traced_peaks(tmp_path, argv)
     capsys.readouterr()
     assert large - small < 16 * ((1 << 14) - (1 << 12)), (small, large)
+
+
+def test_polynomial_memory_grows_by_under_16_bytes_per_term(tmp_path, capsys):
+    """From n = 12 to n = 14 ``export polynomial`` writes 12,315 more
+    terms, and its traced peak grows by less than 16 bytes per added term:
+    it holds one term and the O(n^3) terms of degree at most 3.  Holding
+    every term, as an expansion in memory does, grows it by hundreds of
+    bytes per term."""
+    added = 2 ** 14 - 2 ** 12 + (13 * 16 - 11 * 14) // 2  # 12,315
+    small, large = _traced_peaks(tmp_path, ["export", "polynomial"])
+    capsys.readouterr()
+    assert large - small < 16 * added, (small, large)
 
 
 def _check_path_on_the_trajectory(n: int):
@@ -654,16 +712,15 @@ def test_module_docstring_states_the_caps():
     doc = " ".join(cli.__doc__.split())
     caps = cli.DEFAULT_CAPS
     for phrase in (f"engine runs and vertex scans n <= {caps['run']}",
-                   "``verify uso``", "``export orientation``",
-                   f"the expanded polynomial n <= {caps['expansion']}",
+                   "``verify uso``", "all three exports, ``export polynomial`` included",
                    f"SAT enumeration <= {caps['sat']} variables"):
         assert phrase in doc
 
 
 def test_caps_and_override(monkeypatch, capsys):
-    assert cli.DEFAULT_CAPS == {"run": 20, "expansion": 19, "sat": 24}
+    assert cli.DEFAULT_CAPS == {"run": 20, "sat": 24}
     for argv in (["verify", "uso", "--n", "21"], ["export", "orientation", "--n", "21"],
-                 ["export", "polynomial", "--n", "20"], ["run", "--n", "21"],
+                 ["export", "polynomial", "--n", "21"], ["run", "--n", "21"],
                  ["verify", "path", "--n", "21"]):
         with pytest.raises(SystemExit) as err:
             run_cli(argv)
@@ -671,7 +728,7 @@ def test_caps_and_override(monkeypatch, capsys):
     assert capsys.readouterr().err.splitlines() == [
         "error: n=21 exceeds the 'uso' cap 20 (set PIVOTFORGE_MAX_N to override)",
         "error: n=21 exceeds the orientation cap 20 (set PIVOTFORGE_MAX_N to override)",
-        "error: n=20 exceeds the expansion cap 19 (set PIVOTFORGE_MAX_N to override)",
+        "error: n=21 exceeds the polynomial cap 20 (set PIVOTFORGE_MAX_N to override)",
         "error: n=21 exceeds the engine-run cap 20 (set PIVOTFORGE_MAX_N to override)",
         "error: n=21 exceeds the 'path' cap 20 (set PIVOTFORGE_MAX_N to override)",
     ]
@@ -679,8 +736,8 @@ def test_caps_and_override(monkeypatch, capsys):
         run_cli(["--help"])
     assert err.value.code == 0
     assert " ".join(capsys.readouterr().out.split()).endswith(
-        "dimension caps: engine runs and vertex scans, 'verify uso' and 'export "
-        "orientation' included, n <= 20; 'export polynomial' n <= 19; "
+        "dimension caps: engine runs, vertex scans and exports, 'verify uso' and "
+        "'export polynomial' included, n <= 20; "
         "SAT enumeration <= 24 variables. The environment variable PIVOTFORGE_MAX_N "
         "replaces each cap with its value.")
     monkeypatch.setenv("PIVOTFORGE_MAX_N", "3")

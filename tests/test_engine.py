@@ -32,6 +32,7 @@ from pivotforge.engine import (
     Candidate,
     LowestIndexRule,
     Walk,
+    write_spliced,
     write_walk_json,
 )
 from pivotforge.scalars import format_rational
@@ -806,3 +807,24 @@ def test_steps_yield_complete_records_that_collect_to_the_run(oracle_for, case):
         "n": program.n, "rule": "r", "iterations": trajectory.iterations,
         "final_vertex_id": "" if final_id is None else final_id,
         "final_value": format_rational(value), "final_value_approx_lossy": float(value)}
+
+
+@pytest.mark.parametrize("empty", [[], {}], ids=["list", "object"])
+@pytest.mark.parametrize("count", [0, 1, 3])
+def test_only_the_top_level_member_takes_the_spliced_pieces(empty, count):
+    """The streamed key also names a nested member and appears, quoted and
+    after a line break, inside string values; ``write_spliced`` fills only
+    the top-level member, as ``json.dumps`` of the filled document would."""
+    if empty == []:
+        filled = [f"entry {i}" for i in range(count)]
+        texts = [f'    "entry {i}"' for i in range(count)]
+    else:
+        filled = {f"entry {i}": i for i in range(count)}
+        texts = [f'    "entry {i}": {i}' for i in range(count)]
+    doc = {"a": {"records": empty, "z": [empty]}, "records": empty,
+           "rule": '"records": []', "text": '\n  "records": []'}
+    pieces = [("\n" if i == 0 else ",\n") + text for i, text in enumerate(texts)]
+    buffer = io.StringIO()
+    assert write_spliced(buffer, doc, "records", iter(pieces)) == count
+    assert buffer.getvalue() == json.dumps({**doc, "records": filled},
+                                           indent=2, sort_keys=True) + "\n"

@@ -16,8 +16,8 @@ from pivotforge import (
     MultiPoly,
     MultiPolyObjective,
     PaddedObjective,
-    expand,
     improving_dimension,
+    lower_bound_terms,
 )
 from pivotforge.boxes import bits_from_id
 from pivotforge import objectives
@@ -171,7 +171,7 @@ def test_gradient_equals_dual_number_forward_mode(n, data):
         assert (value, grad[k - 1]) == _forward(point, k)
 
 
-def test_vertex_sweep_and_forward_partials_equal_expanded_polynomial_gradient():
+def test_vertex_sweep_and_forward_partials_equal_expanded_polynomial_gradient(expand):
     """The gradient, from the vertex sweep at int vertices and from the
     forward-mode partials elsewhere, equals the symbolic gradient of the
     expanded polynomial."""
@@ -428,19 +428,19 @@ def test_edge_restriction_off_the_vertices_is_canonical():
 # ------------------------------------------------------- expansion --
 
 
-def test_expansion_degrees():
+def test_expansion_degrees(expand):
     assert expand(1).total_degree == 1
     assert expand(2).total_degree == 3
     for n in (3, 4, 5, 6, 7):
         assert expand(n).total_degree == n
 
 
-def test_expansion_of_one_variable_is_identity():
+def test_expansion_of_one_variable_is_identity(expand):
     poly = expand(1)
     assert poly.terms == {(1,): 1}
 
 
-def test_expansion_matches_recursive_values(oracle_for):
+def test_expansion_matches_recursive_values(oracle_for, expand):
     rng = random.Random(11)
     for n in range(1, 9):
         oracle = oracle_for(n)
@@ -456,20 +456,31 @@ def test_expansion_matches_recursive_values(oracle_for):
             assert poly.eval(point) == oracle.value(point)
 
 
-def test_expanded_f2_at_example_point():
+def test_expanded_f2_at_example_point(expand):
     assert expand(2).eval((0, 1)) == 3
 
 
-def test_expansion_equals_the_recursion_over_sympy():
+def test_expansion_equals_the_recursion_over_sympy(expand):
     """``expand`` runs the recursion over ``MultiPoly``; run over sympy's
-    ``QQ[x_1..x_n]`` instead, it has the same terms.  Every variable's
-    exponent is at most 2, so each partial is affine along its own axis:
-    ``verify constancy`` compares it at an edge's two ends only."""
+    ``QQ[x_1..x_n]`` instead, it has the same terms, and so has the closed
+    form.  Every variable's exponent is at most 2, so each partial is
+    affine along its own axis: ``verify constancy`` compares it at an
+    edge's two ends only."""
     for n in range(1, 11):
         _, *xs = ring(",".join(f"x{i}" for i in range(1, n + 1)), QQ)
         f = _evaluate_value(tuple(xs))
-        assert dict(f.items()) == expand(n).terms
+        assert dict(f.items()) == expand(n).terms == dict(lower_bound_terms(n))
         assert max(f.degree(x) for x in xs) <= 2
+
+
+def test_closed_form_terms_are_the_sorted_expansion(expand):
+    """``lower_bound_terms`` yields the recursion's terms in graded-lex
+    order: ``2^n - 1`` sets of variables and ``i`` b-terms of degree 2 and
+    3 for each ``i >= 2`` that no set shares."""
+    for n in range(1, 13):
+        terms = list(lower_bound_terms(n))
+        assert terms == expand(n).sorted_terms()
+        assert len(terms) == 2 ** n - 1 + (n - 1) * (n + 2) // 2
 
 
 # ---------------------------------------------------------- padding --
@@ -504,7 +515,7 @@ def test_padding_dimension_mismatch():
 # ------------------------------------------- polynomial-backed oracle --
 
 
-def test_multipoly_objective_agrees_with_recursive_oracle(oracle_for):
+def test_multipoly_objective_agrees_with_recursive_oracle(oracle_for, expand):
     oracle = oracle_for(3)
     explicit = MultiPolyObjective(expand(3))
     rng = random.Random(5)

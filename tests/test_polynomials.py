@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 from collections import Counter
@@ -639,11 +640,15 @@ def test_total_degree_conventions():
 
 def test_json_terms_in_graded_lex_order():
     p = 2 * x(2, 2) + 3 * (x(2, 1) * x(2, 1)) + MultiPoly.constant(2, 7) + x(2, 1)
-    exported = p.to_json_dict()
-    assert exported["nvars"] == 2
-    assert exported["total_degree"] == 2
-    assert [t["exponents"] for t in exported["terms"]] == [[2, 0], [1, 0], [0, 1], [0, 0]]
-    assert [t["coefficient"] for t in exported["terms"]] == ["3/1", "1/1", "2/1", "7/1"]
+    assert p.total_degree == 2
+    exported = [polynomials.term_json(exps, c) for exps, c in p.sorted_terms()]
+    assert [json.loads(t)["exponents"] for t in exported] == [[2, 0], [1, 0], [0, 1], [0, 0]]
+    assert [json.loads(t)["coefficient"] for t in exported] == ["3/1", "1/1", "2/1", "7/1"]
+    layout = json.dumps({"terms": [{"coefficient": "3/1", "exponents": [2, 0]}]}, indent=2)
+    assert layout == '{\n  "terms": [\n' + exported[0] + '\n  ]\n}'
+    assert polynomials.term_json((0, 1), Fraction(-1, 3)) == (
+        '    {\n      "coefficient": "-1/3",\n      "exponents": [\n        0,\n        1\n'
+        '      ]\n    }')
 
 
 def test_multipoly_dimension_mismatch():
