@@ -18,6 +18,7 @@ from .engine import (
 )
 from .errors import (
     AmbiguousImprovementError,
+    DegenerateVertexError,
     DimacsParseError,
     DimensionMismatchError,
     InfeasiblePointError,

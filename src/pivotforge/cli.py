@@ -317,10 +317,19 @@ def _random_linear_objective(rng: random.Random, n: int) -> LinearObjective:
     numerators are the vertex ids over the same denominator) and differ
     by less than 1/2520, so they separate equal sums and cannot close a
     gap between unequal ones.
+
+    Each coefficient is built as the one fraction
+    ``(a · (D / b) + 2^(i-1)) / D`` over ``D = 2520 · 2^n``, which ``b``
+    divides: the same two draws in the same order, and the same value as
+    ``Fraction(a, b) + Fraction(2^(i-1), D)``, with one normalisation.
     """
-    return LinearObjective(tuple(
-        Fraction(rng.randint(-60, 60), rng.randint(1, 9)) + Fraction(1 << i, 2520 << n)
-        for i in range(n)))
+    den = 2520 << n
+    coefficients = []
+    for i in range(n):
+        a = rng.randint(-60, 60)
+        b = rng.randint(1, 9)
+        coefficients.append(Fraction(a * (den // b) + (1 << i), den))
+    return LinearObjective(coefficients)
 
 
 def check_equivalence(n: int, trials: int, seed: int):

@@ -62,6 +62,7 @@ from typing import Callable, Collection, NamedTuple, Optional, Sequence
 
 from .boxes import AxisDirection, BoxProgram, Point, as_point
 from .errors import (
+    DegenerateVertexError,
     DimensionMismatchError,
     InfeasiblePointError,
     NotAVertexError,
@@ -534,11 +535,12 @@ def improving_candidates(program: BoxProgram, x: Point, active: Collection[int],
                                           program.unit_directions):
         if not lo <= xk <= hi:
             raise InfeasiblePointError(f"point {x} violates a bound")
-        if gk > 0:
+        sign = gk.numerator  # the sign of an int or a Fraction
+        if sign > 0:
             if xk != hi:  # else +e_k would leave the box
                 k = up.coord
                 candidates.append(Candidate(up, gk, base - (k in active) - (k + n in active)))
-        elif gk < 0:
+        elif sign < 0:
             if xk != lo:  # else -e_k would leave the box
                 k = down.coord
                 candidates.append(Candidate(down, -gk, base - (k in active) - (k + n in active)))
@@ -699,8 +701,10 @@ def simplex_run(program: BoxProgram, objective: LinearObjective, start: Point,
     direction; all of them are orthogonal to exactly n-1 basis rows), drops
     the unique basis row with negative inner product, moves to the opposite
     boundary, and adds the unique newly tight row.  Non-degeneracy of the
-    box makes both rows unique, which is asserted, so the rule is asked
-    only for the direction, and only among two or more candidates.
+    box makes both rows unique, and each pass checks that it does, so the
+    rule is asked only for the direction, and only among two or more
+    candidates.  A pass that finds the box degenerate raises
+    :class:`~pivotforge.errors.DegenerateVertexError` naming its vertex.
     """
     if not isinstance(objective, LinearObjective):
         raise TypeError("simplex_run requires a LinearObjective")
@@ -726,19 +730,31 @@ def simplex_run(program: BoxProgram, objective: LinearObjective, start: Point,
         if len(records) >= max_iter:
             stop = STOP_MAX_ITER
             break
-        assert all(c.overlap == n - 1 for c in candidates)
+        if any(c.overlap != n - 1 for c in candidates):
+            raise DegenerateVertexError(
+                f"simplex at vertex {x}: an improving edge is not orthogonal "
+                f"to n - 1 basis rows", vertex=x)
         chosen = candidates[0] if len(candidates) == 1 else rule.choose_direction(candidates)
         d = chosen.direction
         x_before = x
         basis_before = tuple(sorted(basis))
         removed = d.coord + n if d.sign > 0 else d.coord  # the one blocking row
-        assert removed in basis, "non-degenerate vertex must have one blocking row"
+        if removed not in basis:
+            raise DegenerateVertexError(
+                f"simplex at vertex {x}: blocking row {removed} is not in the basis",
+                vertex=x)
         basis.discard(removed)
         mu = program.step_to_boundary(x, d)
         x = program.move(x, d, mu)
-        assert program.is_vertex(x)
+        if not program.is_vertex(x):
+            raise DegenerateVertexError(
+                f"simplex at vertex {x_before}: the step along {d} ends at {x}, "
+                f"not a vertex", vertex=x_before)
         options = sorted(program.eq_set(x) - basis)
-        assert len(options) == 1, "non-degenerate vertex must have one entering row"
+        if len(options) != 1:
+            raise DegenerateVertexError(
+                f"simplex at vertex {x_before}: {len(options)} entering rows "
+                f"{options} at {x}, not one", vertex=x_before)
         added = options[0]  # forced: the rule is not asked
         basis.add(added)
         records.append(IterationRecord(len(records) + 1, x_before, basis_before, d, removed,

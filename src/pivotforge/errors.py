@@ -55,6 +55,18 @@ class TieError(PivotforgeError):
         self.edge = edge
 
 
+class DegenerateVertexError(PivotforgeError):
+    """Raised when the simplex method meets a vertex at which the box's
+    non-degeneracy fails: an improving edge not orthogonal to n - 1 basis
+    rows, a blocking row outside the basis, a step that ends off a
+    vertex, or other than one entering row.  ``vertex`` is the vertex the
+    pass started from.  A box is non-degenerate, so it must never fire."""
+
+    def __init__(self, message, vertex=None):
+        super().__init__(message)
+        self.vertex = vertex
+
+
 class TooLargeError(PivotforgeError):
     """Raised when a brute-force enumeration would exceed its guard."""
 

@@ -302,8 +302,8 @@ class LinearObjective:
         self.n = len(self.c)
         # c = numerators / denominator, so that the value at an integral point
         # (every vertex of a walk on the unit cube) is one integer dot product
-        self._denominator = math.lcm(*(Fraction(ci).denominator for ci in self.c))
-        self._numerators = tuple(int(ci * self._denominator) for ci in self.c)
+        self._denominator = den = math.lcm(*(ci.denominator for ci in self.c))
+        self._numerators = tuple(ci.numerator * (den // ci.denominator) for ci in self.c)
 
     def value(self, x: Point) -> Rational:
         require_length(x, self.n)

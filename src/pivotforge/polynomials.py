@@ -120,7 +120,8 @@ def _pseudo_remainder(a, b) -> tuple:
 
 def _exact_quotient(a, b) -> list:
     """``a / b`` for integer coefficient sequences when ``b`` divides ``a``
-    over the integers."""
+    over the integers; ``RuntimeError`` when it does not, which would
+    mean the gcd it divides by is wrong."""
     rem = list(a)
     top = len(b) - 1
     lead = b[-1]
@@ -129,7 +130,8 @@ def _exact_quotient(a, b) -> list:
         c = quot[k] = rem[k + top] // lead
         for j in range(top + 1):
             rem[k + j] -= c * b[j]
-    assert not any(rem)
+    if any(rem):
+        raise RuntimeError(f"{list(b)} does not divide {list(a)} over the integers")
     return quot
 
 

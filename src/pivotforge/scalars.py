@@ -8,6 +8,14 @@ with integral coordinates), while non-integral values are ``Fraction``.
 Python's numeric tower guarantees that equal values of the two types
 compare and hash identically, so the mixed representation is transparent.
 
+An exact scalar's sign is its numerator's sign: an ``int`` is its own
+``numerator``, and a ``Fraction`` keeps its denominator positive.  Hot
+loops test ``value.numerator > 0`` rather than ``value > 0``, because a
+``Fraction`` comparison dispatches through the ``numbers.Rational`` ABC:
+on CPython 3.11 (2-vCPU VM) ``f > 0`` takes 0.35-0.65 µs for a
+``Fraction`` and 16 ns for an ``int``, while ``f.numerator > 0`` takes
+about 0.1 µs and 30 ns.
+
 Floats are rejected everywhere: no rounding happens anywhere in the
 package.  :func:`as_rational` takes only ``int`` and ``Fraction``;
 :func:`format_rational` writes the ``"p/q"`` text of output files, which

@@ -507,15 +507,19 @@ def test_random_linear_objective_separates_every_vertex():
 
 
 def test_random_linear_objective_draws_two_integers_per_coordinate():
-    # no redraw: at these seeds a sampler that rejects ties draws again
-    for n, seed in ((8, 1), (10, 4)):
-        rng, reference = random.Random(seed), random.Random(seed)
-        c = cli._random_linear_objective(rng, n).c
-        drawn = [Fraction(reference.randint(-60, 60), reference.randint(1, 9))
-                 for _ in range(n)]
-        assert rng.getstate() == reference.getstate()
-        assert [ci - d for ci, d in zip(c, drawn)] == [
-            Fraction(1 << i, 2520 << n) for i in range(n)]
+    # no redraw (at seed 1, n = 8 and seed 4, n = 10 a sampler that rejects
+    # ties draws again), and each coefficient is the two-Fraction sum that
+    # the one-fraction construction must equal
+    for seed in range(100):
+        for n in range(1, 13):
+            rng, reference = random.Random(seed), random.Random(seed)
+            c = cli._random_linear_objective(rng, n).c
+            expected = tuple(
+                Fraction(reference.randint(-60, 60), reference.randint(1, 9))
+                + Fraction(1 << i, 2520 << n) for i in range(n))
+            assert rng.getstate() == reference.getstate()
+            assert c == expected
+            assert all(type(ci) is Fraction for ci in c)
 
 
 def test_verify_checks_pass(tmp_path, capsys, monkeypatch):

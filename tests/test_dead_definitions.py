@@ -142,6 +142,9 @@ REACH_ALLOWED = {
     "errors.AmbiguousImprovementError.__init__": (
         "witness", "raised when the uniqueness conditions disagree; "
                    "test_improving_dimension_reads_its_predicates_not_the_oracle"),
+    "errors.DegenerateVertexError.__init__": (
+        "witness", "raised when the simplex method finds the box degenerate; "
+                   "test_simplex_names_the_vertex_of_two_entering_rows"),
     "errors.TieError.__init__": (
         "witness", "raised on a tied edge; "
                    "test_a_repeated_neighbour_value_raises_tie_error_naming_its_edge"),

@@ -6,10 +6,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from pivotforge import (
     AxisDirection,
     BoxProgram,
+    DegenerateVertexError,
     LinearObjective,
     MultiPoly,
     MultiPolyObjective,
@@ -35,6 +37,7 @@ from pivotforge.engine import (
     write_spliced,
     write_walk_json,
 )
+from pivotforge import engine
 from pivotforge.scalars import format_rational
 
 
@@ -98,6 +101,58 @@ def test_candidates_prefer_maximum_overlap():
     point = (Fraction(1, 2), 1)
     cands = improving_candidates(program, point, frozenset({2}), objective.gradient(point))
     assert [c.direction for c in cands] == [AxisDirection(1, 1)]
+
+
+def _reference_candidates(program, x, active, grad):
+    """``improving_candidates`` by its definition, with plain ``>`` and
+    ``<`` on each gradient component."""
+    n = program.n
+    found = []
+    for k in range(1, n + 1):
+        lo, xk, hi, gk = program.lower[k - 1], x[k - 1], program.upper[k - 1], grad[k - 1]
+        overlap = len(active) - (k in active) - (k + n in active)
+        if gk > 0 and xk != hi:
+            found.append(Candidate(AxisDirection(k, 1), gk, overlap))
+        elif gk < 0 and xk != lo:
+            found.append(Candidate(AxisDirection(k, -1), -gk, overlap))
+    best = max((c.overlap for c in found), default=0)
+    return found if len(found) < 2 else [c for c in found if c.overlap == best]
+
+
+_TINY = Fraction(1, 10**30)
+_components = st.one_of(
+    st.sampled_from([0, _TINY, -_TINY, Fraction(0), 10**40 + 1, -(10**40) - 1,
+                     Fraction(10**40 + 1, 3), Fraction(-(10**40) - 1, 7)]),
+    st.integers(-5, 5),
+    st.fractions(max_denominator=10**6).map(Fraction),
+)
+
+
+@st.composite
+def _box_point_gradient(draw):
+    n = draw(st.integers(1, 6))
+    lower = tuple(draw(st.integers(-3, 3)) for _ in range(n))
+    upper = tuple(lo + draw(st.sampled_from([1, 2, Fraction(1, 3), Fraction(7, 2)]))
+                  for lo in lower)
+    program = BoxProgram(lower, upper)
+    at_vertex = draw(st.booleans())
+    x = tuple(
+        draw(st.sampled_from([lo, hi])) if at_vertex
+        else draw(st.sampled_from([lo, hi, lo + (hi - lo) * Fraction(1, 3)]))
+        for lo, hi in zip(lower, upper))
+    tight = sorted(program.eq_set(x))
+    active = frozenset(draw(st.sets(st.sampled_from(tight))) if tight else ())
+    grad = tuple(draw(_components) for _ in range(n))
+    return program, x, active, grad
+
+
+@given(_box_point_gradient())
+def test_candidate_signs_read_off_numerators_match_plain_comparisons(case):
+    program, x, active, grad = case
+    found = improving_candidates(program, x, active, grad)
+    expected = _reference_candidates(program, x, active, grad)
+    assert found == expected
+    assert [type(c.slope) for c in found] == [type(c.slope) for c in expected]
 
 
 # ------------------------------------------------------------ rules --
@@ -324,6 +379,43 @@ def test_simplex_reaches_the_linear_optimum():
         trajectory = simplex_run(program, objective, start, make_rule("random", 5))
         best = max(objective.value(v) for v in itertools.product((0, 1), repeat=n))
         assert objective.value(trajectory.final_point) == best
+
+
+def _simplex_from_origin():
+    return simplex_run(cube(2), LinearObjective((1, 0)), (0, 0), make_rule("lowest-index"))
+
+
+def test_simplex_names_the_vertex_of_an_edge_off_the_basis(monkeypatch):
+    real = engine.improving_candidates
+    monkeypatch.setattr(engine, "improving_candidates", lambda *args: [
+        c._replace(overlap=c.overlap - 1) for c in real(*args)])
+    with pytest.raises(DegenerateVertexError, match="n - 1 basis rows") as info:
+        _simplex_from_origin()
+    assert info.value.vertex == (0, 0)
+
+
+def test_simplex_names_the_vertex_of_a_blocking_row_off_the_basis(monkeypatch):
+    # -e_1 at the origin: its blocking row, coordinate 1's upper bound, is not tight
+    monkeypatch.setattr(engine, "improving_candidates", lambda *args: [
+        Candidate(AxisDirection(1, -1), 1, 1)])
+    with pytest.raises(DegenerateVertexError, match="blocking row 1") as info:
+        _simplex_from_origin()
+    assert info.value.vertex == (0, 0)
+
+
+def test_simplex_names_the_vertex_of_a_step_that_ends_off_a_vertex(monkeypatch):
+    monkeypatch.setattr(BoxProgram, "step_to_boundary", lambda self, x, d: Fraction(1, 2))
+    with pytest.raises(DegenerateVertexError, match="not a vertex") as info:
+        _simplex_from_origin()
+    assert info.value.vertex == (0, 0)
+
+
+def test_simplex_names_the_vertex_of_two_entering_rows(monkeypatch):
+    # a move that flips both coordinates leaves rows 1 and 2 newly tight
+    monkeypatch.setattr(BoxProgram, "move", lambda self, x, d, mu: (1, 1))
+    with pytest.raises(DegenerateVertexError, match=r"2 entering rows \[1, 2\]") as info:
+        _simplex_from_origin()
+    assert info.value.vertex == (0, 0)
 
 
 # ------------------------------------------------------- equivalence --

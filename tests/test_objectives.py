@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from math import prod
+from math import lcm, prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -339,6 +339,20 @@ def test_value_and_gradient_equals_value_and_gradient_calls(n, vertex, data):
     unit = [tuple(int(j == i) for j in range(n)) for i in range(n)]
     as_polynomial = MultiPolyObjective(MultiPoly(n, dict(zip(unit, linear.c))))
     assert linear.value_and_gradient(point) == as_polynomial.value_and_gradient(point)
+
+
+@pytest.mark.parametrize("c", [
+    (3, -1, 0),
+    (Fraction(1, 2), Fraction(-2, 3), Fraction(5, 7)),
+    (4, Fraction(-3, 8), 0, Fraction(7, 12), -9),
+    (Fraction(-1, 10**30), 10**40, Fraction(-10**25 - 1, 6)),
+])
+def test_linear_numerators_over_one_denominator_reproduce_c(c):
+    objective = LinearObjective(c)
+    den = objective._denominator
+    assert type(den) is int and den == lcm(*(Fraction(ci).denominator for ci in c))
+    assert all(type(num) is int for num in objective._numerators)
+    assert tuple(Fraction(num, den) for num in objective._numerators) == tuple(c)
 
 
 # ------------------------------------------------- edge restrictions --

@@ -18,6 +18,7 @@ from pivotforge import (
 )
 from pivotforge import polynomials
 from pivotforge.polynomials import (
+    _exact_quotient,
     _remainder_sequence,
     _squarefree_and_chain,
 )
@@ -233,6 +234,13 @@ def test_first_nonpositive_tangencies():
     with pytest.raises(NotRepresentableError):
         first_nonpositive(p, 2)
     assert first_nonpositive(p, 1) is None
+
+
+def test_exact_quotient_divides_or_raises():
+    # (t + 1)(t - 2) / (t + 1), coefficients lowest degree first
+    assert _exact_quotient((-2, -1, 1), (1, 1)) == [-2, 1]
+    with pytest.raises(RuntimeError, match="does not divide"):
+        _exact_quotient((1, 0, 1), (1, 1))  # t^2 + 1 leaves remainder 2
 
 
 def test_first_nonpositive_root_at_endpoint():
