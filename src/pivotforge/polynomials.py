@@ -16,11 +16,13 @@ one loop of integer pseudo-remainders (``|lead(b)|^(δ+1) · a mod b``, a
 positive multiple of the remainder, made primitive again) gives both the
 gcd and, for a square-free ``p``, the Sturm chain, and the bisection
 visits only the dyadic points ``t_max · a / 2^k``, where each chain
-polynomial's sign is the sign of an integer homogenized Horner sum.
-Irrational stopping points are reported as
-:class:`~pivotforge.errors.NotRepresentableError` rather than approximated,
-because downstream iteration counting depends on stopping points being
-stored exactly.
+polynomial's sign is the sign of an integer homogenized Horner sum.  One
+point costs one interpreted pass: the sign changes of the whole chain are
+counted in one loop that runs each sum inline, and past isolation each
+halving is one inline sum of the square-free part.  Irrational stopping
+points are reported as :class:`~pivotforge.errors.NotRepresentableError`
+rather than approximated, because downstream iteration counting depends
+on stopping points being stored exactly.
 
 Multivariate polynomials (:class:`MultiPoly`) are sparse maps from dense
 exponent vectors to nonzero rational coefficients.  Term order for
@@ -176,32 +178,42 @@ def _derivative_ints(cs) -> tuple:
     return tuple(i * c for i, c in enumerate(cs) if i)
 
 
-def sign_variations(values: Sequence) -> int:
-    """Count sign alternations in a sequence, ignoring zeros."""
-    signs = [1 if v > 0 else -1 for v in values if v != 0]
-    return sum(1 for i in range(len(signs) - 1) if signs[i] != signs[i + 1])
-
-
-def _scaled_to_unit(cs, num: int, den: int) -> tuple:
-    """Coefficients of ``den^d · q(num/den · u)`` for ``q`` of degree ``d``."""
+def _scaled_from_top(cs, num: int, den: int) -> tuple:
+    """Coefficients of ``den^d · q(num/den · u)`` for ``q`` of degree ``d``,
+    highest power first, the order homogenized Horner reads them in."""
     d = len(cs) - 1
     out = []
     num_power = 1
     for i, c in enumerate(cs):
         out.append(c * num_power * den ** (d - i))
         num_power *= num
-    return tuple(out)
+    return tuple(reversed(out))
 
 
-def _dyadic_value(cs, a: int, k: int) -> int:
-    """``2^(k d) · q(a / 2^k)`` by homogenized Horner: a positive multiple
-    of ``q(a / 2^k)``, in integers."""
-    value = 0
-    shift = 0
-    for c in reversed(cs):
-        value = value * a + (c << shift)
-        shift += k
-    return value
+def _variations_at(chain, a: int, k: int) -> int:
+    """Sign variations of the scaled chain (:func:`_scaled_from_top`) at
+    ``u = a / 2^k``, zeros skipped, in one pass.
+
+    Each polynomial's value is the homogenized Horner sum ``2^(k d) ·
+    q(a / 2^k)``, a positive multiple of ``q(a / 2^k)``, in integers; each
+    nonzero value's sign is compared with the last nonzero one's."""
+    count = 0
+    last = 0
+    for cs in chain:
+        value = 0
+        shift = 0
+        for c in cs:
+            value = value * a + (c << shift)
+            shift += k
+        if value > 0:
+            if last < 0:
+                count += 1
+            last = 1
+        elif value < 0:
+            if last > 0:
+                count += 1
+            last = -1
+    return count
 
 
 def _grid_value(cs, m: int, lead: int) -> int:
@@ -215,16 +227,27 @@ def _grid_value(cs, m: int, lead: int) -> int:
     return value
 
 
-def _narrow(s_unit, a: int, k: int, positive_at_lo: bool, width_bound: int,
-            den: int) -> tuple:
+def _narrow(s_top, a: int, k: int, width_bound: int, den: int) -> tuple:
     """Bisect the interval ``(a, k)`` of :func:`first_nonpositive`, which
     holds exactly one root of ``s`` and a sign change, until
-    ``width_bound < den·2^k``; returns the final ``(a, k)``."""
-    while width_bound >= den << k:
-        a, k = 2 * a, k + 1
-        value = _dyadic_value(s_unit, a + 1, k)
-        if value != 0 and (value > 0) == positive_at_lo:
-            a += 1
+    ``width_bound < den·2^k``; returns the final ``(a, k)``.
+
+    ``s_top`` is ``s`` scaled by :func:`_scaled_from_top` and oriented
+    positive at ``lo``, so a midpoint becomes ``lo`` exactly when its
+    value is positive; at a zero it becomes ``hi``, which keeps the root
+    in ``(lo, hi]``.  The last level, the least ``k`` with
+    ``den·2^k > width_bound``, is fixed up front; each halving is one
+    inline homogenized Horner sum."""
+    for k in range(k + 1, (width_bound // den).bit_length() + 1):
+        a *= 2
+        mid = a + 1
+        value = 0
+        shift = 0
+        for c in s_top:
+            value = value * mid + (c << shift)
+            shift += k
+        if value > 0:
+            a = mid
     return a, k
 
 
@@ -262,10 +285,17 @@ def first_nonpositive(p: UniPoly, t_max) -> Optional[Rational]:
     Each chain polynomial ``q`` of degree ``d`` is evaluated there as the
     homogenized ``Σ c_i (num·a)^i (den·2^k)^(d-i)``, which has the sign of
     ``q(t)``; the ``num`` and ``den`` powers are folded into the
-    coefficients once, leaving a shift per coefficient.  The width tests
-    ``hi - lo < 1 / lead`` and ``hi - lo < 1 / (2 lead^2)`` are
-    ``lead·num < den·2^k`` and ``2·lead^2·num < den·2^k``.  Only the
-    result and the witness are built as ``Fraction``.
+    coefficients once, highest power first, leaving one multiplication,
+    one shift and one addition per coefficient.  An isolation point is one
+    call of :func:`_variations_at`, which runs the sums of the whole chain
+    and counts their sign changes in one pass.  Past isolation ``s`` has
+    the sign of ``s(0)`` at ``lo``, as ``(0, lo]`` holds no root, so each
+    halving of :func:`_narrow` is one sum of ``s`` and no evaluation is
+    spent on ``lo``.  The width tests ``hi - lo < 1 / lead`` and
+    ``hi - lo < 1 / (2 lead^2)`` are ``lead·num < den·2^k`` and
+    ``2·lead^2·num < den·2^k``, so each narrowing's last level is known
+    before it starts.  Only the result and the witness are built as
+    ``Fraction``.
     """
     t_max = as_rational(t_max)
     if t_max < 0:
@@ -278,33 +308,29 @@ def first_nonpositive(p: UniPoly, t_max) -> Optional[Rational]:
     # p(0) > 0, so the infimum (if any) is the leftmost root in (0, t_max].
     s, sequence = _squarefree_and_chain(p.primitive().coeffs)
     num, den = t_max.numerator, t_max.denominator
-    chain = [_scaled_to_unit(q, num, den) for q in sequence]
-
-    def variations(a, k):
-        return sign_variations([_dyadic_value(q, a, k) for q in chain])
-
+    chain = [_scaled_from_top(q, num, den) for q in sequence]
     a, k = 0, 0
-    v_zero, v_hi = variations(0, 0), variations(1, 0)
+    v_zero, v_hi = _variations_at(chain, 0, 0), _variations_at(chain, 1, 0)
     if v_hi == v_zero:
         return None
     while v_zero - v_hi > 1:
         a, k = 2 * a, k + 1
-        v_mid = variations(a + 1, k)
+        v_mid = _variations_at(chain, a + 1, k)
         if v_mid < v_zero:
             v_hi = v_mid
         else:
             a += 1
     # (lo, hi] holds exactly one root, a simple one: s changes sign there.
+    # (0, lo] holds none and s(0) != 0, so s has the sign of s(0) at lo.
     lead = abs(s[-1])
     scaled = lead * num
-    s_unit = chain[0]
-    positive_at_lo = _dyadic_value(s_unit, a, k) > 0
-    a, k = _narrow(s_unit, a, k, positive_at_lo, scaled, den)
+    s_top = chain[0] if s[0] > 0 else tuple(-c for c in chain[0])
+    a, k = _narrow(s_top, a, k, scaled, den)
     # hi - lo < 1 / lead: the grid point m / lead is the one rational candidate.
     m = scaled * (a + 1) // (den << k)
     if m * (den << k) > scaled * a and _grid_value(s, m, lead) == 0:
         return as_rational(Fraction(m, lead))
-    a, k = _narrow(s_unit, a, k, positive_at_lo, 2 * lead * scaled, den)
+    a, k = _narrow(s_top, a, k, 2 * lead * scaled, den)
     raise NotRepresentableError(
         "leftmost zero of the restriction is irrational",
         lower=as_rational(Fraction(num * a, den << k)),

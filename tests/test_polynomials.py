@@ -107,8 +107,8 @@ def test_sturm_counts_known_roots():
     polys = [poly(*q) for q in chain]
 
     def roots_between(a, b):
-        return (polynomials.sign_variations([q(a) for q in polys])
-                - polynomials.sign_variations([q(b) for q in polys]))
+        return (_sign_changes([q(a) for q in polys])
+                - _sign_changes([q(b) for q in polys]))
 
     assert roots_between(0, 4) == 3
     assert roots_between(Fraction(1, 2), Fraction(5, 2)) == 2
@@ -566,17 +566,221 @@ def _ceil_log2(x) -> int:
     (poly(-7, 2**31 - 1) * poly(-8, 2**31 - 1) * poly(1, 1), Fraction(9, 7),
      Fraction(7, 2**31 - 1)),
     (poly(-1, 3) ** 2 * poly(2, -1), 3, Fraction(1, 3)),
+    # lead 2^64 - 59, a 64-bit prime
+    (-(poly(-(2**64 - 58), 2**64 - 59) * poly(2, 1) * poly(3, 1)), 2,
+     Fraction(2**64 - 58, 2**64 - 59)),
 ])
 def test_first_nonpositive_refines_a_rational_root_only_to_the_grid(monkeypatch, p, t_max, root):
     """Past isolation, a rational root costs at most one evaluation per
-    halving down to width ``1 / lead`` plus two, counted without a clock."""
+    halving down to width ``1 / lead`` plus two, counted without a clock:
+    each call of ``_variations_at`` is one point (``0``, ``t_max``, one
+    per isolation step), and each ``_narrow`` call halves from the level
+    it takes in to the level it returns."""
     lead = abs(sturm_ints(p)[0][-1])
-    chain_length = len(p.sturm())
-    counts = _counting(monkeypatch, "_dyadic_value", "sign_variations")
+    counts = _counting(monkeypatch, "_variations_at")
+    halvings = []
+    narrow = polynomials._narrow
+
+    def counted_narrow(s_top, a, k, width_bound, den):
+        a_out, k_out = narrow(s_top, a, k, width_bound, den)
+        halvings.append(k_out - k)
+        return a_out, k_out
+    monkeypatch.setattr(polynomials, "_narrow", counted_narrow)
     assert first_nonpositive(uni(p), t_max) == root
-    points = counts["sign_variations"]  # 0, t_max, one per isolation step
-    refinement = counts["_dyadic_value"] - chain_length * points
-    assert refinement <= (points - 2) + _ceil_log2(t_max * lead) + 2
+    points = counts["_variations_at"]
+    assert len(halvings) == 1  # a rational root stops at the grid test
+    assert halvings[0] <= (points - 2) + _ceil_log2(t_max * lead) + 2
+
+
+class _CountingFraction(Fraction):
+    """``Fraction`` that counts its constructions."""
+    made = 0
+
+    def __new__(cls, *args, **kwargs):
+        _CountingFraction.made += 1
+        return super().__new__(cls, *args, **kwargs)
+
+
+@pytest.mark.parametrize("p, t_max, made", [
+    (-(poly(-1, 2) * poly(-5, 3) * poly(-4, 1)), 5, 1),  # rational root 1/2
+    ((2 - t**2) * poly(3, 1), 2, 2),  # irrational root sqrt(2)
+])
+def test_first_nonpositive_builds_fractions_only_for_its_answer(monkeypatch, p, t_max, made):
+    """One ``Fraction`` for a rational result, two for an irrational
+    witness, and none before: isolation and narrowing see only ``int``."""
+    def leaves(value):
+        if isinstance(value, (list, tuple)):
+            for item in value:
+                yield from leaves(item)
+        else:
+            yield value
+
+    def ints_only(name):
+        original = getattr(polynomials, name)
+
+        def checked(*args):
+            assert _CountingFraction.made == 0
+            assert all(type(v) is int for v in leaves(args)), (name, args)
+            return original(*args)
+        monkeypatch.setattr(polynomials, name, checked)
+
+    ints_only("_variations_at")
+    ints_only("_narrow")
+    monkeypatch.setattr(_CountingFraction, "made", 0)
+    monkeypatch.setattr(polynomials, "Fraction", _CountingFraction)
+    if made == 1:
+        first_nonpositive(uni(p), t_max)
+    else:
+        with pytest.raises(NotRepresentableError):
+            first_nonpositive(uni(p), t_max)
+    assert _CountingFraction.made == made
+
+
+def _scaled_to_unit(cs, num, den) -> tuple:
+    """Coefficients, lowest power first, of ``den^d · q(num/den · u)``."""
+    d = len(cs) - 1
+    return tuple(c * num**i * den ** (d - i) for i, c in enumerate(cs))
+
+
+def _dyadic_value(cs, a, k) -> int:
+    """``2^(k d) · q(a / 2^k)`` by homogenized Horner, one polynomial."""
+    value = 0
+    shift = 0
+    for c in reversed(cs):
+        value = value * a + (c << shift)
+        shift += k
+    return value
+
+
+def _narrow_by_halvings(s_unit, a, k, positive_at_lo, width_bound, den):
+    """Halve ``(a, k)`` while ``width_bound >= den·2^k``, following the
+    sign change of ``s`` from a sign at ``lo`` evaluated beforehand."""
+    while width_bound >= den << k:
+        a, k = 2 * a, k + 1
+        value = _dyadic_value(s_unit, a + 1, k)
+        if value != 0 and (value > 0) == positive_at_lo:
+            a += 1
+    return a, k
+
+
+def _first_nonpositive_by_integer_bisection(p: UniPoly, t_max):
+    """The integer bisection as it was before the one-pass sign count: a
+    list of per-polynomial Horner values per point, an evaluation of
+    ``s`` at ``lo`` before narrowing, and a width test per halving.  Only
+    the chain (:func:`_squarefree_and_chain`) is shared with the module."""
+    t_max = as_rational(t_max)
+    coeffs = p.coeffs
+    if not coeffs or coeffs[0] <= 0:
+        return 0
+    if len(coeffs) == 1 or t_max == 0:
+        return None
+    s, sequence = _squarefree_and_chain(p.primitive().coeffs)
+    num, den = t_max.numerator, t_max.denominator
+    chain = [_scaled_to_unit(q, num, den) for q in sequence]
+
+    def variations(a, k):
+        return _sign_changes([_dyadic_value(q, a, k) for q in chain])
+
+    a, k = 0, 0
+    v_zero, v_hi = variations(0, 0), variations(1, 0)
+    if v_hi == v_zero:
+        return None
+    while v_zero - v_hi > 1:
+        a, k = 2 * a, k + 1
+        v_mid = variations(a + 1, k)
+        if v_mid < v_zero:
+            v_hi = v_mid
+        else:
+            a += 1
+    lead = abs(s[-1])
+    scaled = lead * num
+    positive_at_lo = _dyadic_value(chain[0], a, k) > 0
+    a, k = _narrow_by_halvings(chain[0], a, k, positive_at_lo, scaled, den)
+    m = scaled * (a + 1) // (den << k)
+    if m * (den << k) > scaled * a and sum(
+            c * Fraction(m, lead) ** i for i, c in enumerate(s)) == 0:
+        return as_rational(Fraction(m, lead))
+    a, k = _narrow_by_halvings(chain[0], a, k, positive_at_lo, 2 * lead * scaled, den)
+    raise NotRepresentableError(
+        "leftmost zero of the restriction is irrational",
+        lower=as_rational(Fraction(num * a, den << k)),
+        upper=as_rational(Fraction(num * (a + 1), den << k)),
+    )
+
+
+def _int_product(factors) -> list:
+    """Coefficients, lowest power first, of a product of integer polynomials."""
+    out = [1]
+    for f in factors:
+        prod = [0] * (len(out) + len(f) - 1)
+        for i, a in enumerate(out):
+            for j, b in enumerate(f):
+                prod[i + j] += a * b
+        out = prod
+    return out
+
+
+@st.composite
+def root_factors(draw, room):
+    """An integer factor of degree at most ``room``: a rational root
+    ``q/m`` (``m`` up to 41 bits), a cluster of two roots ``1/N`` apart, or
+    ``(m t - q)^2 - c`` with irrational roots (``c`` not a square) or none
+    (``c < 0``); squared, a repeated root, when ``room`` allows."""
+    m = draw(st.one_of(st.integers(1, 12), st.integers(1, 2**41)))
+    q = draw(st.one_of(st.integers(1, 6 * m), st.integers(-3 * m, -1)))  # mostly q/m > 0
+    kinds = ["rational"] + (["cluster", "quadratic", "quadratic"] if room >= 2 else [])
+    kind = draw(st.sampled_from(kinds))
+    if kind == "rational":
+        factor = [-q, m]
+    elif kind == "cluster":
+        spread = draw(st.one_of(st.integers(2, 50), st.integers(2**20, 2**60)))
+        factor = _int_product([[-q, m], [-(q * spread + 1), m * spread]])
+    else:
+        c = draw(st.sampled_from([2, 3, 5, 7, 11, 10**6 + 3, -1, -5]))
+        factor = [q * q - c, -2 * m * q, m * m]
+    if 2 * (len(factor) - 1) <= room and draw(st.booleans()):
+        factor = _int_product([factor, factor])
+    return factor
+
+
+@st.composite
+def integer_restrictions(draw):
+    """Integer polynomials of degree 1-6 built from :func:`root_factors`,
+    positive at 0 except now and then."""
+    degree = draw(st.integers(1, 6))
+    factors = [[draw(st.sampled_from([-7, -2, -1, 1, 3, 2**35 + 1]))]]
+    while sum(len(f) - 1 for f in factors) < degree:
+        factors.append(draw(root_factors(degree - sum(len(f) - 1 for f in factors))))
+    coeffs = _int_product(factors)
+    if coeffs[0] < 0 and draw(st.integers(0, 9)) != 9:
+        coeffs = [-c for c in coeffs]
+    return UniPoly(coeffs)
+
+
+random_t_maxes = st.builds(Fraction, st.integers(1, 8 * 10**5),
+                           st.integers(1, 10**5)).map(as_rational)
+integer_t_maxes = st.sampled_from([  # two in three random
+    random_t_maxes, random_t_maxes, random_t_maxes, random_t_maxes,
+    st.integers(30, 90).map(lambda e: Fraction(1, 2**e)),  # tiny
+    st.integers(12, 60).map(lambda e: 10**e),  # huge
+    st.just(0),
+]).flatmap(lambda strategy: strategy)
+
+
+@given(integer_restrictions(), integer_t_maxes)
+@settings(max_examples=400, deadline=None)
+def test_first_nonpositive_matches_integer_bisection_bit_for_bit(p, t_max):
+    """The same value of the same type, or the same witness interval."""
+    try:
+        expected = _first_nonpositive_by_integer_bisection(p, t_max)
+    except NotRepresentableError as error:
+        with pytest.raises(NotRepresentableError) as info:
+            first_nonpositive(p, t_max)
+        for got, want in ((info.value.lower, error.lower), (info.value.upper, error.upper)):
+            assert got == want and type(got) is type(want)
+        return
+    result = first_nonpositive(p, t_max)
+    assert result == expected and type(result) is type(expected)
 
 
 # ----------------------------------------------------------- MultiPoly --
