@@ -274,17 +274,32 @@ def check_path(n: int):
     program = BoxProgram.unit_cube(n)
     start = (0,) * n
 
-    def engine_ids():  # the walk's vertex ids, one pass at a time
+    def engine_records():
+        return active_set_steps(program, LowerBoundPolynomial(n), start,
+                                make_rule("lowest-index"))
+
+    def engine_ids():  # the walk's vertex ids, one pass at a time, for a witness
         yield program.vertex_id_or_none(start)
-        for record in active_set_steps(program, LowerBoundPolynomial(n), start,
-                                       make_rule("lowest-index")):
+        for record in engine_records():
             yield program.vertex_id_or_none(record.x_after)
 
+    # each record must stand at the path's next vertex, the one before it
+    # with the bit of their (checked adjacent) step flipped; a point equals
+    # that vertex as a tuple exactly when vertex_id_or_none gives its id,
+    # so ids are read only for a witness
+    vertex = list(start)
     missing = object()
-    if any(a != b for a, b in zip_longest(engine_ids(), ids, fillvalue=missing)):
-        return False, {"reason": "engine trajectory differs from the path",
-                       "engine": list(engine_ids()), "path": ids.tolist()}
-    return True, None
+    for step, record in zip_longest(pairwise(ids), engine_records(), fillvalue=missing):
+        if step is missing or record is missing:
+            break
+        a, b = step
+        vertex[(a ^ b).bit_length() - 1] ^= 1
+        if record.x_after != tuple(vertex):
+            break
+    else:
+        return True, None
+    return False, {"reason": "engine trajectory differs from the path",
+                   "engine": list(engine_ids()), "path": ids.tolist()}
 
 
 def check_constancy(n: int):

@@ -6,7 +6,12 @@ The product
 
     prod_{positive z_k} (1 - x_k) * prod_{negative z_l} x_l
 
-is therefore 1 on violating assignments and 0 otherwise, and the penalty
+is therefore 1 on violating assignments and 0 otherwise.  Expanded, it
+is multilinear: with ``P`` the clause's positive variables and ``N`` its
+negated ones, it is the sum over the subsets ``T`` of ``P`` of
+``(-1)^|T| * prod_{k in T or N} x_k``, one term per variable set, at most
+eight.  :func:`violation_polynomial` sums these terms keyed by variable
+bitmasks and builds one polynomial from the sum.  The penalty
 polynomial
 
     f(x) = - sum_clauses (that product)
@@ -163,16 +168,37 @@ def parse_dimacs(text: str) -> CnfFormula:
 
 def violation_polynomial(formula: CnfFormula) -> MultiPoly:
     """The clause-penalty polynomial described in the module docstring:
-    total degree at most 3, value ``-(violated clause count)`` on vertices."""
+    total degree at most 3, value ``-(violated clause count)`` on vertices.
+
+    A multilinear term is its variable mask, bit ``k-1`` for ``x_k``.  A
+    clause's product starts as the constant 1 at mask 0; a negated
+    literal's factor ``x_l`` sets its bit in every term, and a positive
+    literal's ``1 - x_k`` splits every term into itself and its negation
+    with the bit set.  A clause repeats no variable, so its terms have
+    distinct masks.  Each product is subtracted from one dict of masks,
+    which drops a coefficient as soon as it cancels to 0, and only the
+    sum becomes a :class:`MultiPoly`, with the masks as exponent tuples.
+    """
     n = formula.n_vars
-    total = MultiPoly(n)
+    total: dict = {}
     for clause in formula.clauses:
-        product = MultiPoly.constant(n, 1)
+        product = {0: 1}
         for lit in clause:
-            x = MultiPoly.variable(n, lit.variable)
-            product = product * (x if lit.negated else (1 - x))
-        total = total - product
-    return total
+            bit = 1 << (lit.variable - 1)
+            if lit.negated:
+                product = {mask | bit: c for mask, c in product.items()}
+            else:
+                product = {key: value for mask, c in product.items()
+                           for key, value in ((mask, c), (mask | bit, -c))}
+        for mask, c in product.items():
+            s = total.get(mask, 0) - c
+            if s:
+                total[mask] = s
+            else:
+                del total[mask]
+    poly = MultiPoly(n)
+    poly.terms = {bits_from_id(mask, n): c for mask, c in total.items()}
+    return poly
 
 
 def _enumerable_bits(n: int) -> int:

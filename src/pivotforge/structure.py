@@ -62,9 +62,11 @@ def improving_dimension(bits: Sequence[int], oracle: LowerBoundPolynomial) -> Op
          ``x_k = 1``, read off one ``oracle.gradient`` call;
     (ii) predicates: the suffix parity ``(x_{k+1} + ... + x_n) mod 2``
          equals ``x_k``, and the prefix product
-         ``x_{k-1} * prod_{j<=k-2} (1 - x_j)`` with ``x_0 := 1`` is 1 (on
-         a vertex: ``k = 1``, or ``x_{k-1} = 1`` and ``x_j = 0`` for all
-         ``j <= k-2``), for all ``k`` in one sweep.
+         ``x_{k-1} * prod_{j<=k-2} (1 - x_j)`` with ``x_0 := 1`` is 1.  On a
+         vertex the product is 1 exactly at ``k = 1`` and at the k just
+         after the first 1 (``x_{k-1} = 1`` and ``x_j = 0`` for all
+         ``j <= k-2``), so only those two k are tested, each parity as one
+         sum over the suffix.
 
     Any disagreement, or more than one qualifying coordinate, raises
     :class:`AmbiguousImprovementError` -- that would falsify the uniqueness
@@ -74,18 +76,12 @@ def improving_dimension(bits: Sequence[int], oracle: LowerBoundPolynomial) -> Op
     n = len(bits)
     if not _BITS.issuperset(bits):
         raise ValueError(f"{bits!r} is not a 0/1 vertex")
-    by_predicates = []
-    prefix = 1  # x_{k-1} * prod_{j<=k-2} (1 - x_j), with x_0 := 1
-    zeros = 1   # prod of (1 - x_j) over 1 <= j < k
-    parity = sum(bits) & 1
-    for k, bit in enumerate(bits, start=1):
-        parity ^= bit  # (x_{k+1} + ... + x_n) mod 2
-        if prefix == 1 and parity == bit:
-            by_predicates.append(k)
-        prefix = bit * zeros
-        zeros *= 1 - bit
     by_gradient = [k for k, dk, bit in zip(range(1, n + 1), oracle.gradient(bits), bits)
                    if (dk < 0 if bit else dk > 0)]
+    by_predicates = [1] if sum(bits[1:]) & 1 == bits[0] else []
+    k = bits.index(1) + 2 if 1 in bits else n + 1  # just after the first 1
+    if k <= n and sum(bits[k:]) & 1 == bits[k - 1]:
+        by_predicates.append(k)
     return _agreed_side(bits, by_gradient, by_predicates)
 
 

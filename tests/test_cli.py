@@ -403,6 +403,67 @@ def test_verify_path_witness_bytes_on_a_diverging_walk(capsys, monkeypatch, kind
         assert (code, out) == (1, json.dumps(expected, indent=2, sort_keys=True) + "\n")
 
 
+def test_passing_verify_path_reads_no_vertex_ids(capsys, monkeypatch):
+    """A passing walk is matched point by point against the path's
+    vertices; ids are read off the records only for a witness."""
+    calls = []
+    vertex_id_or_none = BoxProgram.vertex_id_or_none
+
+    def counting(program, x):
+        calls.append(x)
+        return vertex_id_or_none(program, x)
+
+    monkeypatch.setattr(BoxProgram, "vertex_id_or_none", counting)
+    assert run_cli(["verify", "path", "--n", "8"]) == 0
+    assert capsys.readouterr().out == "check=path n=8 result=pass\n"
+    assert calls == []
+
+
+def test_verify_path_takes_a_fraction_one_for_one(capsys, monkeypatch):
+    """A record whose point holds ``Fraction(1)`` and ``Fraction(0)`` for
+    1 and 0 is at the same vertex, as ``vertex_id_or_none`` reads it."""
+    def steps(*args, **kwargs):
+        for record in engine.active_set_steps(*args, **kwargs):
+            if record.index == 5:
+                record = dataclasses.replace(record, x_after=tuple(map(Fraction, record.x_after)))
+                assert Fraction(1) in record.x_after
+            yield record
+        return "critical_point"
+
+    monkeypatch.setattr(cli, "active_set_steps", steps)
+    n = 4
+    assert _check_path_on_the_trajectory(n) == (True, None)
+    assert cli.check_path(n) == (True, None)
+    assert run_cli(["verify", "path", "--n", str(n)]) == 0
+    assert capsys.readouterr().out == f"check=path n={n} result=pass\n"
+
+
+def test_certify_checks_call_the_oracle_once_per_vertex(capsys, monkeypatch):
+    """Per-vertex oracle work can neither double nor vanish: ``verify
+    uniqueness`` asks ``improving_dimension``, and the oracle's gradient
+    sweep, once at each of the 2^n vertices, and ``verify path``'s engine
+    walk sweeps once at each vertex it passes through."""
+    calls = {}
+
+    def counting(name, function):
+        def counted(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return function(*args, **kwargs)
+        return counted
+
+    monkeypatch.setattr(cli, "improving_dimension",
+                        counting("improving_dimension", cli.improving_dimension))
+    monkeypatch.setattr(LowerBoundPolynomial, "value_and_gradient",
+                        counting("value_and_gradient", LowerBoundPolynomial.value_and_gradient))
+    n = 6
+    assert run_cli(["verify", "uniqueness", "--n", str(n)]) == 0
+    assert calls == {"improving_dimension": 1 << n, "value_and_gradient": 1 << n}
+    calls.clear()
+    assert run_cli(["verify", "path", "--n", str(n)]) == 0
+    assert calls == {"value_and_gradient": 1 << n}
+    capsys.readouterr()
+
+
 def _path_checks_on_lists(n: int, ids: list):
     """The path part of ``check_path`` as it was when it listed the walk,
     its sorted copy and the Gray code: the oracle for the witness bytes.

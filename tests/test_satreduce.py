@@ -112,6 +112,73 @@ def test_reduction_of_short_clauses():
     assert violation_polynomial(contradiction).terms == MultiPoly.constant(1, -1).terms
 
 
+def _violation_polynomial_by_arithmetic(formula):
+    """The penalty polynomial by ``MultiPoly`` arithmetic, one product of
+    dense factors per clause: the reference for the bitmask expansion."""
+    n = formula.n_vars
+    total = MultiPoly(n)
+    for c in formula.clauses:
+        product = MultiPoly.constant(n, 1)
+        for literal in c:
+            variable = x(n, literal.variable)
+            product = product * (variable if literal.negated else (1 - variable))
+        total = total - product
+    return total
+
+
+@st.composite
+def _formulas_with_echoes(draw):
+    """Formulas over 1-24 variables whose clauses of width 1-3 are mixed
+    with echoes of themselves: repeats, which double their terms, and
+    copies with every literal or one literal negated, whose terms cancel
+    against the original's in part or in whole."""
+    n = draw(st.integers(1, 24))
+    literal = st.tuples(st.integers(1, n), st.booleans())
+    base = draw(st.lists(st.lists(literal, min_size=1, max_size=3,
+                                  unique_by=lambda pair: pair[0]), max_size=8))
+    clauses = []
+    for pairs in base:
+        clauses.append(pairs)
+        for echo in draw(st.lists(st.sampled_from(["repeat", "negate", "negate_one"]),
+                                  max_size=3)):
+            if echo == "repeat":
+                clauses.append(pairs)
+            elif echo == "negate":
+                clauses.append([(v, not neg) for v, neg in pairs])
+            else:
+                i = draw(st.integers(0, len(pairs) - 1))
+                clauses.append([(v, neg != (j == i)) for j, (v, neg) in enumerate(pairs)])
+    clauses = draw(st.permutations(clauses))
+    return CnfFormula(n, tuple(tuple(Literal(v, neg) for v, neg in pairs)
+                               for pairs in clauses))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_formulas_with_echoes())
+def test_reduction_equals_the_multipoly_product(formula):
+    poly = violation_polynomial(formula)
+    assert poly.nvars == formula.n_vars
+    assert poly.terms == _violation_polynomial_by_arithmetic(formula).terms
+    assert all(type(c) is int and c != 0 for c in poly.terms.values())
+
+
+def test_reduction_builds_one_polynomial(monkeypatch):
+    built = []
+    init = MultiPoly.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(MultiPoly, "__init__", counting)
+    rng = random.Random(7)
+    for formula in [CnfFormula(0, ()), CnfFormula(1, (clause(1), clause(-1)))] + \
+            [_random_formula(rng) for _ in range(20)]:
+        built.clear()
+        violation_polynomial(formula)
+        assert len(built) == 1
+
+
 def test_reduction_degree_never_exceeds_three():
     rng = random.Random(41)
     for _ in range(80):

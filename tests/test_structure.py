@@ -30,6 +30,7 @@ from pivotforge import (
     reflected_gray_ids,
     sink_find_decomposable,
 )
+from pivotforge import structure
 from pivotforge import tiles as layer
 from pivotforge.objectives import _evaluate_value, _s_k, _vertex_sweep
 from pivotforge.structure import FREE, LowerBoundTiles, sinks_in_face
@@ -82,6 +83,81 @@ def test_improving_dimension_rejects_non_bits():
     for bits in ((0, Fraction(1, 2)), (0, 2), (0, -1), (Fraction(1, 2), 0)):
         with pytest.raises(ValueError):
             improving_dimension(bits, LowerBoundPolynomial(2))
+
+
+def _sides_by_sweep(bits, oracle) -> tuple:
+    """``_agreed_side``'s arguments with the predicate side swept over every
+    k: the reference for ``improving_dimension``'s two-candidate test."""
+    n = len(bits)
+    by_predicates = []
+    prefix = 1  # x_{k-1} * prod_{j<=k-2} (1 - x_j), with x_0 := 1
+    zeros = 1   # prod of (1 - x_j) over 1 <= j < k
+    parity = sum(bits) & 1
+    for k, bit in enumerate(bits, start=1):
+        parity ^= bit  # (x_{k+1} + ... + x_n) mod 2
+        if prefix == 1 and parity == bit:
+            by_predicates.append(k)
+        prefix = bit * zeros
+        zeros *= 1 - bit
+    by_gradient = [k for k, dk, bit in zip(range(1, n + 1), oracle.gradient(bits), bits)
+                   if (dk < 0 if bit else dk > 0)]
+    return bits, by_gradient, by_predicates
+
+
+def test_predicate_side_equals_the_sweep_over_every_k(monkeypatch, oracle_for):
+    handed = []
+    agreed = structure._agreed_side
+
+    def recording(*sides):
+        handed.append(sides)
+        return agreed(*sides)
+
+    monkeypatch.setattr(structure, "_agreed_side", recording)
+    for n in range(1, 13):
+        oracle = oracle_for(n)
+        for vid in range(1 << n):
+            bits = bits_from_id(vid, n)
+            handed.clear()
+            improving_dimension(bits, oracle)
+            assert handed == [_sides_by_sweep(bits, oracle)]
+
+
+class _FixedGradient:
+    """An oracle whose gradient is ``gradient`` at every point."""
+
+    def __init__(self, gradient):
+        self._gradient = gradient
+
+    def gradient(self, bits):
+        return self._gradient
+
+
+def _raised_at(call) -> tuple:
+    with pytest.raises(AmbiguousImprovementError) as info:
+        call()
+    error = info.value
+    return str(error), error.vertex, error.gradient_side, error.predicate_side
+
+
+def test_gradient_mutants_raise_as_the_sweep_does(oracle_for):
+    """A second improving coordinate, or one flipped sign, at a vertex
+    raises the error that the sweep over every k gives, message and
+    attributes alike."""
+    for n in range(1, 8):
+        oracle = oracle_for(n)
+        for vid in range(1 << n):
+            bits = bits_from_id(vid, n)
+            gradient = oracle.gradient(bits)
+            k = improving_dimension(bits, oracle)
+            for j in range(1, n + 1):
+                mutants = [gradient[:j - 1] + (-gradient[j - 1],) + gradient[j:]]
+                if j != k:
+                    mutants.append(gradient[:j - 1] + (1 - 2 * bits[j - 1],) + gradient[j:])
+                for mutant in map(_FixedGradient, mutants):
+                    raised = _raised_at(lambda: improving_dimension(bits, mutant))
+                    assert raised == _raised_at(
+                        lambda: structure._agreed_side(*_sides_by_sweep(bits, mutant)))
+                    assert raised[3] == ([] if k is None else [k])
 
 
 # ------------------------------------------------------------- path --
