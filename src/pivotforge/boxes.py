@@ -85,14 +85,6 @@ class BoxProgram:
     def n(self) -> int:
         return len(self.lower)
 
-    def is_feasible(self, x: Point) -> bool:
-        require_length(x, self.n)
-        return all(lo <= c <= hi for lo, c, hi in zip(self.lower, x, self.upper))
-
-    def require_feasible(self, x: Point) -> None:
-        if not self.is_feasible(x):
-            raise InfeasiblePointError(f"point {x} violates a bound")
-
     def eq_set(self, x: Point) -> frozenset:
         """Rows tight at ``x``: row ``i`` iff ``x_i = u_i``, row ``i+n``
         iff ``x_i = l_i``."""
@@ -109,9 +101,7 @@ class BoxProgram:
         return frozenset(tight)
 
     def is_vertex(self, x: Point) -> bool:
-        return self.is_feasible(x) and all(
-            c == lo or c == hi for lo, c, hi in zip(self.lower, x, self.upper)
-        )
+        return self.vertex_id_or_none(x) is not None
 
     def vertex_from_bits(self, bits: Sequence[int]) -> Point:
         """The vertex whose coordinate ``i`` is ``lower_i`` for bit 0 and

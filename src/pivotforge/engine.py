@@ -522,8 +522,8 @@ def improving_candidates(program: BoxProgram, x: Point, active: Collection[int],
     tight rows that are not active (those :func:`active_set_steps` keeps
     as its entering options); on a box that is a per-coordinate bound
     check, made in the same loop that reads the gradient.  Only active
-    rows count toward the overlap, and with fewer than two candidates
-    there is nothing to filter.  Empty exactly when ``x`` is a critical
+    rows count toward the overlap, and the loop keeps the candidates of
+    the largest overlap it has met.  Empty exactly when ``x`` is a critical
     point.  Candidates come back sorted by coordinate, and their
     directions are the box's ``unit_directions``.  ``grad`` is the
     objective's gradient at ``x``.
@@ -531,23 +531,28 @@ def improving_candidates(program: BoxProgram, x: Point, active: Collection[int],
     n = program.n
     base = len(active)
     candidates = []
+    best = -1  # the largest overlap so far; every overlap is at least 0
     for lo, xk, hi, gk, (up, down) in zip(program.lower, x, program.upper, grad,
                                           program.unit_directions):
         if not lo <= xk <= hi:
             raise InfeasiblePointError(f"point {x} violates a bound")
         sign = gk.numerator  # the sign of an int or a Fraction
         if sign > 0:
-            if xk != hi:  # else +e_k would leave the box
-                k = up.coord
-                candidates.append(Candidate(up, gk, base - (k in active) - (k + n in active)))
+            if xk == hi:  # +e_k would leave the box
+                continue
+            k, d, slope = up.coord, up, gk
         elif sign < 0:
-            if xk != lo:  # else -e_k would leave the box
-                k = down.coord
-                candidates.append(Candidate(down, -gk, base - (k in active) - (k + n in active)))
-    if len(candidates) < 2:
-        return candidates
-    best = max(c.overlap for c in candidates)
-    return [c for c in candidates if c.overlap == best]
+            if xk == lo:  # -e_k would leave the box
+                continue
+            k, d, slope = down.coord, down, -gk
+        else:
+            continue
+        overlap = base - (k in active) - (k + n in active)
+        if overlap > best:
+            best, candidates = overlap, [Candidate(d, slope, overlap)]
+        elif overlap == best:
+            candidates.append(Candidate(d, slope, overlap))
+    return candidates
 
 
 def _check_dimensions(program: BoxProgram, objective) -> None:
@@ -599,11 +604,10 @@ def active_set_steps(program: BoxProgram, objective, start: Point, rule: PivotRu
     """
     _check_dimensions(program, objective)
     start = as_point(start)
-    program.require_feasible(start)
     if max_iter is None:
         max_iter = 2 ** (program.n + 1)
     n = program.n
-    active = sorted(program.eq_set(start))
+    active = sorted(program.eq_set(start))  # raises on a start outside the box
     tight_inactive = set()  # eq_set(x) - active
     lower, upper = program.lower, program.upper
     value_and_gradient = objective.value_and_gradient
@@ -692,6 +696,17 @@ def active_set_run(program: BoxProgram, objective, start: Point, rule: PivotRule
                       stop_reason=walk.stop_reason)
 
 
+def _vertex_rows(program: BoxProgram, x: Point) -> Optional[frozenset]:
+    """``program.eq_set(x)`` if ``x`` is a vertex, else None, in that one
+    scan: as ``lower < upper``, a point of the box is a vertex iff n rows
+    are tight at it, one per coordinate."""
+    try:
+        tight = program.eq_set(x)
+    except InfeasiblePointError:
+        return None
+    return tight if len(tight) == program.n else None
+
+
 def simplex_run(program: BoxProgram, objective: LinearObjective, start: Point,
                 rule: PivotRule, max_iter: Optional[int] = None) -> Trajectory:
     """Run the simplex method on a linear objective from a start vertex.
@@ -710,12 +725,13 @@ def simplex_run(program: BoxProgram, objective: LinearObjective, start: Point,
         raise TypeError("simplex_run requires a LinearObjective")
     _check_dimensions(program, objective)
     start = as_point(start)
-    if not program.is_vertex(start):
+    tight = _vertex_rows(program, start)
+    if tight is None:
         raise NotAVertexError(f"simplex must start at a vertex, got {start}")
     if max_iter is None:
         max_iter = 2 ** (program.n + 1)
     n = program.n
-    basis = set(program.eq_set(start))
+    basis = set(tight)
     x = start
     records = []
 
@@ -746,11 +762,12 @@ def simplex_run(program: BoxProgram, objective: LinearObjective, start: Point,
         basis.discard(removed)
         mu = program.step_to_boundary(x, d)
         x = program.move(x, d, mu)
-        if not program.is_vertex(x):
+        tight = _vertex_rows(program, x)
+        if tight is None:
             raise DegenerateVertexError(
                 f"simplex at vertex {x_before}: the step along {d} ends at {x}, "
                 f"not a vertex", vertex=x_before)
-        options = sorted(program.eq_set(x) - basis)
+        options = sorted(tight - basis)
         if len(options) != 1:
             raise DegenerateVertexError(
                 f"simplex at vertex {x_before}: {len(options)} entering rows "

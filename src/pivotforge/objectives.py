@@ -55,6 +55,7 @@ holds from the pass's gradient and hands over as ``slope``.
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from itertools import combinations
 from typing import Optional, Protocol, Sequence, runtime_checkable
@@ -307,7 +308,7 @@ class LinearObjective:
 
     def value(self, x: Point) -> Rational:
         require_length(x, self.n)
-        total = sum(ni * xi for ni, xi in zip(self._numerators, x) if xi)
+        total = sum(map(operator.mul, self._numerators, x))
         return as_rational(Fraction(total, self._denominator))
 
     def gradient(self, x: Point) -> tuple:
@@ -321,7 +322,8 @@ class LinearObjective:
                          slope: Optional[Rational] = None) -> UniPoly:
         """The constant ``c^T d``, which is ``slope`` when given."""
         require_length(x, self.n)
-        return UniPoly((self.c[d.coord - 1] * d.sign if slope is None else slope,))
+        return UniPoly._make((self.c[d.coord - 1] * d.sign if slope is None
+                              else as_rational(slope),))
 
 
 class PaddedObjective:

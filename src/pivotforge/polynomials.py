@@ -301,8 +301,8 @@ def first_nonpositive(p: UniPoly, t_max) -> Optional[Rational]:
     if t_max < 0:
         raise ValueError("t_max must be nonnegative")
     coeffs = p.coeffs
-    if not coeffs or coeffs[0] <= 0:
-        return 0  # p(0) <= 0
+    if not coeffs or coeffs[0].numerator <= 0:
+        return 0  # p(0) <= 0, read off its numerator (see ``scalars``)
     if len(coeffs) == 1 or t_max == 0:
         return None  # positive constants never dip; intervals of width 0 are done
     # p(0) > 0, so the infimum (if any) is the leftmost root in (0, t_max].

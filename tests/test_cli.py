@@ -88,6 +88,8 @@ RUN_SHA256 = {
         "509413c53ef85732ab3414c25157b56e09031fc46d599446c428ac63ee12f858",
     "--n 7 --pad-to 12 --rule highest-index":  # two-digit rows up to 24
         "bbf62c06dc199b81d874debd3fdc9d7d05e22d1369fb1bc810117caa74698a84",
+    "--n 13 --rule random --seed 5":
+        "1bafa4139a2d22bad0d1bb0683273c73b4bf5776091fe662960f0d7dd85c0240",
 }
 
 
@@ -464,6 +466,32 @@ def test_certify_checks_call_the_oracle_once_per_vertex(capsys, monkeypatch):
     capsys.readouterr()
 
 
+def test_verify_equivalence_scans_the_box_once_per_simplex_vertex(capsys, monkeypatch):
+    """Each engine scans its start once, and the simplex method each
+    pass's end once, for both the vertex test and the tight rows."""
+    scans = {}
+    for name in ("eq_set", "is_vertex", "vertex_id_or_none", "bits_of_vertex"):
+        def counted(self, x, name=name, method=getattr(BoxProgram, name)):
+            scans[name] = scans.get(name, 0) + 1
+            return method(self, x)
+        monkeypatch.setattr(BoxProgram, name, counted)
+    passes = []
+    simplex_run = engine.simplex_run
+
+    def counted_simplex(*args):
+        trajectory = simplex_run(*args)
+        passes.append(trajectory.iterations)
+        return trajectory
+
+    monkeypatch.setattr(engine, "simplex_run", counted_simplex)
+    trials = 20
+    assert run_cli(["verify", "equivalence", "--n", "5", "--trials", str(trials),
+                    "--seed", "3"]) == 0
+    capsys.readouterr()
+    assert len(passes) == trials
+    assert scans == {"eq_set": sum(passes) + 2 * trials}
+
+
 def _path_checks_on_lists(n: int, ids: list):
     """The path part of ``check_path`` as it was when it listed the walk,
     its sorted copy and the Gray code: the oracle for the witness bytes.
@@ -595,6 +623,45 @@ def test_verify_checks_pass(tmp_path, capsys, monkeypatch):
         "check=equivalence n=5 trials=20 seed=3 result=pass\n")
     assert run_cli(["verify", "sat", "--trials", "30", "--seed", "3"]) == 0
     assert capsys.readouterr().out == "check=sat n=12 trials=30 seed=3 result=pass\n"
+
+
+_EQUIVALENCE_WITNESS_HEAD = (
+    '{\n  "check": "equivalence",\n  "result": "fail",\n  "witness": {\n    "c": [\n'
+    '      "-134399/40320",\n      "-147839/20160",\n      "71821/10080",\n'
+    '      "50401/5040"\n    ],\n    "divergence": {\n      "active_set": [\n'
+    '        "0/1",\n        "0/1",\n        "1/1",\n')
+_EQUIVALENCE_WITNESS_TAIL = (
+    '    "rule": "lowest-index",\n    "start": [\n      0,\n      1,\n      1,\n'
+    '      0\n    ],\n    "trial": 0\n  }\n}\n')
+EQUIVALENCE_WITNESSES = {
+    # the simplex side's move stays put: a pass that enters the row it
+    # dropped passes every check, so the simplex walk stalls at its start
+    "stalled": _EQUIVALENCE_WITNESS_HEAD + (
+        '        "0/1"\n      ],\n      "index": 1,\n      "simplex": [\n'
+        '        "0/1",\n        "1/1",\n        "1/1",\n        "0/1"\n      ]\n'
+        '    },\n') + _EQUIVALENCE_WITNESS_TAIL,
+    # the simplex side stops after one pass: its points run out first
+    "short": _EQUIVALENCE_WITNESS_HEAD + (
+        '        "1/1"\n      ],\n      "index": 2,\n      "simplex": null\n'
+        '    },\n') + _EQUIVALENCE_WITNESS_TAIL,
+}
+
+
+@pytest.mark.parametrize("kind", sorted(EQUIVALENCE_WITNESSES))
+def test_verify_equivalence_witness_bytes_on_a_diverging_simplex(capsys, monkeypatch, kind):
+    simplex_run = engine.simplex_run
+
+    def diverging(*args):
+        if kind == "short":
+            return simplex_run(*args, max_iter=1)
+        with monkeypatch.context() as patch:
+            patch.setattr(BoxProgram, "move", lambda self, x, d, mu: x)
+            return simplex_run(*args)
+
+    monkeypatch.setattr(engine, "simplex_run", diverging)
+    assert run_cli(["verify", "equivalence", "--n", "4", "--trials", "20",
+                    "--seed", "3"]) == 1
+    assert capsys.readouterr().out == EQUIVALENCE_WITNESSES[kind]
 
 
 def _off_at(name: str, vid: int, mutate):

@@ -165,6 +165,11 @@ REACH_ALLOWED = {
                      "write_walk_json in test_run_json_bytes_equal_the_reference_document"),
     "boxes.BoxProgram.vertex_id": (
         "benchmark", "the tracer rebinds it; to_json_dict calls it"),
+    "boxes.BoxProgram.is_vertex": (
+        "benchmark", "the tracer rebinds it; to_json_dict and bits_of_vertex call it"),
+    "polynomials.UniPoly.__init__": (
+        "branch", "the zero restriction along a padded coordinate, whose partial is 0; "
+                  "test_padding_reads_only_the_head"),
     "objectives.LinearObjective.gradient": (
         "benchmark", "the tracer rebinds the oracles' gradient; the engine calls "
                      "value_and_gradient"),

@@ -12,6 +12,7 @@ from pivotforge import (
     AxisDirection,
     BoxProgram,
     DegenerateVertexError,
+    InfeasiblePointError,
     LinearObjective,
     MultiPoly,
     MultiPolyObjective,
@@ -185,6 +186,22 @@ def test_seeded_random_rule_reproducible():
     rule = make_rule("random", 99)
     stream = [rule.choose_direction(cands).direction.coord for _ in range(20)]
     assert len(set(stream)) > 1  # actually uses its entropy
+
+
+def test_seeded_random_rule_draws_as_a_generator_seeded_when_built():
+    """The rule draws the stream of ``random.Random(seed)`` made with it,
+    over interleaved direction and row picks."""
+    for seed in range(100):
+        rule, eager = make_rule("random", seed), random.Random(seed)
+        shape = random.Random(-seed)  # which pick, among how many options
+        for _ in range(12):
+            size = shape.randint(1, 6)
+            if shape.random() < 0.5:
+                cands = _fake_candidates([(k, 1) for k in range(1, size + 1)])
+                assert rule.choose_direction(cands) == cands[eager.randrange(size)]
+            else:
+                rows = list(range(10, 10 + size))
+                assert rule.choose_addition(rows) == rows[eager.randrange(size)]
 
 
 class CountingLowestIndexRule(LowestIndexRule):
@@ -364,6 +381,9 @@ def test_simplex_rejects_non_vertex_start_and_nonlinear_objective(oracle_for):
     with pytest.raises(NotAVertexError):
         simplex_run(cube(2), LinearObjective((1, 1)), (Fraction(1, 2), 0),
                     make_rule("lowest-index"))
+    for outside in [(2, 0), (0, -1), (Fraction(-1, 10**30), 1)]:
+        with pytest.raises(NotAVertexError, match=r"simplex must start at a vertex, got \("):
+            simplex_run(cube(2), LinearObjective((1, 1)), outside, make_rule("lowest-index"))
     with pytest.raises(TypeError):
         simplex_run(cube(2), oracle_for(2), (0, 0), make_rule("lowest-index"))
 
@@ -408,6 +428,22 @@ def test_simplex_names_the_vertex_of_a_step_that_ends_off_a_vertex(monkeypatch):
     with pytest.raises(DegenerateVertexError, match="not a vertex") as info:
         _simplex_from_origin()
     assert info.value.vertex == (0, 0)
+
+
+def test_simplex_names_the_vertex_of_a_step_that_leaves_the_box(monkeypatch):
+    monkeypatch.setattr(BoxProgram, "move", lambda self, x, d, mu: (2, 0))
+    with pytest.raises(DegenerateVertexError, match=r"ends at \(2, 0\), not a vertex") as info:
+        _simplex_from_origin()
+    assert info.value.vertex == (0, 0)
+
+
+@pytest.mark.parametrize("start", [(0, -1), (2, 1), (Fraction(1, 2), 1 + Fraction(1, 10**30)),
+                                   (Fraction(-1, 10**30), 0)])
+def test_active_set_rejects_a_start_outside_the_box(start):
+    message = f"point {start} violates a bound"
+    with pytest.raises(InfeasiblePointError) as info:
+        active_set_run(cube(2), LinearObjective((1, 1)), start, make_rule("lowest-index"))
+    assert str(info.value) == message
 
 
 def test_simplex_names_the_vertex_of_two_entering_rows(monkeypatch):

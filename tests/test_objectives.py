@@ -367,6 +367,14 @@ def test_linear_edge_restriction_is_constant():
     assert objective.gradient((Fraction(1, 3), 1)) == (3, Fraction(-1, 2))
 
 
+def test_linear_edge_restriction_canonicalizes_a_given_slope():
+    objective = LinearObjective((3, Fraction(-1, 2)))
+    g = objective.edge_restriction((0, 0), AxisDirection(1, 1), Fraction(3, 1))
+    assert g.coeffs == (3,) and type(g.coeffs[0]) is int
+    with pytest.raises(TypeError):
+        objective.edge_restriction((0, 0), AxisDirection(1, 1), 3.0)
+
+
 def test_improving_edge_restriction_is_constant_positive(oracle_for):
     for n in range(1, 7):
         oracle = oracle_for(n)

@@ -164,6 +164,30 @@ def test_first_nonpositive_trivial_cases():
     assert first_nonpositive(UniPoly((0, 1)), 4) == 0
 
 
+_TINY = Fraction(1, 10**30)
+#: p(0): zero, either sign near zero, and 41-digit numerators or denominators
+values_at_zero = st.one_of(
+    st.sampled_from([0, _TINY, -_TINY, Fraction(10**40 + 1, 3), Fraction(-(10**40) - 1, 7),
+                     Fraction(3, 10**40 + 1), Fraction(-7, 10**40 + 1)]),
+    st.integers(-5, 5),
+    st.fractions(max_denominator=10**6).map(Fraction),
+)
+
+
+@given(values_at_zero, st.lists(st.integers(-5, 5), max_size=3),
+       st.sampled_from([0, 1, Fraction(1, 3), 10]))
+@settings(max_examples=300, deadline=None)
+def test_first_nonpositive_reads_the_sign_at_zero_off_its_numerator(p0, higher, t_max):
+    """The search stops at 0 exactly when ``p(0) <= 0`` by plain comparison,
+    for constant and higher-degree ``p`` alike."""
+    p = UniPoly((p0, *higher))
+    try:
+        found = first_nonpositive(p, t_max)
+    except NotRepresentableError:  # an irrational root past 0
+        found = None
+    assert (found == 0) == (p0 <= 0)
+
+
 def test_first_nonpositive_result_is_a_root():
     p = poly(1, -2)
     r = first_nonpositive(uni(p), 1)
